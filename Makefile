@@ -5,7 +5,7 @@
 # allocs/op snapshots that future PRs can gate against). Keep this filter
 # in sync with the bench-regression job's -bench pattern.
 BENCH_FILTER ?= BenchmarkRun|BenchmarkEngineRun|BenchmarkStreamRunner|BenchmarkScale|BenchmarkSweep|BenchmarkBatchSweep|BenchmarkOnlineSubmit|BenchmarkOnlineRetry|BenchmarkMetricsRender
-BENCH_RECORD ?= BENCH_PR10.json
+BENCH_RECORD ?= BENCH_PR12.json
 
 .PHONY: test build vet lint bench bench-record
 
@@ -37,5 +37,5 @@ bench:
 # changes. Compare against an older record with ci/benchgate after
 # converting, or diff the JSON directly.
 bench-record:
-	go test -run '^$$' -bench '$(BENCH_FILTER)' -benchmem -count 3 -timeout 30m ./... \
+	go test -run '^$$' -bench '$(BENCH_FILTER)' -benchmem -count 5 -timeout 60m ./... \
 		| go run ./ci/benchrecord -o $(BENCH_RECORD)

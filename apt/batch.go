@@ -121,10 +121,10 @@ func runOne(w *sim.Worker, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.ValidateLanes(cfg.Workload.g, cfg.Machine.sys, run.Opt.Lanes); err != nil {
+	if err := res.Validate(cfg.Workload.g, cfg.Machine.sys); err != nil {
 		return nil, fmt.Errorf("internal error, invalid schedule: %w", err)
 	}
-	return assemble(res, cfg.Workload, cfg.Machine, pol, run.Opt.Lanes), nil
+	return assemble(res, cfg.Workload, cfg.Machine, pol), nil
 }
 
 // costsMemoKey identifies one prepared cost oracle in a worker's memo. It
@@ -152,15 +152,13 @@ type tableMemoKey struct {
 type policyMemoKey struct{ p Policy }
 
 // memoCosts returns the prepared cost oracle for (g, m, tab, cfg), from
-// the worker's memo when one is supplied. The lane count only shards the
-// row fills — prepared tables are byte-identical for every value — so it
-// is deliberately absent from the memo key.
-func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.CostConfig, lanes int) (*sim.Costs, error) {
+// the worker's memo when one is supplied.
+func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.CostConfig) (*sim.Costs, error) {
 	if w == nil {
-		return sim.PrepareCostsLanes(g, m.sys, tab, cfg, lanes)
+		return sim.PrepareCosts(g, m.sys, tab, cfg)
 	}
 	v, err := w.Memo(costsMemoKey{g: g, m: m, cfg: cfg, tab: tab}, func() (any, error) {
-		return sim.PrepareCostsLanes(g, m.sys, tab, cfg, lanes)
+		return sim.PrepareCosts(g, m.sys, tab, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -186,11 +184,10 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 	if opts.SerialTransfers {
 		mode = sim.TransferSum
 	}
-	costCfg := sim.CostConfig{ElemBytes: opts.ElemBytes, Mode: mode, Float32Exec: opts.Float32Costs}
+	costCfg := sim.CostConfig{ElemBytes: opts.ElemBytes, Mode: mode}
 	simOpt := sim.Options{
 		SchedOverheadMs: opts.SchedOverheadMs,
 		ArrivalTimes:    opts.Arrivals,
-		Lanes:           opts.Lanes,
 	}
 
 	// A perturbation splits estimation from reality: the estimate table the
@@ -207,7 +204,7 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 			// estimate/actual split remains (degradation still applies).
 			estTab = actualTab
 		} else if actualTab != estTab {
-			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab, costCfg, opts.Lanes)
+			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab, costCfg)
 			if err != nil {
 				return sim.BatchRun{}, nil, err
 			}
@@ -222,7 +219,7 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 		}
 	}
 
-	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab, costCfg, opts.Lanes)
+	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab, costCfg)
 	if err != nil {
 		return sim.BatchRun{}, nil, err
 	}
@@ -272,9 +269,9 @@ func memoPolicy(w *sim.Worker, p Policy) (sim.Policy, error) {
 
 // assemble converts an engine result into the public Result, mirroring Run.
 // The per-kernel rows are filled into an exact-size preallocation, sharded
-// across the run's lanes (disjoint index ranges, so the output is
+// across lanes on large runs (disjoint index ranges, so the output is
 // byte-identical for every lane count — see sim.ParallelOver).
-func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy, lanes int) *Result {
+func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result {
 	out := &Result{
 		Policy:        res.Policy,
 		MakespanMs:    res.MakespanMs,
@@ -288,7 +285,7 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy, lanes in
 		wl:            w,
 	}
 	out.Kernels = make([]KernelRun, len(res.Placements))
-	sim.ParallelOver(len(res.Placements), lanes, func(lo, hi int) {
+	sim.ParallelOver(len(res.Placements), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pl := res.Placements[i]
 			out.Kernels[i] = KernelRun{

@@ -43,20 +43,6 @@ type Options struct {
 	// steady platform — the thesis's model. See Perturbation and
 	// RunRobustness.
 	Perturb *Perturbation
-	// Lanes fans the trajectory-independent phases of a run — cost-table
-	// preparation, schedule validation, latency sorting and result
-	// assembly — across parallel lanes. The event trajectory itself stays
-	// sequential (policies observe global state at every decision), so
-	// results are byte-identical for every lane count: 0 or 1 serial, > 1
-	// that many lanes, < 0 one per CPU. Worth it from ~10k kernels up.
-	Lanes int
-	// Float32Costs stores the execution-time matrix in float32, halving
-	// the cost table's per-kernel footprint. Lookups widen the same stored
-	// value everywhere so runs stay fully deterministic, but low-order
-	// result bits differ from the default float64 table — leave this off
-	// where byte-compatibility with existing outputs matters. See
-	// ARCHITECTURE.md "Memory layout & partitioned execution".
-	Float32Costs bool
 }
 
 // PoissonArrivals returns a streaming-arrival schedule for the workload:
@@ -239,10 +225,10 @@ func Run(w *Workload, m *Machine, p Policy, opts *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.ValidateLanes(w.g, m.sys, run.Opt.Lanes); err != nil {
+	if err := res.Validate(w.g, m.sys); err != nil {
 		return nil, fmt.Errorf("apt: internal error, invalid schedule: %w", err)
 	}
-	return assemble(res, w, m, pol, run.Opt.Lanes), nil
+	return assemble(res, w, m, pol), nil
 }
 
 // Gantt renders the schedule as a time-ordered event log.

@@ -143,10 +143,19 @@ func TestScaleBatchDeterminism(t *testing.T) {
 	}
 }
 
+// withProcs runs fn under GOMAXPROCS=procs and restores the previous
+// value. The lane-parallel phases (cost preparation, validation, result
+// assembly) size themselves as min(kernels/2048, GOMAXPROCS) lanes, so this
+// is how a test selects the lane count of a public Run.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // TestScaleLaneDeterminism is the lane-count matrix: a 10k-kernel run must
-// be byte-identical for every Lanes value — 0 (the default, serial), 1, 2,
-// 4 and one-per-CPU — under both a dynamic and a static policy, with the
-// schedule re-validated through the lane-parallel validator each time.
+// be byte-identical under 1, 2, 4 and one-per-CPU lanes (10k kernels allow
+// up to four), under both a dynamic and a static policy, with the schedule
+// re-validated through the lane-parallel validator each time.
 func TestScaleLaneDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-kernel lane matrix in -short mode")
@@ -161,10 +170,11 @@ func TestScaleLaneDeterminism(t *testing.T) {
 	}
 	for _, pol := range []Policy{APT(4), HEFT()} {
 		var baseline string
-		for _, lanes := range []int{0, 1, 2, 4, runtime.NumCPU(), -1} {
-			res, err := Run(w, m, pol, &Options{Lanes: lanes})
+		for _, procs := range []int{1, 2, 4, runtime.NumCPU()} {
+			var res *Result
+			withProcs(procs, func() { res, err = Run(w, m, pol, nil) })
 			if err != nil {
-				t.Fatalf("%v lanes=%d: %v", pol, lanes, err)
+				t.Fatalf("%v GOMAXPROCS=%d: %v", pol, procs, err)
 			}
 			fp := resultFingerprint(t, res)
 			if baseline == "" {
@@ -172,18 +182,18 @@ func TestScaleLaneDeterminism(t *testing.T) {
 				continue
 			}
 			if fp != baseline {
-				t.Fatalf("%v lanes=%d: result differs from serial baseline", pol, lanes)
+				t.Fatalf("%v GOMAXPROCS=%d: result differs from serial baseline", pol, procs)
 			}
 		}
 	}
 }
 
 // TestScale1MDeterminism drives the engine at the million-kernel design
-// point: one 1M-kernel layered DAG scheduled serially and with one lane per
-// CPU must agree byte for byte. Skipped under -short and under -race — the
-// two runs move gigabytes of cost table and placement state (the race-
-// instrumented lane interactions are covered at 10k by the lane matrix
-// above, which CI does run with -race).
+// point: one 1M-kernel layered DAG scheduled serially (GOMAXPROCS=1) and
+// with one lane per CPU must agree byte for byte. Skipped under -short and
+// under -race — the two runs move gigabytes of cost table and placement
+// state (the race-instrumented lane interactions are covered at 10k by the
+// lane matrix above, which CI does run with -race).
 func TestScale1MDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-kernel run in -short mode")
@@ -199,14 +209,16 @@ func TestScale1MDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Run(w, m, HEFT(), &Options{Lanes: 1})
+	var serial *Result
+	withProcs(1, func() { serial, err = Run(w, m, HEFT(), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serial.Kernels) != 1_000_000 {
 		t.Fatalf("kernels = %d", len(serial.Kernels))
 	}
-	parallel, err := Run(w, m, HEFT(), &Options{Lanes: -1})
+	var parallel *Result
+	withProcs(runtime.NumCPU(), func() { parallel, err = Run(w, m, HEFT(), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,38 +245,5 @@ func TestScale1MDeterminism(t *testing.T) {
 		serial.Sojourn != parallel.Sojourn ||
 		serial.QueueWait != parallel.QueueWait {
 		t.Fatal("headline metrics differ between serial and per-CPU lanes")
-	}
-}
-
-// TestFloat32CostsDeterminism pins the float32 cost-table contract: the
-// option changes estimates (quantisation is documented as NOT byte-identical
-// to float64) but each mode is internally deterministic across lane counts,
-// and every schedule still validates.
-func TestFloat32CostsDeterminism(t *testing.T) {
-	w, err := GenerateLayeredWorkload(1000, 0, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ScaleMachine(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline string
-	for _, lanes := range []int{0, 2, -1} {
-		res, err := Run(w, m, HEFT(), &Options{Float32Costs: true, Lanes: lanes})
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		if res.MakespanMs <= 0 {
-			t.Fatalf("lanes=%d: makespan %v", lanes, res.MakespanMs)
-		}
-		fp := resultFingerprint(t, res)
-		if baseline == "" {
-			baseline = fp
-			continue
-		}
-		if fp != baseline {
-			t.Fatalf("lanes=%d: float32 result differs across lane counts", lanes)
-		}
 	}
 }

@@ -181,6 +181,9 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"malformed json", "POST", "/v1/submit", `{"name":`, http.StatusBadRequest, "bad_request"},
 		{"estimate mismatch", "POST", "/v1/submit", `{"name":"x","est_ms":[1]}`, http.StatusBadRequest, "bad_request"},
+		{"estimate overflows to inf", "POST", "/v1/submit", `{"name":"x","est_ms":[1,1e999,1]}`, http.StatusBadRequest, "bad_request"},
+		{"negative transfer", "POST", "/v1/submit", `{"name":"x","est_ms":[1,1,1],"xfer_ms":[0,-1,0]}`, http.StatusBadRequest, "bad_request"},
+		{"transfer overflows to inf", "POST", "/v1/submit", `{"name":"x","est_ms":[1,1,1],"xfer_ms":[0,0,1e999]}`, http.StatusBadRequest, "bad_request"},
 		{"oversized body", "POST", "/v1/submit", `{"name":"` + big + `","est_ms":[1,1,1]}`, http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"graph cycle", "POST", "/v1/graph", `{"tasks":[{"name":"a","est_ms":[1,1,1],"deps":[1]},{"name":"b","est_ms":[1,1,1],"deps":[0]}]}`, http.StatusBadRequest, "bad_request"},
 		{"empty graph", "POST", "/v1/graph", `{"tasks":[]}`, http.StatusBadRequest, "bad_request"},

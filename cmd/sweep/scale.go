@@ -23,7 +23,6 @@ type scaleConfig struct {
 	rate      float64
 	seed      int64
 	timing    bool // wall-clock throughput to stderr (non-deterministic)
-	lanes     int  // parallel lanes per run; output byte-identical for every value
 }
 
 // runScale sweeps large synthetic graphs × policies on a scale machine:
@@ -67,8 +66,7 @@ func runScale(w io.Writer, cfg scaleConfig) error {
 		}
 		cfgs := make([]apt.RunConfig, len(pols))
 		for i, p := range pols {
-			cfgs[i] = apt.RunConfig{Workload: wl, Machine: m, Policy: p,
-				Options: &apt.Options{Lanes: cfg.lanes}}
+			cfgs[i] = apt.RunConfig{Workload: wl, Machine: m, Policy: p}
 		}
 		// Side-band throughput timing: the elapsed wall time is printed to
 		// stderr only (and only under -timing); the diffed stdout table is

@@ -33,8 +33,9 @@
 // backpressure (ErrQueueFull / blocking SubmitCtx), SubmitGraph releasing
 // dependent tasks as predecessors finish, live sojourn and queueing-delay
 // percentiles, and optional α auto-tuning from observed regret — and
-// cmd/aptserve exposes it over HTTP/JSON (POST /submit, POST /graph,
-// GET /stats, GET /healthz) with graceful drain. The apt package
+// cmd/aptserve exposes it over a versioned HTTP/JSON API (POST /v1/submit,
+// POST /v1/graph, GET /v1/stats, /v1/metrics, /v1/healthz and more) with
+// graceful drain. The apt package
 // re-exports the live telemetry types (LiveStats, LiveLatency); see
 // docs/ARCHITECTURE.md for how the two runtimes share one data layer.
 //

@@ -57,16 +57,6 @@ type CostConfig struct {
 	ElemBytes float64
 	// Mode selects multi-predecessor transfer combination; default TransferMax.
 	Mode TransferMode
-	// Float32Exec stores the execution-time matrix as float32 instead of
-	// float64, halving the dominant per-kernel table cost (np×4 instead of
-	// np×8 bytes per kernel). Every lookup still returns float64 — the
-	// quantisation happens exactly once, at table build — so a run is fully
-	// deterministic, but its low-order bits differ from the float64 table's:
-	// results are NOT byte-identical between the two storages. Opt in only
-	// where that is acceptable (relative quantisation error ≤ 2⁻²⁴ ≈ 6e-8,
-	// far below measurement noise in any measured lookup table; see
-	// ARCHITECTURE.md "Memory layout & partitioned execution").
-	Float32Exec bool
 }
 
 // DefaultCostConfig returns the documented defaults (4 bytes/element,
@@ -99,13 +89,10 @@ type Costs struct {
 	np  int
 	// exec is the kernel×processor execution-time matrix flattened row-major
 	// with stride np (exec[k*np+p]), one contiguous allocation regardless of
-	// graph size. Exactly one of exec/exec32 is populated: with
-	// CostConfig.Float32Exec the matrix lives in exec32 at half the bytes,
-	// quantised once at build time, and every accessor widens on read.
-	exec   []float64
-	exec32 []float32
-	best   []platform.ProcID
-	mean   []float64 // mean exec across procs, for HEFT ranks
+	// graph size.
+	exec []float64
+	best []platform.ProcID
+	mean []float64 // mean exec across procs, for HEFT ranks
 
 	// ranked is the per-kernel ascending-execution-time processor order,
 	// flattened with stride np and built lazily on the first RankedProcs
@@ -120,20 +107,21 @@ type Costs struct {
 
 // PrepareCosts precomputes the kernel×processor execution-time matrix and
 // validates that the table covers every kernel in the graph on every
-// processor kind in the system.
+// processor kind in the system. From a few thousand kernels up the row
+// fills shard across autoLanes parallel lanes; the result is byte-identical
+// for every lane count.
 func PrepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig) (*Costs, error) {
-	return PrepareCostsLanes(g, sys, tab, cfg, 1)
-}
-
-// PrepareCostsLanes is PrepareCosts with the per-kernel row fills sharded
-// across parallel lanes (0 or 1 serial, < 0 one per CPU). Rows are independent
-// — each lane writes a disjoint slice of the matrix and derives best/mean
-// per row — and the lookup table is immutable, so the resulting oracle is
-// byte-identical for every lane count.
-func PrepareCostsLanes(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig, lanes int) (*Costs, error) {
 	if g == nil || sys == nil || tab == nil {
 		return nil, fmt.Errorf("sim: PrepareCosts requires graph, system and table")
 	}
+	return prepareCosts(g, sys, tab, cfg, autoLanes(g.NumKernels()))
+}
+
+// prepareCosts is PrepareCosts over an explicit lane count. Rows are
+// independent — each lane writes a disjoint slice of the matrix and derives
+// best/mean per row — and the lookup table is immutable, so the resulting
+// oracle is byte-identical for every lane count.
+func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig, lanes int) (*Costs, error) {
 	if cfg.ElemBytes == 0 {
 		cfg.ElemBytes = DefaultCostConfig().ElemBytes
 	}
@@ -150,15 +138,11 @@ func PrepareCostsLanes(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg C
 		sys:  sys,
 		cfg:  cfg,
 		np:   np,
+		exec: make([]float64, n*np),
 		best: make([]platform.ProcID, n),
 		mean: make([]float64, n),
 	}
-	if cfg.Float32Exec {
-		c.exec32 = make([]float32, n*np)
-	} else {
-		c.exec = make([]float64, n*np)
-	}
-	errs := make([]laneError, normLanes(lanes, n))
+	errs := make([]laneError, clampLanes(lanes, n))
 	parallelChunks(n, lanes, func(ch laneChunk) {
 		for id := ch.lo; id < ch.hi; id++ {
 			k := g.Kernel(dfg.KernelID(id))
@@ -172,15 +156,7 @@ func PrepareCostsLanes(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg C
 						id, k.Name, k.DataElems, p, err)}
 					return
 				}
-				if c.exec32 != nil {
-					// Quantise exactly once at build: every later read
-					// widens the same stored value, so estimates stay
-					// self-consistent across policies and the engine.
-					c.exec32[id*np+p] = float32(ms)
-					ms = float64(c.exec32[id*np+p])
-				} else {
-					c.exec[id*np+p] = ms
-				}
+				c.exec[id*np+p] = ms
 				sum += ms
 				if ms < bestMs {
 					bestMs = ms
@@ -210,36 +186,13 @@ func (c *Costs) Config() CostConfig { return c.cfg }
 //
 //apt:hotpath
 func (c *Costs) Exec(k dfg.KernelID, p platform.ProcID) float64 {
-	if c.exec32 != nil {
-		return float64(c.exec32[int(k)*c.np+int(p)])
-	}
 	return c.exec[int(k)*c.np+int(p)]
 }
 
 // ExecRow returns kernel k's execution times across all processors,
-// indexed by ProcID. With float64 storage (the default) the slice aliases
-// the flat cost table — do not modify. With Float32Exec storage the row is
-// widened into a fresh slice per call; allocation-sensitive callers on
-// compact tables should prefer AppendExecRow with a reused buffer.
+// indexed by ProcID. The slice aliases the flat cost table — do not modify.
 func (c *Costs) ExecRow(k dfg.KernelID) []float64 {
-	if c.exec32 != nil {
-		return c.AppendExecRow(make([]float64, 0, c.np), k)
-	}
 	return c.exec[int(k)*c.np : int(k+1)*c.np]
-}
-
-// AppendExecRow appends kernel k's execution times across all processors
-// (indexed by ProcID, same values as ExecRow) to buf and returns the
-// extended slice. With a reused buffer the query is allocation-free on both
-// storages.
-func (c *Costs) AppendExecRow(buf []float64, k dfg.KernelID) []float64 {
-	if c.exec32 != nil {
-		for _, v := range c.exec32[int(k)*c.np : int(k+1)*c.np] {
-			buf = append(buf, float64(v))
-		}
-		return buf
-	}
-	return append(buf, c.exec[int(k)*c.np:int(k+1)*c.np]...)
 }
 
 // MeanExec returns the mean execution time of kernel k across all

@@ -86,12 +86,6 @@ type Options struct {
 	// estimates (Costs, BusyUntil) stay nominal, the same split as
 	// ActualCosts. Nil means the platform never degrades.
 	Degrade Degradation
-	// Lanes sets the parallel lane count for the trajectory-independent
-	// phases the engine runs after the event loop (latency-array fill and
-	// sorting; see lanes.go — the event trajectory itself is inherently
-	// sequential). 0 or 1 runs serial, > 1 uses that many lanes, < 0 one
-	// lane per CPU. Results are byte-identical for every value.
-	Lanes int
 }
 
 // Placement records the full lifecycle of one kernel in a finished
@@ -432,7 +426,6 @@ type engine struct {
 	lambdas     []float64
 	sojourns    []float64 // scratch for latency summaries, reused per run
 	qwaits      []float64
-	sortScratch []float64 // merge buffer for lane-parallel latency sorts
 	nFinished   int
 	selectCalls int
 	assignments int
@@ -444,12 +437,6 @@ type engine struct {
 	// built once per engine (not per start call) so the hot path does not
 	// allocate a closure per kernel launch.
 	placeFn func(dfg.KernelID) platform.ProcID
-
-	// latFn fills the latency arrays for one lane chunk. Like placeFn it is
-	// built once per engine and captures only e, so warm runs do not pay a
-	// closure allocation per result() call; it reads e.sojourns/e.qwaits,
-	// which result() sizes before fanning out.
-	latFn func(c laneChunk)
 }
 
 func (e *engine) readyLen() int { return len(e.ready) - e.readyHoles }
@@ -846,26 +833,9 @@ func (e *engine) result() *Result {
 	for p := 0; p < np; p++ {
 		res.ProcStats[p].Proc = platform.ProcID(p)
 	}
-	lanes := e.opt.Lanes
 	n := len(e.placements)
-	// Latency arrays fill in parallel — disjoint indexed writes, one value
-	// per kernel — while every float accumulation below (per-processor time
-	// sums, λ totals) stays on this goroutine in kernel-ID order: float
-	// addition does not reassociate, and lane counts must never change
-	// output bytes (see lanes.go).
-	e.sojourns = grow(e.sojourns, n)
-	e.qwaits = grow(e.qwaits, n)
-	if e.latFn == nil {
-		e.latFn = func(c laneChunk) {
-			for i := c.lo; i < c.hi; i++ {
-				pl := &e.placements[i]
-				e.sojourns[i] = pl.Sojourn()
-				e.qwaits[i] = pl.QueueWait()
-			}
-		}
-	}
-	parallelChunks(n, lanes, e.latFn)
-	sojourns, qwaits := e.sojourns, e.qwaits
+	sojourns := grow(e.sojourns, n)
+	qwaits := grow(e.qwaits, n)
 	var makespan float64
 	lambdas := e.lambdas[:0]
 	for i := range e.placements {
@@ -880,22 +850,16 @@ func (e *engine) result() *Result {
 		if l := pl.Lambda(); l > 0 {
 			lambdas = append(lambdas, l)
 		}
+		sojourns[i] = pl.Sojourn()
+		qwaits[i] = pl.QueueWait()
 	}
-	e.lambdas = lambdas
-	// The sorts behind the latency summaries are the expensive half of
-	// result assembly at scale; they shard across lanes and merge
-	// deterministically (sorted output is a pure function of the multiset).
-	// Only the scalar summaries escape into the Result, so warm runs stay
-	// allocation-lean.
-	// The sorted/spare returns rotate backing arrays between the latency
-	// scratches and the merge scratch, so each buffer keeps exactly one
-	// owner and nothing aliases across runs.
-	sorted, spare := parallelSortFloat64s(sojourns, e.sortScratch, lanes)
-	res.Sojourn = stats.SummarizeSorted(sorted)
-	e.sojourns, e.sortScratch = sorted, spare
-	sorted, spare = parallelSortFloat64s(qwaits, e.sortScratch, lanes)
-	res.QueueWait = stats.SummarizeSorted(sorted)
-	e.qwaits, e.sortScratch = sorted, spare
+	e.lambdas, e.sojourns, e.qwaits = lambdas, sojourns, qwaits
+	// Only the scalar summaries escape into the Result; the sorted arrays
+	// stay engine scratch, so warm runs stay allocation-lean.
+	sort.Float64s(sojourns)
+	res.Sojourn = stats.SummarizeSorted(sojourns)
+	sort.Float64s(qwaits)
+	res.QueueWait = stats.SummarizeSorted(qwaits)
 	res.MakespanMs = makespan
 	for p := range res.ProcStats {
 		st := &res.ProcStats[p]
@@ -922,19 +886,20 @@ func (e *engine) result() *Result {
 // dependencies finish; λ is non-negative; and the reported makespan equals
 // the latest finish. It exists for tests and for downstream users embedding
 // custom policies.
+//
+// From a few thousand kernels up the per-kernel lifecycle checks shard
+// across autoLanes kernel-index chunks and the per-processor occupancy scans
+// across processors; both report the same first error the serial walk
+// would, for any lane count (see lanes.go).
 func (r *Result) Validate(g *dfg.Graph, sys *platform.System) error {
-	return r.ValidateLanes(g, sys, 1)
+	return r.validate(g, sys, autoLanes(g.NumKernels()))
 }
 
-// ValidateLanes is Validate fanned out over the given number of parallel
-// lanes (0 or 1 serial, < 0 one per CPU). The per-kernel lifecycle checks shard
-// across kernel-index chunks and the per-processor occupancy scans across
-// processors; both report the same first error the serial walk would, for
-// any lane count (see lanes.go). The occupancy index is a counting sort
-// into one int32 slice — 4 bytes per kernel — instead of the former
-// map-of-placement-slices, which copied every 64-byte Placement once and
-// was the validation pass's dominant allocation at 100k+ kernels.
-func (r *Result) ValidateLanes(g *dfg.Graph, sys *platform.System, lanes int) error {
+// validate is Validate over an explicit lane count. The occupancy index is
+// a counting sort into one int32 slice — 4 bytes per kernel, no Placement
+// copies — because this index is the pass's dominant allocation at 100k+
+// kernels.
+func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
 	n := g.NumKernels()
 	if len(r.Placements) != n {
 		return fmt.Errorf("sim: %d placements for %d kernels", len(r.Placements), n)
@@ -949,8 +914,7 @@ func (r *Result) ValidateLanes(g *dfg.Graph, sys *platform.System, lanes int) er
 	// (ready+exec)−ready−exec, which rounds to ±ulp(finish), not ±1e-9).
 	eps := func(at float64) float64 { return 1e-9 * (1 + math.Abs(at)) }
 
-	chunks := laneChunks(n, lanes)
-	nl := len(chunks)
+	nl := clampLanes(lanes, n)
 	errs := make([]laneError, nl)
 	laneMax := make([]float64, nl)
 	// perLane[lane*np+p] counts lane-local kernels on processor p; the
@@ -1041,9 +1005,9 @@ func (r *Result) ValidateLanes(g *dfg.Graph, sys *platform.System, lanes int) er
 	// first error is deterministic because buckets are walked by (processor,
 	// position) stamp. Ties on TransferStart order by kernel index so the
 	// sort — and any reported overlap pair — is a total order.
-	// Sized by this scan's own chunk count: lanes normalise against the
+	// Sized by this scan's own chunk count: lanes clamp against the
 	// processor count here, not the kernel count, and np may exceed n.
-	procErrs := make([]laneError, len(laneChunks(np, lanes)))
+	procErrs := make([]laneError, clampLanes(lanes, np))
 	parallelChunks(np, lanes, func(c laneChunk) {
 		for p := c.lo; p < c.hi; p++ {
 			if procErrs[c.lane].err != nil {

@@ -2,27 +2,26 @@ package sim
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 )
 
-// Lane scheduling for the partitioned engine.
+// Lane scheduling for the partitioned phases.
 //
 // A "lane" is one worker goroutine of a single run. Lanes never touch the
 // event trajectory — the discrete-event loop is inherently sequential
 // because policies observe global state (ready set, processor availability)
 // at every decision point, so any reordering would change the schedule
 // itself. What lanes do parallelise are the trajectory-independent phases
-// around the loop: cost-table preparation (per-kernel rows are
+// that measurably win from it: cost-table preparation (per-kernel rows are
 // independent), schedule validation (per-kernel lifecycle checks and
-// per-processor occupancy scans), latency-array assembly and the public
-// result conversion. Those phases are 30–50% of a large run's wall time
-// and are embarrassingly parallel over kernels or processors.
+// per-processor occupancy scans) and the public result conversion in apt.
+// The lane count is not a knob: autoLanes derives it from the kernel count
+// and GOMAXPROCS, so small graphs stay on the serial, goroutine-free path.
 //
 // # Determinism invariant
 //
 // Every lane-parallel phase must produce byte-identical output for every
-// lane count, including 1 (the serial engine). Three rules enforce that:
+// lane count, including 1 (the serial path). Two rules enforce that:
 //
 //  1. Lanes only write to disjoint index ranges of preallocated slices —
 //     concatenation in chunk order then equals the serial fill, because
@@ -30,11 +29,8 @@ import (
 //  2. Floating-point reductions (λ totals, per-processor time sums) stay on
 //     one goroutine in kernel-ID order: float addition does not
 //     reassociate, so chunked partial sums would drift by an ulp and break
-//     byte-identity with the serial engine. Integer reductions and float
+//     byte-identity with the serial path. Integer reductions and float
 //     max/min are exact and may be merged per lane.
-//  3. Anything ordered by value (sorted latency arrays) may be sorted in
-//     shards and merged: the sorted result is a pure function of the
-//     multiset, not of the algorithm.
 //
 // The reducer side is sequence-stamped: laneChunks fixes each chunk's
 // [lo, hi) span up front, every lane tags its partial output with the chunk
@@ -45,26 +41,27 @@ type laneChunk struct {
 	lo, hi int // half-open index span
 }
 
-// normLanes clamps a requested lane count to [1, n]. The convention is
-// uniform across the package and the public facade: 0 or 1 run serial
-// (the default), > 1 uses that many lanes, < 0 takes one lane per CPU.
-func normLanes(lanes, n int) int {
-	if lanes < 0 {
-		lanes = runtime.NumCPU()
-	}
-	if lanes > n {
-		lanes = n
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	return lanes
+// minKernelsPerLane is the smallest per-lane share of kernels worth a
+// goroutine. Measured on a 2-vCPU Xeon, two lanes lose to one in
+// validation at 1k kernels, run level to 15% faster at 10k and win clearly
+// from 30k, while cost preparation wins at every size; ~2k kernels per lane
+// keeps the paper's 46–157-kernel graphs serial and gives a 10k-kernel run
+// two lanes (see ARCHITECTURE.md "What was removed and why").
+const minKernelsPerLane = 2048
+
+// autoLanes is the lane count for a phase over n kernels: one lane per
+// minKernelsPerLane kernels, at least 1 and at most GOMAXPROCS.
+func autoLanes(n int) int {
+	return max(1, min(n/minKernelsPerLane, runtime.GOMAXPROCS(0)))
 }
+
+// clampLanes limits a lane count to [1, n]: never more lanes than items.
+func clampLanes(lanes, n int) int { return max(1, min(lanes, n)) }
 
 // laneChunks splits [0, n) into `lanes` contiguous chunks differing in
 // length by at most one, each stamped with its sequence index.
 func laneChunks(n, lanes int) []laneChunk {
-	lanes = normLanes(lanes, n)
+	lanes = clampLanes(lanes, n)
 	chunks := make([]laneChunk, lanes)
 	q, r := n/lanes, n%lanes
 	lo := 0
@@ -81,14 +78,14 @@ func laneChunks(n, lanes int) []laneChunk {
 
 // parallelChunks runs fn over the stamped chunks of [0, n), one goroutine
 // per chunk, and blocks until all lanes finish. With one lane (or tiny n)
-// it calls fn inline — the serial engine is exactly the lanes=1 case, not a
+// it calls fn inline — the serial path is exactly the lanes=1 case, not a
 // separate code path. fn must confine its writes to the chunk's span (or to
 // per-lane state indexed by the sequence stamp).
 func parallelChunks(n, lanes int, fn func(c laneChunk)) {
 	if n <= 0 {
 		return
 	}
-	if normLanes(lanes, n) == 1 {
+	if clampLanes(lanes, n) == 1 {
 		// Serial fast path: no chunk slice, no goroutines, no allocation.
 		fn(laneChunk{lane: 0, lo: 0, hi: n})
 		return
@@ -106,51 +103,14 @@ func parallelChunks(n, lanes int, fn func(c laneChunk)) {
 	wg.Wait()
 }
 
-// parallelSortFloat64s sorts xs ascending with `lanes` shard sorts followed
-// by a k-way merge into scratch, returning the sorted slice (scratch grown
-// as needed; with one lane xs is sorted in place and returned directly).
-// The sorted array is a pure function of the multiset — shard boundaries
-// and merge tie-breaks cannot change which float64 bits land where — so the
-// result is byte-identical to a serial sort for every lane count.
-func parallelSortFloat64s(xs, scratch []float64, lanes int) (sorted, spare []float64) {
-	if normLanes(lanes, len(xs)) == 1 {
-		sort.Float64s(xs)
-		return xs, scratch
-	}
-	chunks := laneChunks(len(xs), lanes)
-	parallelChunks(len(xs), lanes, func(c laneChunk) {
-		sort.Float64s(xs[c.lo:c.hi])
-	})
-	scratch = grow(scratch, len(xs))
-	// K-way merge by repeated head selection: the shard count is the lane
-	// count (single digits), so a heap would cost more than it saves.
-	heads := make([]int, len(chunks))
-	for i, c := range chunks {
-		heads[i] = c.lo
-	}
-	for out := 0; out < len(xs); out++ {
-		best := -1
-		for i, c := range chunks {
-			if heads[i] >= c.hi {
-				continue
-			}
-			if best < 0 || xs[heads[i]] < xs[heads[best]] {
-				best = i
-			}
-		}
-		scratch[out] = xs[heads[best]]
-		heads[best]++
-	}
-	return scratch, xs
-}
-
-// ParallelOver shards [0, n) across `lanes` contiguous chunks and runs fn
-// on each, blocking until all finish (0 or 1 lanes run fn inline over the
-// whole range). It exposes the engine's lane scheduler to result-assembly
-// code outside this package; fn must confine its writes to [lo, hi), which
-// keeps the concatenated output byte-identical to a serial fill.
-func ParallelOver(n, lanes int, fn func(lo, hi int)) {
-	parallelChunks(n, lanes, func(c laneChunk) { fn(c.lo, c.hi) })
+// ParallelOver shards [0, n) across autoLanes(n) contiguous chunks and runs
+// fn on each, blocking until all finish (below the lane threshold fn runs
+// inline over the whole range). It exposes the lane scheduler to
+// result-assembly code outside this package; fn must confine its writes to
+// [lo, hi), which keeps the concatenated output byte-identical to a serial
+// fill.
+func ParallelOver(n int, fn func(lo, hi int)) {
+	parallelChunks(n, autoLanes(n), func(c laneChunk) { fn(c.lo, c.hi) })
 }
 
 // laneError is one lane's first failure, stamped with the global index it

@@ -2,8 +2,7 @@ package sim
 
 import (
 	"bytes"
-	"math/rand"
-	"sort"
+	"runtime"
 	"testing"
 
 	"repro/internal/dfg"
@@ -43,11 +42,11 @@ func fuzzDAG(data []byte) *dfg.Graph {
 	return b.MustBuild()
 }
 
-// FuzzLanesOracle is the partition-vs-serial oracle: for arbitrary DAGs the
-// lane-parallel engine must produce byte-identical serialized results to
-// the serial engine for every lane count, the lane-parallel validator must
-// accept every schedule the serial one accepts, and lane-prepared cost
-// tables must match the serial tables bit for bit.
+// FuzzLanesOracle is the partition-vs-serial oracle: for arbitrary DAGs,
+// cost tables prepared across 1, 2, 4 and one-per-CPU lanes must match the
+// serial tables bit for bit, runs over them must serialise to the same
+// bytes as the serial run, and the lane-parallel validator must accept
+// every schedule the serial one accepts.
 func FuzzLanesOracle(f *testing.F) {
 	f.Add([]byte{5, 0})
 	f.Add([]byte{11, 1, 0, 1, 1, 2, 0, 2, 5, 9})
@@ -58,11 +57,11 @@ func FuzzLanesOracle(f *testing.F) {
 		if g == nil {
 			return
 		}
-		serialCosts, err := PrepareCosts(g, env.sys, env.tab, CostConfig{})
+		serialCosts, err := prepareCosts(g, env.sys, env.tab, CostConfig{}, 1)
 		if err != nil {
 			return
 		}
-		serial, err := Run(serialCosts, &greedy{}, Options{Lanes: 1})
+		serial, err := Run(serialCosts, &greedy{}, Options{})
 		if err != nil {
 			return
 		}
@@ -70,10 +69,10 @@ func FuzzLanesOracle(f *testing.F) {
 		if err := serial.WriteJSON(&want); err != nil {
 			t.Fatal(err)
 		}
-		for _, lanes := range []int{2, 4, -1} {
-			laneCosts, err := PrepareCostsLanes(g, env.sys, env.tab, CostConfig{}, lanes)
+		for _, lanes := range []int{2, 4, runtime.NumCPU()} {
+			laneCosts, err := prepareCosts(g, env.sys, env.tab, CostConfig{}, lanes)
 			if err != nil {
-				t.Fatalf("lanes=%d: PrepareCostsLanes: %v", lanes, err)
+				t.Fatalf("lanes=%d: prepareCosts: %v", lanes, err)
 			}
 			for k := 0; k < g.NumKernels(); k++ {
 				id := dfg.KernelID(k)
@@ -85,11 +84,11 @@ func FuzzLanesOracle(f *testing.F) {
 					}
 				}
 			}
-			res, err := Run(laneCosts, &greedy{}, Options{Lanes: lanes})
+			res, err := Run(laneCosts, &greedy{}, Options{})
 			if err != nil {
 				t.Fatalf("lanes=%d: run failed where serial succeeded: %v", lanes, err)
 			}
-			if err := res.ValidateLanes(g, env.sys, lanes); err != nil {
+			if err := res.validate(g, env.sys, lanes); err != nil {
 				t.Fatalf("lanes=%d: schedule rejected: %v", lanes, err)
 			}
 			var got bytes.Buffer
@@ -147,50 +146,94 @@ func TestLaneChunksTile(t *testing.T) {
 	}
 }
 
-func TestNormLanesConvention(t *testing.T) {
-	if got := normLanes(0, 100); got != 1 {
-		t.Errorf("normLanes(0) = %d, want 1 (serial default)", got)
+// TestAutoLanes pins the lane-count rule: one lane per minKernelsPerLane
+// kernels, at least one, at most GOMAXPROCS.
+func TestAutoLanes(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ n, want int }{
+		{0, 1},
+		{157, 1}, // the paper's largest suite graph stays serial
+		{minKernelsPerLane - 1, 1},
+		{2 * minKernelsPerLane, min(2, procs)},
+		{10_000, min(4, procs)},
+		{1 << 30, procs},
+	} {
+		if got := autoLanes(tc.n); got != tc.want {
+			t.Errorf("autoLanes(%d) = %d, want %d (GOMAXPROCS %d)", tc.n, got, tc.want, procs)
+		}
 	}
-	if got := normLanes(1, 100); got != 1 {
-		t.Errorf("normLanes(1) = %d, want 1", got)
+	if got := clampLanes(8, 3); got != 3 {
+		t.Errorf("clampLanes(8, n=3) = %d, want 3", got)
 	}
-	if got := normLanes(6, 100); got != 6 {
-		t.Errorf("normLanes(6) = %d, want 6", got)
-	}
-	if got := normLanes(-1, 100); got < 1 {
-		t.Errorf("normLanes(-1) = %d, want >= 1 (one per CPU)", got)
-	}
-	if got := normLanes(8, 3); got != 3 {
-		t.Errorf("normLanes(8, n=3) = %d, want clamp to 3", got)
+	if got := clampLanes(0, 100); got != 1 {
+		t.Errorf("clampLanes(0, 100) = %d, want 1", got)
 	}
 }
 
-func TestParallelSortFloat64sMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, 2, 7, 100, 1001} {
-		for _, lanes := range []int{1, 2, 3, 4, 8} {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = r.NormFloat64() * 1e6
-			}
-			want := append([]float64(nil), xs...)
-			sort.Float64s(want)
-			sorted, spare := parallelSortFloat64s(xs, nil, lanes)
-			if len(sorted) != n {
-				t.Fatalf("n=%d lanes=%d: sorted length %d", n, lanes, len(sorted))
-			}
-			for i := range want {
-				if sorted[i] != want[i] {
-					t.Fatalf("n=%d lanes=%d: sorted[%d] = %v, want %v", n, lanes, i, sorted[i], want[i])
-				}
-			}
-			// The returned pair must be usable as (result, next scratch):
-			// rotating them across calls keeps both buffers alive without
-			// aliasing each other.
-			if n > 0 && lanes > 1 && len(spare) > 0 && &sorted[0] == &spare[0] {
-				t.Fatalf("n=%d lanes=%d: sorted and spare alias", n, lanes)
-			}
+// treeDAG is an n-kernel binary out-tree alternating the tiny table's two
+// kernel names.
+func treeDAG(n int) *dfg.Graph {
+	b := dfg.NewBuilder()
+	for i := 0; i < n; i++ {
+		name := "a"
+		if i%2 == 1 {
+			name = "b"
 		}
+		b.AddKernel(dfg.Kernel{Name: name, DataElems: 1000})
+	}
+	for i := 1; i < n; i++ {
+		b.AddEdge(dfg.KernelID(i/2), dfg.KernelID(i))
+	}
+	return b.MustBuild()
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS=1 pin: the
+// lane count is derived from GOMAXPROCS, so counting under one proc would
+// hide a goroutine fan-out that a multi-core caller pays.
+func mallocsPerRun(runs int, fn func()) uint64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestSerialPhasesAllocs pins the below-threshold path: on a graph too small
+// for a second lane, PrepareCosts and Validate must start no goroutines and
+// build no chunk slices, even with several procs available. The counts are
+// the serial path's own allocations: PrepareCosts the Costs header, its
+// exec/best/mean tables, the one-entry error slot and the row-fill closure;
+// Validate its per-lane scratch (error slot, finish max, per-proc counts),
+// the occupancy index, the bucket starts, the proc error slot, two closures
+// and one sort.Slice per processor.
+func TestSerialPhasesAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	env := tiny(t, 4)
+	const n = 512
+	g := treeDAG(n)
+	c := mustCosts(t, g, env)
+	res, err := Run(c, &greedy{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := mallocsPerRun(20, func() {
+		if _, err := PrepareCosts(g, env.sys, env.tab, CostConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if prep != 6 {
+		t.Errorf("PrepareCosts at %d kernels allocates %d objects, want the serial path's 6", n, prep)
+	}
+	val := mallocsPerRun(20, func() {
+		if err := res.Validate(g, env.sys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if val != 15 {
+		t.Errorf("Validate at %d kernels allocates %d objects, want the serial path's 15", n, val)
 	}
 }
 
@@ -217,10 +260,10 @@ func (e *SizeErrorStub) Error() string { return e.s }
 
 func TestParallelOverDisjointWrites(t *testing.T) {
 	const n = 1000
-	for _, lanes := range []int{1, 2, 4, 7, -1} {
+	for _, lanes := range []int{1, 2, 4, 7, runtime.NumCPU()} {
 		out := make([]int32, n)
-		ParallelOver(n, lanes, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		parallelChunks(n, lanes, func(c laneChunk) {
+			for i := c.lo; i < c.hi; i++ {
 				out[i]++
 			}
 		})
@@ -228,6 +271,17 @@ func TestParallelOverDisjointWrites(t *testing.T) {
 			if v != 1 {
 				t.Fatalf("lanes=%d: index %d written %d times", lanes, i, v)
 			}
+		}
+	}
+	out := make([]int32, 3*minKernelsPerLane)
+	ParallelOver(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i]++
+		}
+	})
+	for i, v := range out {
+		if v != 1 {
+			t.Fatalf("ParallelOver: index %d written %d times", i, v)
 		}
 	}
 }
@@ -303,19 +357,8 @@ func TestPlacementArenaAdaptiveSizing(t *testing.T) {
 // O(1) regardless of graph size.
 func TestRunnerWarmRunAllocsSlab(t *testing.T) {
 	env := tiny(t, 4)
-	b := dfg.NewBuilder()
 	const n = 512
-	for i := 0; i < n; i++ {
-		name := "a"
-		if i%2 == 1 {
-			name = "b"
-		}
-		b.AddKernel(dfg.Kernel{Name: name, DataElems: 1000})
-	}
-	for i := 1; i < n; i++ {
-		b.AddEdge(dfg.KernelID(i/2), dfg.KernelID(i))
-	}
-	c := mustCosts(t, b.MustBuild(), env)
+	c := mustCosts(t, treeDAG(n), env)
 	r := NewRunner()
 	pol := &leanGreedy{}
 	if _, err := r.Run(c, pol, Options{}); err != nil {

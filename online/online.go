@@ -547,8 +547,8 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 	}
 	pmin := 0
 	for p, e := range t.EstMs {
-		if !(e > 0) { // rejects non-positive and NaN
-			return nil, fmt.Errorf("online: task %q has non-positive estimate %v on processor %d", t.Name, e, p)
+		if !(e > 0) || math.IsInf(e, 1) { // rejects non-positive, NaN and +Inf
+			return nil, fmt.Errorf("online: task %q has invalid estimate %v on processor %d (want finite and > 0)", t.Name, e, p)
 		}
 		if e < t.EstMs[pmin] {
 			pmin = p
@@ -556,6 +556,13 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 	}
 	if t.XferMs != nil && len(t.XferMs) != s.np {
 		return nil, fmt.Errorf("online: task %q has %d transfer estimates for %d processors", t.Name, len(t.XferMs), s.np)
+	}
+	for p, x := range t.XferMs {
+		// A NaN would bar p from ever being an alternative, a negative value
+		// would let one slip under α·x, and +Inf is no estimate at all.
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("online: task %q has invalid transfer estimate %v on processor %d (want finite and >= 0)", t.Name, x, p)
+		}
 	}
 	if math.IsNaN(t.TimeoutMs) || math.IsInf(t.TimeoutMs, 0) {
 		return nil, fmt.Errorf("online: task %q has non-finite TimeoutMs %v", t.Name, t.TimeoutMs)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +41,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit(Task{EstMs: []float64{1, 2, 3}, XferMs: []float64{1}}); err == nil {
 		t.Error("wrong transfer count accepted")
+	}
+}
+
+// TestSubmitRejectsNonFiniteInputs: every estimate must be finite and
+// positive and every transfer finite and non-negative, and the error names
+// the task and the offending processor.
+func TestSubmitRejectsNonFiniteInputs(t *testing.T) {
+	s := newStarted(t, 3, 4)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name      string
+		est, xfer []float64
+		wantInMsg string
+	}{
+		{"est+inf", []float64{1, inf, 2}, nil, "processor 1"},
+		{"est-inf", []float64{1, 2, -inf}, nil, "processor 2"},
+		{"est-nan", []float64{nan, 1, 2}, nil, "processor 0"},
+		{"xfer-nan", []float64{1, 2, 3}, []float64{0, nan, 0}, "processor 1"},
+		{"xfer+inf", []float64{1, 2, 3}, []float64{0, 0, inf}, "processor 2"},
+		{"xfer-inf", []float64{1, 2, 3}, []float64{-inf, 0, 0}, "processor 0"},
+		{"xfer-negative", []float64{1, 2, 3}, []float64{0, -0.5, 0}, "processor 1"},
+	} {
+		_, err := s.Submit(Task{Name: tc.name, EstMs: tc.est, XferMs: tc.xfer})
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+tc.name+`"`) || !strings.Contains(msg, tc.wantInMsg) {
+			t.Errorf("%s: error %q does not name the task and %s", tc.name, msg, tc.wantInMsg)
+		}
+	}
+	// Zero transfers stay legal: a co-located input costs nothing to stage.
+	h, err := s.Submit(Task{Name: "zero-xfer", EstMs: []float64{1, 2, 3}, XferMs: []float64{0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-h.Done; res.Err != nil {
+		t.Fatal(res.Err)
 	}
 }
 
