@@ -249,21 +249,10 @@ func (r *Result) Utilisation() string {
 	return sb.String()
 }
 
-// ChromeTrace writes the schedule in Chrome's trace-event format; load the
-// output in chrome://tracing or https://ui.perfetto.dev to inspect it.
+// ChromeTrace writes the schedule in Chrome's trace-event format, the one
+// aptserve's GET /v1/trace serves; load the output in chrome://tracing or
+// https://ui.perfetto.dev to inspect it.
 func (r *Result) ChromeTrace(w io.Writer) error {
-	return report.WriteChromeTrace(w, r.res, r.wl.g, r.sys)
-}
-
-// WriteTrace exports a run's placements in Chrome's trace-event format —
-// one lane per processor, one slice per kernel, each slice carrying the
-// queue-wait and estimate-vs-actual placement-quality args. It is the
-// package-level form of Result.ChromeTrace, for callers holding the
-// Result behind an interface or passing the writer separately.
-func WriteTrace(w io.Writer, r *Result) error {
-	if r == nil || r.res == nil {
-		return fmt.Errorf("apt: WriteTrace requires a completed run result")
-	}
 	return report.WriteChromeTrace(w, r.res, r.wl.g, r.sys)
 }
 

@@ -35,9 +35,6 @@
 //	                    operators investigate the named processors.
 //
 // Every JSON error uses the envelope {"error": "...", "code": "..."}.
-// The original unversioned routes (/submit, /graph, /stats) remain as
-// deprecated aliases of their /v1 counterparts and answer with a
-// "Deprecation: true" header.
 //
 // Tasks "execute" by sleeping their actual_ms on the chosen processor
 // (divided by -speed, so demos and smoke tests run fast); actual_ms
@@ -177,21 +174,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "not_found", fmt.Errorf("no such endpoint: %s %s", r.Method, r.URL.Path))
 	})
-	// PR 5 routes, kept as deprecated aliases of the /v1 handlers.
-	mux.HandleFunc("POST /submit", deprecated(s.handleSubmit))
-	mux.HandleFunc("POST /graph", deprecated(s.handleGraph))
-	mux.HandleFunc("GET /stats", deprecated(s.handleStats))
 	return mux
-}
-
-// deprecated marks an unversioned alias per RFC 9745 and points clients at
-// the versioned successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 type errorResponse struct {

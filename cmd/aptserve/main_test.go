@@ -70,8 +70,8 @@ func getJSON(t *testing.T, url string, out any) {
 }
 
 // TestServeSmoke is the end-to-end smoke: submit over HTTP, submit a
-// dependency graph, read /stats percentiles, then drain. Run with -race
-// in CI, it covers the full serving stack.
+// dependency graph, read /v1/stats percentiles, then drain. Run with
+// -race in CI, it covers the full serving stack.
 func TestServeSmoke(t *testing.T) {
 	srv, ts := testServer(t, config{})
 
@@ -83,7 +83,7 @@ func TestServeSmoke(t *testing.T) {
 
 	// Single task: GPU-dominant estimates, expect processor 1.
 	var sub taskResponse
-	resp := postJSON(t, ts.URL+"/submit", taskRequest{
+	resp := postJSON(t, ts.URL+"/v1/submit", taskRequest{
 		Name:  "matmul",
 		EstMs: []float64{26, 0.1, 95},
 	}, &sub)
@@ -97,7 +97,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("sojourn %v, want > 0", sub.SojournMs)
 	}
 
-	// Concurrent load so /stats has a distribution to report.
+	// Concurrent load so /v1/stats has a distribution to report.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -105,7 +105,7 @@ func TestServeSmoke(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				var out taskResponse
-				postJSON(t, ts.URL+"/submit", taskRequest{
+				postJSON(t, ts.URL+"/v1/submit", taskRequest{
 					Name:  fmt.Sprintf("t%d-%d", g, i),
 					EstMs: []float64{1 + float64(i%3), 1 + float64((i+1)%3), 1 + float64((i+2)%3)},
 				}, &out)
@@ -120,7 +120,7 @@ func TestServeSmoke(t *testing.T) {
 
 	// Diamond graph: a → {b, c} → d.
 	var graph graphResponse
-	resp = postJSON(t, ts.URL+"/graph", graphRequest{Tasks: []graphTaskRequest{
+	resp = postJSON(t, ts.URL+"/v1/graph", graphRequest{Tasks: []graphTaskRequest{
 		{taskRequest: taskRequest{Name: "a", EstMs: []float64{1, 2, 3}}},
 		{taskRequest: taskRequest{Name: "b", EstMs: []float64{2, 1, 3}}, Deps: []int{0}},
 		{taskRequest: taskRequest{Name: "c", EstMs: []float64{3, 2, 1}}, Deps: []int{0}},
@@ -151,7 +151,7 @@ func TestServeSmoke(t *testing.T) {
 		} `json:"sojourn"`
 		Alpha float64 `json:"alpha"`
 	}
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	want := 1 + 8*10 + 4
 	if st.Completed != want || st.Submitted != want {
 		t.Fatalf("stats %+v, want %d completed", st, want)
@@ -178,14 +178,14 @@ func TestServeBadRequests(t *testing.T) {
 		url  string
 		body any
 	}{
-		{"/submit", taskRequest{Name: "wrong-len", EstMs: []float64{1}}},
-		{"/submit", taskRequest{Name: "neg", EstMs: []float64{1, -2, 3}}},
-		{"/submit", taskRequest{Name: "actual-mismatch", EstMs: []float64{1, 2, 3}, ActualMs: []float64{1}}},
-		{"/graph", graphRequest{Tasks: []graphTaskRequest{
+		{"/v1/submit", taskRequest{Name: "wrong-len", EstMs: []float64{1}}},
+		{"/v1/submit", taskRequest{Name: "neg", EstMs: []float64{1, -2, 3}}},
+		{"/v1/submit", taskRequest{Name: "actual-mismatch", EstMs: []float64{1, 2, 3}, ActualMs: []float64{1}}},
+		{"/v1/graph", graphRequest{Tasks: []graphTaskRequest{
 			{taskRequest: taskRequest{Name: "cyc-a", EstMs: []float64{1, 1, 1}}, Deps: []int{1}},
 			{taskRequest: taskRequest{Name: "cyc-b", EstMs: []float64{1, 1, 1}}, Deps: []int{0}},
 		}}},
-		{"/graph", graphRequest{}},
+		{"/v1/graph", graphRequest{}},
 	}
 	for _, c := range cases {
 		var out map[string]any

@@ -333,28 +333,6 @@ func TestHealthzDraining(t *testing.T) {
 	srv.shutdown(ctx)
 }
 
-// TestDeprecatedAliases: the PR 5 unversioned routes still work and are
-// marked deprecated.
-func TestDeprecatedAliases(t *testing.T) {
-	_, ts := testServer(t, config{})
-	var out taskResponse
-	resp := postJSON(t, ts.URL+"/submit", taskRequest{Name: "old", EstMs: []float64{26, 0.1, 95}}, &out)
-	if resp.StatusCode != http.StatusOK || out.Proc != 1 {
-		t.Fatalf("alias /submit: status %d resp %+v", resp.StatusCode, out)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/submit") {
-		t.Errorf("alias Link header %q does not point at /v1/submit", link)
-	}
-	var st map[string]any
-	getJSON(t, ts.URL+"/stats", &st)
-	if st["submitted"].(float64) != 1 {
-		t.Fatalf("alias /stats: %v", st)
-	}
-}
-
 // TestSnapshotCycleHTTP is the server-level zero-loss proof: kill a
 // server mid-graph, assert the snapshot lands on disk, boot a second
 // server from it and watch the captured tasks finish.

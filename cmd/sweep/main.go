@@ -559,7 +559,7 @@ func run(w io.Writer, typ int, alphaCSV, rateCSV, polName string, seed int64, si
 		if err != nil {
 			return err
 		}
-		if err := apt.WriteTrace(f, res); err != nil {
+		if err := res.ChromeTrace(f); err != nil {
 			f.Close()
 			return err
 		}

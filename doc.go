@@ -35,9 +35,8 @@
 // percentiles, and optional α auto-tuning from observed regret — and
 // cmd/aptserve exposes it over a versioned HTTP/JSON API (POST /v1/submit,
 // POST /v1/graph, GET /v1/stats, /v1/metrics, /v1/healthz and more) with
-// graceful drain. The apt package
-// re-exports the live telemetry types (LiveStats, LiveLatency); see
-// docs/ARCHITECTURE.md for how the two runtimes share one data layer.
+// graceful drain. See docs/ARCHITECTURE.md for how the two runtimes share
+// one data layer, one placement rule and one trace format.
 //
 // The simulator, policies and paper experiment harness live under
 // repro/internal. The benchmarks in this directory regenerate every table

@@ -203,7 +203,7 @@ func runFaults() error {
 }
 
 // loadGenerate drives a running aptserve over HTTP: n tasks from c
-// concurrent clients, then the server-side /stats summary.
+// concurrent clients, then the server-side /v1/stats summary.
 func loadGenerate(url string, n, c int) error {
 	type submitReq struct {
 		Name  string    `json:"name"`

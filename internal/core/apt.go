@@ -25,10 +25,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dfg"
 	"repro/internal/platform"
+	"repro/internal/rule"
 	"repro/internal/sim"
 )
 
@@ -167,11 +167,11 @@ func (a *APT) Select(st *sim.State) []sim.Assignment {
 	return out
 }
 
-// findAlternative implements find2ndBestProc of Algorithm 1: among the
-// processors still available in this batch, pick the one minimising
-// execution time plus incoming data transfer time, provided that total is
-// within threshold = α·x. Returns ok=false when no available processor
-// qualifies.
+// findAlternative implements find2ndBestProc of Algorithm 1 for the
+// simulator: the candidates are the processors still available in this
+// batch, each priced at execution time plus incoming data transfer time.
+// The threshold test and the choice are rule.Alt's, shared with the live
+// scheduler. Returns ok=false when no available processor qualifies.
 func (a *APT) findAlternative(
 	st *sim.State,
 	k dfg.KernelID,
@@ -179,24 +179,15 @@ func (a *APT) findAlternative(
 	x float64,
 	avail []bool,
 ) (platform.ProcID, float64, bool) {
-	threshold := a.Alpha * x
-	best := platform.ProcID(-1)
-	bestCost := math.Inf(1)
+	alt := rule.NewAlt(a.Alpha, x, int(pmin))
 	for pi, free := range avail {
-		p := platform.ProcID(pi)
-		if !free || p == pmin {
-			continue
-		}
-		cost := a.c.Exec(k, p) + a.transferTo(st, k, p)
-		// Strict < plus ascending iteration makes ties break to lower IDs.
-		if cost <= threshold && cost < bestCost {
-			best, bestCost = p, cost
+		if free {
+			p := platform.ProcID(pi)
+			alt.Offer(pi, a.c.Exec(k, p)+a.transferTo(st, k, p))
 		}
 	}
-	if best < 0 {
-		return -1, 0, false
-	}
-	return best, bestCost, true
+	p, cost, ok := alt.Best()
+	return platform.ProcID(p), cost, ok
 }
 
 // transferTo prices moving the kernel's predecessor outputs to processor p

@@ -1,10 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/online"
 )
@@ -60,61 +60,19 @@ func SchedulerMetrics(st online.Stats, sojourn, qwait *stats.Histogram) *Exposit
 	return e
 }
 
-// chrome trace-event rows for the live scheduler; mirrors the simulator's
-// internal/report writer but sources online.TraceEvent.
-type liveTraceEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat,omitempty"`
-	Phase string            `json:"ph"`
-	TS    float64           `json:"ts"`
-	Dur   float64           `json:"dur,omitempty"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
-// WriteChromeTrace renders live scheduler completions as a Chrome
-// trace-event JSON array (load into chrome://tracing or Perfetto): one
-// lane per processor, one slice per completion, with the queue-wait and
-// estimate-vs-actual pair attached as slice args. Events should be
-// oldest-first, as Scheduler.Trace returns them.
+// WriteChromeTrace renders live completions as the simulator's Chrome
+// trace (report.EncodeTrace), one exec slice each, adding the submission
+// seq, the estimate placed on (est_ms), the attempt and the failed flag.
 func WriteChromeTrace(w io.Writer, procs int, events []online.TraceEvent) error {
-	rows := make([]liveTraceEvent, 0, procs+len(events))
-	for p := 0; p < procs; p++ {
-		rows = append(rows, liveTraceEvent{
-			Name:  "thread_name",
-			Phase: "M",
-			PID:   1,
-			TID:   p,
-			Args:  map[string]string{"name": fmt.Sprintf("proc %d", p)},
-		})
+	lanes := make([]string, procs)
+	for p := range lanes {
+		lanes[p] = "proc " + strconv.Itoa(p)
 	}
-	for _, ev := range events {
-		cat := "exec"
-		if ev.Alt {
-			cat = "exec,alt"
-		}
-		rows = append(rows, liveTraceEvent{
-			Name:  ev.Name,
-			Cat:   cat,
-			Phase: "X",
-			TS:    ev.StartMs * 1000, // trace timestamps are microseconds
-			Dur:   (ev.FinishMs - ev.StartMs) * 1000,
-			PID:   1,
-			TID:   int(ev.Proc),
-			Args: map[string]string{
-				"seq":           fmt.Sprintf("%d", ev.Seq),
-				"queue_wait_ms": fmtFloat(ev.QueueWaitMs),
-				"est_ms":        fmtFloat(ev.EstMs),
-				"best_est_ms":   fmtFloat(ev.BestEstMs),
-				"actual_ms":     fmtFloat(ev.ActualMs),
-				"alt":           fmt.Sprintf("%t", ev.Alt),
-				"attempt":       fmt.Sprintf("%d", ev.Attempt),
-				"failed":        fmt.Sprintf("%t", ev.Failed),
-			},
-		})
+	slices := make([]report.TraceEvent, len(events))
+	for i, ev := range events {
+		slices[i] = report.ExecSlice(int(ev.Proc), ev.Name, ev.Alt, ev.StartMs, ev.FinishMs, ev.QueueWaitMs, ev.BestEstMs,
+			map[string]string{"seq": strconv.FormatUint(ev.Seq, 10), "est_ms": report.TraceNum(ev.EstMs),
+				"attempt": strconv.Itoa(ev.Attempt), "failed": strconv.FormatBool(ev.Failed)})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(rows)
+	return report.EncodeTrace(w, lanes, slices)
 }

@@ -72,14 +72,32 @@ type graphJob struct {
 // validated (estimates, dependency indices, acyclicity) before anything is
 // submitted; on error nothing runs.
 func (s *Scheduler) SubmitGraph(tasks []GraphTask) (*GraphHandle, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("online: empty graph")
-	}
 	if s.closed.Load() || s.draining.Load() {
 		return nil, ErrClosed
 	}
 	if !s.started.Load() {
 		return nil, fmt.Errorf("online: SubmitGraph before Start")
+	}
+	job, err := s.newGraphJob(tasks)
+	if err != nil {
+		return nil, err
+	}
+	// Register before the first release: a snapshot taken mid-submission
+	// must see the job, or its not-yet-finished tasks would be lost.
+	s.graphRegister(job)
+
+	// Release the entry frontier; sequence stamps are assigned in ID
+	// order, so simultaneous entries keep a deterministic queue order.
+	for _, id := range job.g.Entries() {
+		job.release(int(id))
+	}
+	return &GraphHandle{Done: job.done}, nil
+}
+
+// newGraphJob validates and prepares a graph without admitting any task.
+func (s *Scheduler) newGraphJob(tasks []GraphTask) (*graphJob, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("online: empty graph")
 	}
 	// Build the dependency DAG with the shared data layer: the Builder's
 	// sort+dedup pass produces CSR adjacency and verifies acyclicity via
@@ -126,17 +144,7 @@ func (s *Scheduler) SubmitGraph(tasks []GraphTask) (*GraphHandle, error) {
 		job.tasks[i] = lt
 		job.indeg[i] = int32(g.InDegree(dfg.KernelID(i)))
 	}
-
-	// Register before the first release: a snapshot taken mid-submission
-	// must see the job, or its not-yet-finished tasks would be lost.
-	s.graphRegister(job)
-
-	// Release the entry frontier; sequence stamps are assigned in ID
-	// order, so simultaneous entries keep a deterministic queue order.
-	for _, id := range g.Entries() {
-		job.release(int(id))
-	}
-	return &GraphHandle{Done: job.done}, nil
+	return job, nil
 }
 
 // graphRegister tracks an in-flight graph job for Snapshot.

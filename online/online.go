@@ -60,6 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/rule"
 	"repro/internal/stats"
 )
 
@@ -321,6 +322,7 @@ type Scheduler struct {
 	// lock). Only the single sweeper goroutine touches it; cleared after
 	// every sweep so no *liveTask outlives its dispatch.
 	placedBuf []placedTask
+	idle      []bool // the sweeper's view of idle processors (see sweep)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -440,6 +442,7 @@ func NewWithConfig(cfg Config) (*Scheduler, error) {
 		stripes:      make([]stripe, ns),
 		smask:        uint64(ns - 1),
 		procs:        make([]proc, cfg.Procs),
+		idle:         make([]bool, cfg.Procs),
 		wakeCh:       make(chan struct{}, 1),
 		spaceCh:      make(chan struct{}),
 		traceDepth:   cfg.TraceDepth,
@@ -607,7 +610,7 @@ func (s *Scheduler) submitTask(lt *liveTask, internal bool) error {
 	// preserve, so placement can claim a processor lock-free and bypass
 	// the sweeper entirely.
 	if s.queued.Load() == 0 {
-		if p, ok := s.tryPlace(lt); ok {
+		if p, ok := s.tryPlace(lt, nil); ok {
 			s.submitted.Add(1)
 			s.dispatch(lt, p)
 			s.inflight.Add(-1)
@@ -655,9 +658,11 @@ func (s *Scheduler) enqueue(lt *liveTask, bounded bool) error {
 }
 
 // tryPlace applies Algorithm 1 to one task against the live idle flags:
-// best processor if idle, else cheapest idle alternative within threshold.
-// Claims race lock-free: a failed compare-and-swap means another placement
-// won that processor, so the scan repeats against the shrunken idle set.
+// best processor if idle, else the alternative rule.Alt picks among the
+// idle processors. Claims race lock-free: a failed compare-and-swap means
+// another placement won that processor, so the scan repeats against the
+// shrunken idle set. A non-nil idle restricts placement to the processors
+// it marks (the sweep's snapshot).
 //
 // A retrying task first excludes the processor that just failed it
 // (lt.avoid) — the thesis's alternative-processor idea applied to failure
@@ -667,30 +672,28 @@ func (s *Scheduler) enqueue(lt *liveTask, bounded bool) error {
 // unconditionally.
 //
 //apt:hotpath
-func (s *Scheduler) tryPlace(lt *liveTask) (ProcID, bool) {
+func (s *Scheduler) tryPlace(lt *liveTask, idle []bool) (ProcID, bool) {
 	t := &lt.task
 	avoid := lt.avoid
 	for pass := 0; pass < 2; pass++ {
 		for attempt := 0; attempt <= s.np; attempt++ {
-			if lt.pmin != avoid && s.claim(lt.pmin) {
+			if lt.pmin != avoid && (idle == nil || idle[lt.pmin]) && s.claim(lt.pmin) {
 				lt.alt, lt.ratio = false, 1
 				return ProcID(lt.pmin), true
 			}
-			threshold := s.Alpha() * lt.bestEst
-			best, bestCost := -1, 0.0
+			alt := rule.NewAlt(s.Alpha(), lt.bestEst, lt.pmin)
 			for p := 0; p < s.np; p++ {
-				if p == lt.pmin || p == avoid || s.procs[p].busy.Load() || !s.procs[p].healthy.Load() {
+				if p == avoid || (idle != nil && !idle[p]) || s.procs[p].busy.Load() || !s.procs[p].healthy.Load() {
 					continue
 				}
 				cost := t.EstMs[p]
 				if t.XferMs != nil {
 					cost += t.XferMs[p]
 				}
-				if cost <= threshold && (best < 0 || cost < bestCost) {
-					best, bestCost = p, cost
-				}
+				alt.Offer(p, cost)
 			}
-			if best < 0 {
+			best, bestCost, ok := alt.Best()
+			if !ok {
 				break
 			}
 			if s.claim(best) {
@@ -698,7 +701,7 @@ func (s *Scheduler) tryPlace(lt *liveTask) (ProcID, bool) {
 				return ProcID(best), true
 			}
 		}
-		if avoid < 0 {
+		if avoid < 0 || s.freedSince(idle) {
 			return 0, false
 		}
 		// Nothing viable besides the avoided processor: lift the
@@ -707,6 +710,20 @@ func (s *Scheduler) tryPlace(lt *liveTask) (ProcID, bool) {
 		lt.avoid = -1
 	}
 	return 0, false
+}
+
+// freedSince reports whether a processor busy in the sweep's view has been
+// released since. A retry then waits for the sweep that release wakes
+// rather than fall back onto the processor that just failed it.
+//
+//apt:hotpath
+func (s *Scheduler) freedSince(idle []bool) bool {
+	for p, was := range idle {
+		if !was && !s.procs[p].busy.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // claim marks a processor busy if it is idle and healthy. The health flag
@@ -803,14 +820,22 @@ type placedTask struct {
 // the lock keep each target processor reserved until its send lands, so
 // the deferred sends preserve the capacity-1 never-blocks invariant and
 // the FCFS dispatch order.
+//
+// Like the simulator's Select, a sweep decides on one view: its gathered
+// waiters and the processors idle once they are gathered. A processor
+// freed mid-walk would otherwise go to whichever waiter the walk had
+// reached; its worker's wake brings a next sweep that offers it in order.
 func (s *Scheduler) sweep() {
 	dis := s.placedBuf[:0]
 	s.pend.mu.Lock()
 	q := s.gatherLocked()
+	for p := range s.idle {
+		s.idle[p] = !s.procs[p].busy.Load()
+	}
 	w := 0
 	for i := 0; i < len(q); i++ {
 		lt := q[i]
-		if p, ok := s.tryPlace(lt); ok {
+		if p, ok := s.tryPlace(lt, s.idle); ok {
 			dis = append(dis, placedTask{lt: lt, p: p})
 			continue
 		}
@@ -842,19 +867,29 @@ func (s *Scheduler) sweep() {
 // gathered batch is sorted; a surviving backlog is already ordered from
 // the previous sweep and is merged in O(backlog + batch), so a large
 // standing queue does not pay a full re-sort per sweep.
+//
+// Only tasks stamped before the walk are taken: stripes are locked one at
+// a time, so a submitter pushing mid-walk could otherwise have a later
+// task gathered without its earlier one. Their enqueue wakes bring the
+// sweep that takes the rest.
 func (s *Scheduler) gatherLocked() []*liveTask {
+	cut := s.seq.Load()
 	q := s.pend.q
 	n0 := len(q)
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		if len(st.q) > 0 {
-			q = append(q, st.q...)
-			for j := range st.q {
-				st.q[j] = nil
+		keep := 0
+		for _, lt := range st.q {
+			if lt.seq <= cut {
+				q = append(q, lt)
+			} else {
+				st.q[keep] = lt
+				keep++
 			}
-			st.q = st.q[:0]
 		}
+		clear(st.q[keep:])
+		st.q = st.q[:keep]
 		st.mu.Unlock()
 	}
 	batch := q[n0:]

@@ -7,11 +7,9 @@ import (
 	"io"
 )
 
-// SnapshotVersion is the format version written by Snapshot.WriteJSON.
-// ReadSnapshot and Restore accept any version from 1 up to this value:
-// version 2 added per-task attempt counts and per-processor breaker state,
-// both optional, so a version-1 snapshot restores with zeroed attempts and
-// closed breakers. Bump on any incompatible schema change.
+// SnapshotVersion is the format version written by Snapshot.WriteJSON,
+// and the only one ReadSnapshot and Restore accept. Bump on any
+// incompatible schema change.
 const SnapshotVersion = 2
 
 // SnapshotTask is one serialised task. Run functions cannot cross a
@@ -26,14 +24,14 @@ type SnapshotTask struct {
 	// SnapshotGraph.Tasks); always empty for independent tasks.
 	Deps []int `json:"deps,omitempty"`
 	// Attempts is how many execution attempts the task had already used at
-	// capture time (version 2+); a restored task resumes its retry budget
-	// from here instead of starting over.
+	// capture time; a restored task resumes its retry budget from here
+	// instead of starting over.
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// SnapshotBreaker is one processor's circuit-breaker state at capture time
-// (version 2+). Restore re-arms an open breaker with a fresh cooldown: the
-// fault that tripped it may well outlive the restart.
+// SnapshotBreaker is one processor's circuit-breaker state at capture
+// time. Restore re-arms an open breaker with a fresh cooldown: the fault
+// that tripped it may well outlive the restart.
 type SnapshotBreaker struct {
 	State            string `json:"state"` // "closed", "open" or "half-open"
 	ConsecutiveFails int    `json:"consecutive_fails,omitempty"`
@@ -63,7 +61,7 @@ type Snapshot struct {
 	Tasks  []SnapshotTask  `json:"tasks,omitempty"`
 	Graphs []SnapshotGraph `json:"graphs,omitempty"`
 	// Breakers holds per-processor breaker state, indexed by processor
-	// (version 2+; empty when the captured scheduler ran without breakers).
+	// (empty when the captured scheduler ran without breakers).
 	Breakers []SnapshotBreaker `json:"breakers,omitempty"`
 }
 
@@ -155,8 +153,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := dec.Decode(&sn); err != nil {
 		return nil, fmt.Errorf("online: invalid snapshot: %w", err)
 	}
-	if sn.Version < 1 || sn.Version > SnapshotVersion {
-		return nil, fmt.Errorf("online: snapshot version %d, want 1..%d", sn.Version, SnapshotVersion)
+	if sn.Version != SnapshotVersion {
+		return nil, fmt.Errorf("online: snapshot version %d, want %d", sn.Version, SnapshotVersion)
 	}
 	return &sn, nil
 }
@@ -168,29 +166,22 @@ type RebuildFunc func(SnapshotTask) (func(context.Context, ProcID) error, error)
 
 // Restore resubmits a snapshot's tasks into s through the normal
 // admission path: independent tasks via SubmitCtx (blocking on the queue
-// bound, honouring ctx) and graph frontiers via SubmitGraph. rebuild
-// reconstructs each task's Run function; a nil rebuild restores every
-// task as a no-op (useful for tests and for draining a backlog without
-// side effects). Restore returns the number of tasks submitted; on error
-// the count covers what was submitted before the failure.
+// bound, honouring ctx) and graph frontiers as SubmitGraph admits them.
+// rebuild reconstructs each task's Run function; a nil rebuild restores
+// every task as a no-op (useful for tests and for draining a backlog
+// without side effects). Every task and graph is rebuilt and validated
+// before the first is submitted, so a bad entry restores nothing. Restore
+// returns the number of tasks submitted; if admission itself fails (ctx
+// cancelled, scheduler closing), the count covers what went in before.
 //
 // The target scheduler must be started and have the same processor count
 // as the snapshot (estimate vectors are per-processor).
 func Restore(ctx context.Context, s *Scheduler, sn *Snapshot, rebuild RebuildFunc) (int, error) {
-	if sn.Version < 1 || sn.Version > SnapshotVersion {
-		return 0, fmt.Errorf("online: snapshot version %d, want 1..%d", sn.Version, SnapshotVersion)
+	if sn.Version != SnapshotVersion {
+		return 0, fmt.Errorf("online: snapshot version %d, want %d", sn.Version, SnapshotVersion)
 	}
 	if sn.Procs != s.np {
 		return 0, fmt.Errorf("online: snapshot for %d processors, scheduler has %d", sn.Procs, s.np)
-	}
-	// Re-arm breaker state first, so restored work immediately avoids the
-	// processors that were unhealthy at capture time (no-op for version-1
-	// snapshots or breaker-less schedulers).
-	for p, sb := range sn.Breakers {
-		if p >= s.np {
-			break
-		}
-		s.restoreBreaker(p, sb)
 	}
 	restoreTask := func(st SnapshotTask) (Task, error) {
 		t := Task{Name: st.Name, EstMs: st.EstMs, XferMs: st.XferMs, Payload: st.Payload, restoredAttempts: st.Attempts}
@@ -203,26 +194,49 @@ func Restore(ctx context.Context, s *Scheduler, sn *Snapshot, rebuild RebuildFun
 		}
 		return t, nil
 	}
-	n := 0
-	for _, st := range sn.Tasks {
+	// Validation only: SubmitCtx and SubmitGraph prepare everything again.
+	tasks := make([]Task, len(sn.Tasks))
+	for i, st := range sn.Tasks {
 		t, err := restoreTask(st)
 		if err != nil {
-			return n, err
+			return 0, err
 		}
-		if _, err := s.SubmitCtx(ctx, t); err != nil {
-			return n, fmt.Errorf("online: restore %q: %w", st.Name, err)
+		if _, err := s.prepare(t, nil); err != nil {
+			return 0, fmt.Errorf("online: restore %q: %w", st.Name, err)
 		}
-		n++
+		tasks[i] = t
 	}
+	graphs := make([][]GraphTask, len(sn.Graphs))
 	for gi, sg := range sn.Graphs {
-		gts := make([]GraphTask, len(sg.Tasks))
+		graphs[gi] = make([]GraphTask, len(sg.Tasks))
 		for i, st := range sg.Tasks {
 			t, err := restoreTask(st)
 			if err != nil {
-				return n, err
+				return 0, err
 			}
-			gts[i] = GraphTask{Task: t, Deps: st.Deps}
+			graphs[gi][i] = GraphTask{Task: t, Deps: st.Deps}
 		}
+		if _, err := s.newGraphJob(graphs[gi]); err != nil {
+			return 0, fmt.Errorf("online: restore graph %d: %w", gi, err)
+		}
+	}
+	// Re-arm breaker state before any submit, so restored work immediately
+	// avoids the processors that were unhealthy at capture time (no-op for
+	// breaker-less schedulers).
+	for p, sb := range sn.Breakers {
+		if p >= s.np {
+			break
+		}
+		s.restoreBreaker(p, sb)
+	}
+	n := 0
+	for _, t := range tasks {
+		if _, err := s.SubmitCtx(ctx, t); err != nil {
+			return n, fmt.Errorf("online: restore %q: %w", t.Name, err)
+		}
+		n++
+	}
+	for gi, gts := range graphs {
 		if _, err := s.SubmitGraph(gts); err != nil {
 			return n, fmt.Errorf("online: restore graph %d: %w", gi, err)
 		}

@@ -249,40 +249,50 @@ func TestReadSnapshotRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionSkew: a hand-written version-1 snapshot (no attempts,
-// no breakers) must still parse and restore into a current scheduler.
+// TestSnapshotVersionSkew: only the current version is read or restored;
+// an older version-1 file is refused rather than restored with zeroed
+// attempts and closed breakers.
 func TestSnapshotVersionSkew(t *testing.T) {
-	v1 := `{
-  "version": 1,
-  "procs": 2,
-  "alpha": 4,
-  "tasks": [{"name": "legacy", "est_ms": [1, 2]}],
-  "graphs": [{"tasks": [
-    {"name": "root", "est_ms": [1, 2]},
-    {"name": "leaf", "est_ms": [2, 1], "deps": [0]}
-  ]}]
-}`
-	sn, err := ReadSnapshot(bytes.NewReader([]byte(v1)))
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if sn.Count() != 3 {
-		t.Fatalf("count = %d, want 3", sn.Count())
+	v1 := `{"version": 1, "procs": 2, "alpha": 4, "tasks": [{"name": "legacy", "est_ms": [1, 2]}]}`
+	if _, err := ReadSnapshot(bytes.NewReader([]byte(v1))); err == nil {
+		t.Error("version-1 snapshot accepted by ReadSnapshot")
 	}
 	s := newStarted(t, 2, 4)
-	n, err := Restore(context.Background(), s, sn, nil)
-	if err != nil || n != 3 {
-		t.Fatalf("restore = %d, %v", n, err)
+	sn := &Snapshot{Version: 1, Procs: 2, Alpha: 4, Tasks: []SnapshotTask{{Name: "legacy", EstMs: []float64{1, 2}}}}
+	if n, err := Restore(context.Background(), s, sn, nil); err == nil || n != 0 {
+		t.Errorf("Restore of a version-1 snapshot = %d, %v; want 0 and an error", n, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Quiesce(ctx); err != nil {
-		t.Fatalf("restored v1 work never finished: %v", err)
-	}
-	// Future versions must be refused, not misread.
-	future := `{"version": 99, "procs": 2, "alpha": 4}`
-	if _, err := ReadSnapshot(bytes.NewReader([]byte(future))); err == nil {
-		t.Error("future snapshot version accepted")
+}
+
+// TestRestoreIsAllOrNothing: a bad entry anywhere in the snapshot fails the
+// restore before anything is submitted, so a retried boot never finds half
+// the work already running.
+func TestRestoreIsAllOrNothing(t *testing.T) {
+	good := SnapshotTask{Name: "good", EstMs: []float64{1, 2}}
+	bad := SnapshotTask{Name: "bad", EstMs: []float64{1}} // 1 estimate for 2 processors
+	graph := SnapshotGraph{Tasks: []SnapshotTask{good, {Name: "leaf", EstMs: []float64{2, 1}, Deps: []int{0}}}}
+	cycle := SnapshotGraph{Tasks: []SnapshotTask{
+		{Name: "a", EstMs: []float64{1, 2}, Deps: []int{1}},
+		{Name: "b", EstMs: []float64{1, 2}, Deps: []int{0}},
+	}}
+	for _, tc := range []struct {
+		name string
+		sn   Snapshot
+	}{
+		{"bad last task", Snapshot{Tasks: []SnapshotTask{good, good, bad}, Graphs: []SnapshotGraph{graph}}},
+		{"bad task in second graph", Snapshot{Tasks: []SnapshotTask{good}, Graphs: []SnapshotGraph{graph, {Tasks: []SnapshotTask{good, bad}}}}},
+		{"cyclic second graph", Snapshot{Tasks: []SnapshotTask{good}, Graphs: []SnapshotGraph{graph, cycle}}},
+	} {
+		s := newStarted(t, 2, 4)
+		sn := tc.sn
+		sn.Version, sn.Procs, sn.Alpha = SnapshotVersion, 2, 4
+		n, err := Restore(context.Background(), s, &sn, nil)
+		if err == nil || n != 0 {
+			t.Errorf("%s: Restore = %d, %v; want 0 and an error", tc.name, n, err)
+		}
+		if got := s.Stats().Submitted; got != 0 {
+			t.Errorf("%s: Submitted = %d after a failed restore, want 0", tc.name, got)
+		}
 	}
 }
 
