@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dfg"
 	"repro/internal/platform"
@@ -51,12 +52,19 @@ type APT struct {
 	c     *sim.Costs
 	stats AltStats
 
-	// Scratch buffers reused across Select calls; refilled from the engine
-	// via append-style accessors so steady-state scheduling is
-	// allocation-free.
+	// admitted holds one bitset row per kernel, as long as free: pmin plus
+	// every processor rule.Alt admits as its alternative. A ready kernel's
+	// predecessors have all finished, so its prices, and with them its
+	// row, stay fixed for the rest of the run; Select prices the row on the
+	// kernel's first visit with pmin busy. An all-zero row is not priced
+	// yet, since pmin's bit is always set. Prepare clears every row.
+	admitted []uint64
+
+	// Scratch reused across Select calls so steady-state scheduling is
+	// allocation-free: the ready list and the free processors as a bitset
+	// of ⌈P/64⌉ words.
 	ready []dfg.KernelID
-	procs []platform.ProcID
-	avail []bool
+	free  []uint64
 	out   []sim.Assignment
 }
 
@@ -96,6 +104,9 @@ func (a *APT) Prepare(c *sim.Costs) error {
 		return fmt.Errorf("core: APT flexibility factor α must be >= 1, got %v", a.Alpha)
 	}
 	a.c = c
+	words := (c.System().NumProcs() + 63) / 64
+	a.free = resize(a.free, words)
+	a.admitted = resize(a.admitted, c.Graph().NumKernels()*words)
 	// Reuse the per-kernel map across Prepare calls so re-running a pooled
 	// policy instance does not allocate; Stats() hands out copies.
 	byKernel := a.stats.ByKernel
@@ -121,73 +132,115 @@ func (a *APT) Stats() AltStats {
 // Select implements sim.Policy, following Algorithm 1: every ready kernel,
 // in first-come-first-serve order, is assigned to pmin when pmin is
 // available; otherwise to the cheapest available alternative processor
-// within the threshold; otherwise it waits.
+// within the threshold; otherwise it waits. A priced kernel none of whose
+// admitted processors is free is skipped after one AND per word.
 func (a *APT) Select(st *sim.State) []sim.Assignment {
-	np := st.System().NumProcs()
-	if cap(a.avail) < np {
-		a.avail = make([]bool, np)
-	}
-	avail := a.avail[:np]
-	clear(avail)
-	a.procs = st.AppendAvailableProcs(a.procs[:0])
-	nAvail := 0
-	for _, p := range a.procs {
-		avail[p] = true
-		nAvail++
+	free, w := a.free, len(a.free)
+	clear(free)
+	nFree := 0
+	for p := range st.System().NumProcs() {
+		if st.Available(platform.ProcID(p)) {
+			free[p>>6] |= 1 << (p & 63)
+			nFree++
+		}
 	}
 	a.ready = st.AppendReady(a.ready[:0])
 	out := a.out[:0]
 	for _, k := range a.ready {
-		if nAvail == 0 {
+		if nFree == 0 {
 			break
 		}
-		pmin, x := a.c.BestProc(k)
-		if avail[pmin] {
-			avail[pmin] = false
-			nAvail--
-			a.stats.Assignments++
-			out = append(out, sim.Assignment{Kernel: k, Proc: pmin})
-			continue
-		}
-		palt, altCost, ok := a.findAlternative(st, k, pmin, x, avail)
-		if !ok {
+		row := a.admitted[int(k)*w : (int(k)+1)*w]
+		if blocked(row, free) {
 			continue // wait for pmin
 		}
-		if a.ConsiderRemaining && a.waitingWins(st, k, pmin, x, altCost) {
-			continue // APT-R: pmin will be free soon enough; wait
+		pmin, x := a.c.BestProc(k)
+		p := pmin
+		if free[pmin>>6]&(1<<(pmin&63)) == 0 {
+			a.price(st, k, pmin, x, row)
+			if blocked(row, free) {
+				continue // no admitted alternative is free: wait for pmin
+			}
+			palt, altCost := a.findAlternative(st, k, pmin, x, row)
+			if a.ConsiderRemaining && a.waitingWins(st, k, pmin, x, altCost) {
+				continue // APT-R: pmin will be free soon enough; wait
+			}
+			p = palt
+			a.stats.AltAssignments++
+			a.stats.ByKernel[st.Graph().Kernel(k).Name]++
 		}
-		avail[palt] = false
-		nAvail--
+		free[p>>6] &^= 1 << (p & 63)
+		nFree--
 		a.stats.Assignments++
-		a.stats.AltAssignments++
-		a.stats.ByKernel[st.Graph().Kernel(k).Name]++
-		out = append(out, sim.Assignment{Kernel: k, Proc: palt})
+		out = append(out, sim.Assignment{Kernel: k, Proc: p})
 	}
 	a.out = out
 	return out
 }
 
+// price fills kernel k's row of admitted processors unless it is priced
+// already: every processor at execution time plus incoming data transfer
+// time, tested by rule.Alt.
+func (a *APT) price(st *sim.State, k dfg.KernelID, pmin platform.ProcID, x float64, row []uint64) {
+	if row[pmin>>6] != 0 {
+		return
+	}
+	row[pmin>>6] = 1 << (pmin & 63)
+	alt := rule.NewAlt(a.Alpha, x, int(pmin))
+	for pi := range st.System().NumProcs() {
+		p := platform.ProcID(pi)
+		if alt.Admits(pi, a.c.Exec(k, p)+a.transferTo(st, k, p)) {
+			row[pi>>6] |= 1 << (pi & 63)
+		}
+	}
+}
+
 // findAlternative implements find2ndBestProc of Algorithm 1 for the
-// simulator: the candidates are the processors still available in this
-// batch, each priced at execution time plus incoming data transfer time.
-// The threshold test and the choice are rule.Alt's, shared with the live
-// scheduler. Returns ok=false when no available processor qualifies.
+// simulator: the candidates are the admitted processors still free in
+// this batch, offered to rule.Alt in ascending ID at execution time plus
+// incoming data transfer time. The caller guarantees at least one, so
+// rule.Alt always chooses.
 func (a *APT) findAlternative(
 	st *sim.State,
 	k dfg.KernelID,
 	pmin platform.ProcID,
 	x float64,
-	avail []bool,
-) (platform.ProcID, float64, bool) {
+	row []uint64,
+) (platform.ProcID, float64) {
 	alt := rule.NewAlt(a.Alpha, x, int(pmin))
-	for pi, free := range avail {
-		if free {
+	for w, word := range row {
+		for word &= a.free[w]; word != 0; word &= word - 1 {
+			pi := w<<6 | bits.TrailingZeros64(word)
 			p := platform.ProcID(pi)
 			alt.Offer(pi, a.c.Exec(k, p)+a.transferTo(st, k, p))
 		}
 	}
-	p, cost, ok := alt.Best()
-	return platform.ProcID(p), cost, ok
+	p, cost, _ := alt.Best()
+	return platform.ProcID(p), cost
+}
+
+// blocked reports whether a priced row has no free processor. An
+// unpriced row, all zero, is never blocked.
+func blocked(row, free []uint64) bool {
+	priced := false
+	for i, w := range row {
+		if w&free[i] != 0 {
+			return false
+		}
+		priced = priced || w != 0
+	}
+	return priced
+}
+
+// resize returns s with n zeroed words, reusing its backing array when it
+// is large enough.
+func resize(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // transferTo prices moving the kernel's predecessor outputs to processor p

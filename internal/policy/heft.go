@@ -1,8 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dfg"
 	"repro/internal/sim"
@@ -98,16 +99,17 @@ func (h *HEFT) Prepare(c *sim.Costs) error {
 	for i := range prio {
 		prio[i] = dfg.KernelID(i)
 	}
-	sort.SliceStable(prio, func(i, j int) bool {
+	slices.SortFunc(prio, func(a, b dfg.KernelID) int {
 		// Three-way rank comparison (no float equality): exact rank ties
-		// fall through to the kernel-ID tie-break.
-		if h.RankU[prio[i]] > h.RankU[prio[j]] {
-			return true
+		// fall through to the kernel-ID tie-break. The key is a total
+		// order, so the sort needs no stability.
+		if h.RankU[a] > h.RankU[b] {
+			return -1
 		}
-		if h.RankU[prio[i]] < h.RankU[prio[j]] {
-			return false
+		if h.RankU[a] < h.RankU[b] {
+			return 1
 		}
-		return prio[i] < prio[j]
+		return cmp.Compare(a, b)
 	})
 
 	var tasks []plannedTask

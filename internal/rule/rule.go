@@ -3,9 +3,10 @@
 // candidate whose execution-plus-transfer estimate is within α·x (Eq. 8,
 // x the estimate on pmin), ties to the lower ID; if none qualifies, the
 // task waits. core.APT and the online scheduler both place through it,
-// each feeding its own candidates and prices. It is an accumulator, not a
-// function over an interface, so each offer inlines into the callers'
-// loops.
+// each feeding its own candidates and prices; core.APT also asks Admits
+// once per kernel and processor and caches the answer. It is an
+// accumulator, not a function over an interface, so each offer inlines
+// into the callers' loops.
 package rule
 
 import "math"
@@ -24,12 +25,20 @@ func NewAlt(alpha, x float64, pmin int) Alt {
 	return Alt{threshold: alpha * x, pmin: pmin, best: -1, cost: math.Inf(1)}
 }
 
+// Admits reports whether processor p at the given cost may be chosen at
+// all: it is not pmin and the cost is within α·x. NaN and +Inf are never
+// admitted. A caller whose prices do not change can test each processor
+// once and later offer only the admitted ones. The pmin test comes last
+// because most candidates fail on cost.
+func (a *Alt) Admits(p int, cost float64) bool {
+	return cost <= a.threshold && cost <= math.MaxFloat64 && p != a.pmin
+}
+
 // Offer considers processor p at the given cost. Callers offer in
-// ascending p, so the strict comparison breaks ties to the lower ID.
-// pmin, costs above the threshold, NaN and +Inf are never chosen; the
-// pmin test comes last because most offers fail on cost.
+// ascending p, so the strict comparison breaks ties to the lower ID. Only
+// admitted offers are ever chosen.
 func (a *Alt) Offer(p int, cost float64) {
-	if cost <= a.threshold && cost < a.cost && p != a.pmin {
+	if a.Admits(p, cost) && cost < a.cost {
 		a.best, a.cost = p, cost
 	}
 }

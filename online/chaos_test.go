@@ -96,12 +96,13 @@ func TestFaultPlanDeterministicDraws(t *testing.T) {
 // breakers must recover.
 func TestChaosSoak(t *testing.T) {
 	const (
-		procs   = 4
-		indep   = 160
-		graphs  = 8
-		gsize   = 12
-		seed    = uint64(0xC0FFEE)
-		timeout = 25.0 // ms per attempt
+		procs    = 4
+		indep    = 160
+		graphs   = 8
+		gsize    = 12
+		seed     = uint64(0xC0FFEE)
+		timeout  = 25.0 // ms per attempt
+		attempts = 4    // execution budget per task
 	)
 	fp, err := ParseFaultPlan("flaky:1:0.3,crash:2:0:150,lat:3:1", 99)
 	if err != nil {
@@ -112,7 +113,7 @@ func TestChaosSoak(t *testing.T) {
 		Alpha:            8,
 		DefaultTimeoutMs: timeout,
 		TraceDepth:       64,
-		Retry:            RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, JitterSeed: 1},
+		Retry:            RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, JitterSeed: 1},
 		Breaker:          &BreakerConfig{FailureThreshold: 4, TimeoutRate: 0.8, Window: 10, Cooldown: 20 * time.Millisecond},
 	})
 	if err != nil {
@@ -132,11 +133,11 @@ func TestChaosSoak(t *testing.T) {
 		var base func(context.Context, ProcID) error
 		var kind string
 		switch mode {
-		case 0: // transient error, succeeds on attempt 2
+		case 0: // fails on its first call, then succeeds
 			kind = "transient"
 			base = func(context.Context, ProcID) error {
 				if calls.Add(1) == 1 {
-					return fmt.Errorf("transient fault")
+					return errTransient
 				}
 				return nil
 			}
@@ -260,6 +261,9 @@ func TestChaosSoak(t *testing.T) {
 		case err == nil:
 		case errors.Is(err, errPermanent), errors.Is(err, ErrTimeout), errors.Is(err, ErrPanicked),
 			errors.Is(err, ErrInjected), errors.Is(err, ErrDependency), errors.Is(err, ErrClosed):
+		case errors.Is(err, errTransient) && kind == "transient" && res.Attempts == attempts:
+			// Injected faults or timeouts ended every earlier attempt
+			// before the body ran, so its one failure came on the last.
 		default:
 			t.Errorf("%s (%s): untyped terminal error %v", name, kind, err)
 		}
@@ -327,4 +331,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-var errPermanent = errors.New("permanent chaos failure")
+var (
+	errPermanent = errors.New("permanent chaos failure")
+	errTransient = errors.New("transient chaos failure")
+)

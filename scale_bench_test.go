@@ -19,12 +19,12 @@ import (
 	"repro/internal/workload"
 )
 
-// benchScale measures one full run — cost preparation, HEFT prepare,
-// simulation, validation, result assembly — of a layered random DAG with n
-// kernels on an 8-processor machine. B/op across the three sizes
-// demonstrates the memory model's sub-linear growth per kernel (flat CSR
-// and cost tables, no per-vertex allocations).
-func benchScale(b *testing.B, n int) {
+// benchScale measures one full run — cost preparation, the policy's
+// prepare, simulation, validation, result assembly — of a layered random
+// DAG with n kernels on an 8-processor machine. Under HEFT, B/op across the
+// sizes demonstrates the memory model's sub-linear growth per kernel (flat
+// CSR and cost tables, no per-vertex allocations).
+func benchScale(b *testing.B, n int, pol apt.Policy) {
 	b.Helper()
 	w, err := apt.GenerateLayeredWorkload(n, 0, 0, 7)
 	if err != nil {
@@ -37,7 +37,7 @@ func benchScale(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := apt.Run(w, m, apt.HEFT(), nil)
+		res, err := apt.Run(w, m, pol, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,15 +47,21 @@ func benchScale(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkScale1k(b *testing.B)   { benchScale(b, 1_000) }
-func BenchmarkScale10k(b *testing.B)  { benchScale(b, 10_000) }
-func BenchmarkScale100k(b *testing.B) { benchScale(b, 100_000) }
+func BenchmarkScale1k(b *testing.B)   { benchScale(b, 1_000, apt.HEFT()) }
+func BenchmarkScale10k(b *testing.B)  { benchScale(b, 10_000, apt.HEFT()) }
+func BenchmarkScale100k(b *testing.B) { benchScale(b, 100_000, apt.HEFT()) }
 
 // BenchmarkScale1M is the million-kernel design point of the memory diet:
 // B/op divided by 10⁶ kernels is the bytes-per-kernel figure the benchgate
 // caps (ci/benchgate -max-bpk). One op takes tens of seconds; CI's smoke
 // pass runs it once, the regression gate a few times.
-func BenchmarkScale1M(b *testing.B) { benchScale(b, 1_000_000) }
+func BenchmarkScale1M(b *testing.B) { benchScale(b, 1_000_000, apt.HEFT()) }
+
+// BenchmarkScaleAPT10k runs the dynamic policy at scale: APT(4) on the
+// 10k-kernel layered DAG. Every event walks the ready list (about n/32
+// kernels here), so this is where a per-event cost that grows with the
+// ready list shows.
+func BenchmarkScaleAPT10k(b *testing.B) { benchScale(b, 10_000, apt.APT(4)) }
 
 // sweepFixture prepares one 10k-kernel cost oracle on a 16-processor
 // machine for the repeated-graph sweep benches.
