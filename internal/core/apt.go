@@ -56,17 +56,40 @@ type APT struct {
 	// every processor rule.Alt admits as its alternative. A ready kernel's
 	// predecessors have all finished, so its prices, and with them its
 	// row, stay fixed for the rest of the run; Select prices the row on the
-	// kernel's first visit with pmin busy. An all-zero row is not priced
-	// yet, since pmin's bit is always set. Prepare clears every row.
+	// kernel's first visit with pmin busy and clears it when it places the
+	// kernel. So a row is non-zero exactly while its kernel waits, since
+	// pmin's bit is always set. Prepare clears every row.
 	admitted []uint64
 
+	// next is the ready-log position (sim.State.ReadyLog) of the first
+	// kernel Select has not visited. The visited kernels that still wait
+	// sit in waiting: one list per processor of the log positions, in
+	// ascending order, of the waiting kernels whose row contains it. An
+	// entry whose row lost that bit belongs to a placed kernel; it is
+	// stale and dropped lazily. The lists start in slices of one backing
+	// array made by Prepare.
+	next    int
+	waiting []waitList
+	backing []int32
+
 	// Scratch reused across Select calls so steady-state scheduling is
-	// allocation-free: the ready list and the free processors as a bitset
-	// of ⌈P/64⌉ words.
-	ready []dfg.KernelID
-	free  []uint64
-	out   []sim.Assignment
+	// allocation-free: the free processors as a bitset of ⌈P/64⌉ words,
+	// and one kernel's incoming transfer times on every processor.
+	free []uint64
+	xfer []float64
+	out  []sim.Assignment
 }
+
+// waitList is one processor's FIFO of waiting kernels' ready-log
+// positions; pos[head:] are the entries not yet dropped.
+type waitList struct {
+	pos  []int32
+	head int
+}
+
+// minWaitCap is the least capacity a processor's waiting list starts
+// with.
+const minWaitCap = 32
 
 // AltStats records how often APT exercised its flexibility — the data
 // behind the thesis's allocation analyses (Tables 15 and 16).
@@ -104,9 +127,20 @@ func (a *APT) Prepare(c *sim.Costs) error {
 		return fmt.Errorf("core: APT flexibility factor α must be >= 1, got %v", a.Alpha)
 	}
 	a.c = c
-	words := (c.System().NumProcs() + 63) / 64
+	np, n := c.System().NumProcs(), c.Graph().NumKernels()
+	words := (np + 63) / 64
 	a.free = resize(a.free, words)
-	a.admitted = resize(a.admitted, c.Graph().NumKernels()*words)
+	a.xfer = resize(a.xfer, np)
+	a.admitted = resize(a.admitted, n*words)
+	a.next = 0
+	// Each list starts with an equal share of one backing array and only
+	// grows, by append, once it is full of waiting kernels.
+	per := max(minWaitCap, n/np)
+	a.backing = resize(a.backing, np*per)
+	a.waiting = resize(a.waiting, np)
+	for p := range a.waiting {
+		a.waiting[p] = waitList{pos: a.backing[p*per : p*per : (p+1)*per]}
+	}
 	// Reuse the per-kernel map across Prepare calls so re-running a pooled
 	// policy instance does not allocate; Stats() hands out copies.
 	byKernel := a.stats.ByKernel
@@ -132,10 +166,17 @@ func (a *APT) Stats() AltStats {
 // Select implements sim.Policy, following Algorithm 1: every ready kernel,
 // in first-come-first-serve order, is assigned to pmin when pmin is
 // available; otherwise to the cheapest available alternative processor
-// within the threshold; otherwise it waits. A priced kernel none of whose
-// admitted processors is free is skipped after one AND per word.
+// within the threshold; otherwise it waits.
+//
+// The ready log lists kernels in that order, and a walk over it stops only
+// once no processor is free, so the kernels visited by earlier calls that
+// still wait come before every kernel not yet visited. Select therefore
+// takes the visited ones first, earliest first, from the waiting lists of
+// the free processors: a visited kernel whose row meets no free processor
+// would wait anyway, and the free set only shrinks within a call. Then it
+// visits the log from next on, as the plain walk would.
 func (a *APT) Select(st *sim.State) []sim.Assignment {
-	free, w := a.free, len(a.free)
+	free := a.free
 	clear(free)
 	nFree := 0
 	for p := range st.System().NumProcs() {
@@ -144,52 +185,136 @@ func (a *APT) Select(st *sim.State) []sim.Assignment {
 			nFree++
 		}
 	}
-	a.ready = st.AppendReady(a.ready[:0])
-	out := a.out[:0]
-	for _, k := range a.ready {
-		if nFree == 0 {
+	log := st.ReadyLog()
+	a.out = a.out[:0]
+	// from moves past every waiting kernel this call looks at, so a kernel
+	// APT-R declines is skipped for the rest of this call only.
+	for from := int32(0); nFree > 0; {
+		i := a.earliestWaiting(log, from)
+		if i < 0 {
 			break
 		}
-		row := a.admitted[int(k)*w : (int(k)+1)*w]
-		if blocked(row, free) {
-			continue // wait for pmin
+		from = i + 1
+		if a.visit(st, log, i) {
+			nFree--
 		}
-		pmin, x := a.c.BestProc(k)
-		p := pmin
-		if free[pmin>>6]&(1<<(pmin&63)) == 0 {
-			a.price(st, k, pmin, x, row)
-			if blocked(row, free) {
-				continue // no admitted alternative is free: wait for pmin
-			}
-			palt, altCost := a.findAlternative(st, k, pmin, x, row)
-			if a.ConsiderRemaining && a.waitingWins(st, k, pmin, x, altCost) {
-				continue // APT-R: pmin will be free soon enough; wait
-			}
-			p = palt
-			a.stats.AltAssignments++
-			a.stats.ByKernel[st.Graph().Kernel(k).Name]++
-		}
-		free[p>>6] &^= 1 << (p & 63)
-		nFree--
-		a.stats.Assignments++
-		out = append(out, sim.Assignment{Kernel: k, Proc: p})
 	}
-	a.out = out
-	return out
+	for ; nFree > 0 && a.next < len(log); a.next++ {
+		if a.visit(st, log, int32(a.next)) {
+			nFree--
+		}
+	}
+	return a.out
 }
 
-// price fills kernel k's row of admitted processors unless it is priced
-// already: every processor at execution time plus incoming data transfer
-// time, tested by rule.Alt.
-func (a *APT) price(st *sim.State, k dfg.KernelID, pmin platform.ProcID, x float64, row []uint64) {
-	if row[pmin>>6] != 0 {
-		return
+// visit applies Algorithm 1 to the kernel at log position i and reports
+// whether it placed it. A kernel visited for the first time that waits
+// joins the waiting lists of every processor in its row.
+func (a *APT) visit(st *sim.State, log []dfg.KernelID, i int32) bool {
+	k := log[i]
+	w := len(a.free)
+	row := a.admitted[int(k)*w : (int(k)+1)*w]
+	pmin, x := a.c.BestProc(k)
+	p := pmin
+	if a.free[pmin>>6]&(1<<(pmin&63)) == 0 {
+		waiting := row[pmin>>6] != 0 // priced by an earlier visit, and listed
+		if !waiting {
+			a.price(st, k, pmin, x, row)
+		}
+		if !meets(row, a.free) {
+			if !waiting {
+				a.enlist(log, i, row)
+			}
+			return false // no admitted alternative is free: wait for pmin
+		}
+		palt, altCost := a.findAlternative(st, k, pmin, x, row)
+		if a.ConsiderRemaining && a.waitingWins(st, k, pmin, x, altCost) {
+			if !waiting {
+				a.enlist(log, i, row)
+			}
+			return false // APT-R: pmin will be free soon enough; wait
+		}
+		p = palt
+		a.stats.AltAssignments++
+		a.stats.ByKernel[st.Graph().Kernel(k).Name]++
 	}
+	clear(row)
+	a.free[p>>6] &^= 1 << (p & 63)
+	a.stats.Assignments++
+	a.out = append(a.out, sim.Assignment{Kernel: k, Proc: p})
+	return true
+}
+
+// earliestWaiting returns the smallest log position at or after from of a
+// waiting kernel whose row contains a free processor, or -1 if there is
+// none. It drops the stale entries at the front of the lists it reads.
+func (a *APT) earliestWaiting(log []dfg.KernelID, from int32) int32 {
+	best := int32(-1)
+	for w, word := range a.free {
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			l := &a.waiting[p]
+			for l.head < len(l.pos) && !a.waitsIn(log, l.pos[l.head], p) {
+				l.head++
+			}
+			if l.head == len(l.pos) {
+				l.pos, l.head = l.pos[:0], 0
+				continue
+			}
+			for _, i := range l.pos[l.head:] {
+				if best >= 0 && i >= best {
+					break
+				}
+				if i >= from && a.waitsIn(log, i, p) {
+					best = i
+					break
+				}
+			}
+		}
+	}
+	return best
+}
+
+// waitsIn reports whether the kernel at log position i still waits in
+// processor p's list: its row keeps p's bit until the kernel is placed.
+func (a *APT) waitsIn(log []dfg.KernelID, i int32, p int) bool {
+	return a.admitted[int(log[i])*len(a.free)+p>>6]&(1<<(p&63)) != 0
+}
+
+// enlist appends log position i to the waiting list of every processor in
+// row. A full list first drops its stale entries and grows only if every
+// entry left still waits, so a list's memory follows the kernels waiting
+// in it, not the length of the run.
+func (a *APT) enlist(log []dfg.KernelID, i int32, row []uint64) {
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			l := &a.waiting[p]
+			if len(l.pos) == cap(l.pos) {
+				live := l.pos[:0]
+				for _, j := range l.pos[l.head:] {
+					if a.waitsIn(log, j, p) {
+						live = append(live, j)
+					}
+				}
+				l.pos, l.head = live, 0
+			}
+			l.pos = append(l.pos, i)
+		}
+	}
+}
+
+// price fills kernel k's row of admitted processors: every processor at
+// execution time plus incoming data transfer time, tested by rule.Alt.
+func (a *APT) price(st *sim.State, k dfg.KernelID, pmin platform.ProcID, x float64, row []uint64) {
 	row[pmin>>6] = 1 << (pmin & 63)
+	a.c.TransferRow(k, func(pred dfg.KernelID) platform.ProcID {
+		pp, _ := st.ProcOf(pred) // a ready kernel's predecessors are all placed
+		return pp
+	}, a.xfer)
 	alt := rule.NewAlt(a.Alpha, x, int(pmin))
-	for pi := range st.System().NumProcs() {
-		p := platform.ProcID(pi)
-		if alt.Admits(pi, a.c.Exec(k, p)+a.transferTo(st, k, p)) {
+	for pi, e := range a.c.ExecRow(k) {
+		if alt.Admits(pi, e+a.xfer[pi]) {
 			row[pi>>6] |= 1 << (pi & 63)
 		}
 	}
@@ -219,24 +344,21 @@ func (a *APT) findAlternative(
 	return platform.ProcID(p), cost
 }
 
-// blocked reports whether a priced row has no free processor. An
-// unpriced row, all zero, is never blocked.
-func blocked(row, free []uint64) bool {
-	priced := false
+// meets reports whether row and free share a processor.
+func meets(row, free []uint64) bool {
 	for i, w := range row {
 		if w&free[i] != 0 {
-			return false
+			return true
 		}
-		priced = priced || w != 0
 	}
-	return priced
+	return false
 }
 
-// resize returns s with n zeroed words, reusing its backing array when it
-// is large enough.
-func resize(s []uint64, n int) []uint64 {
+// resize returns s with n zeroed elements, reusing its backing array when
+// it is large enough.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)

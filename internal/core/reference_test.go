@@ -14,11 +14,17 @@ import (
 	"repro/internal/workload"
 )
 
-// referenceAPT is APT without the admitted-set cache: every visit to a
+// referenceAPT is APT without the admitted-set cache and the waiting
+// lists: every call walks the whole ready list, and every visit to a
 // kernel whose pmin is busy offers every free processor to rule.Alt,
-// priced afresh. It shares APT's Prepare, Stats, transfer pricing and
-// APT-R test, so the two differ only in how Select finds the alternative.
-type referenceAPT struct{ APT }
+// priced afresh through TransferIn. It shares APT's Prepare, Stats and
+// APT-R test, so the two differ only in how Select finds the kernel and
+// the alternative. It counts the placements that follow an APT-R decline
+// within the same call.
+type referenceAPT struct {
+	APT
+	placedAfterDecline int
+}
 
 func (r *referenceAPT) Select(st *sim.State) []sim.Assignment {
 	avail := make([]bool, st.System().NumProcs())
@@ -30,6 +36,7 @@ func (r *referenceAPT) Select(st *sim.State) []sim.Assignment {
 		}
 	}
 	var out []sim.Assignment
+	declined := false
 	for _, k := range st.Ready() {
 		if nAvail == 0 {
 			break
@@ -44,7 +51,11 @@ func (r *referenceAPT) Select(st *sim.State) []sim.Assignment {
 				}
 			}
 			palt, cost, ok := alt.Best()
-			if !ok || r.ConsiderRemaining && r.waitingWins(st, k, pmin, x, cost) {
+			if !ok {
+				continue
+			}
+			if r.ConsiderRemaining && r.waitingWins(st, k, pmin, x, cost) {
+				declined = true
 				continue
 			}
 			p = platform.ProcID(palt)
@@ -54,7 +65,50 @@ func (r *referenceAPT) Select(st *sim.State) []sim.Assignment {
 		avail[p] = false
 		nAvail--
 		r.stats.Assignments++
+		if declined {
+			r.placedAfterDecline++
+		}
 		out = append(out, sim.Assignment{Kernel: k, Proc: p})
+	}
+	return out
+}
+
+// listProbe wraps the APT under test and counts, from its cursor and the
+// ready log, the two situations the waiting lists exist for: a call that
+// returns with ready kernels it never visited, which a later call then
+// visits, and a kernel visited by an earlier call placed from the lists
+// on a processor other than its pmin.
+type listProbe struct {
+	*APT
+	pos                 []int // log position by kernel
+	logged, unvisitedAt int   // positions indexed; next left unvisited, or -1
+	resumed, listAlts   int
+}
+
+func (l *listProbe) Prepare(c *sim.Costs) error {
+	l.pos = make([]int, c.Graph().NumKernels())
+	l.logged, l.unvisitedAt = 0, -1
+	return l.APT.Prepare(c)
+}
+
+func (l *listProbe) Select(st *sim.State) []sim.Assignment {
+	log := st.ReadyLog()
+	for ; l.logged < len(log); l.logged++ {
+		l.pos[log[l.logged]] = l.logged
+	}
+	visited := l.next
+	out := l.APT.Select(st)
+	for _, a := range out {
+		if pmin, _ := l.c.BestProc(a.Kernel); l.pos[a.Kernel] < visited && a.Proc != pmin {
+			l.listAlts++
+		}
+	}
+	if l.unvisitedAt >= 0 && l.next > l.unvisitedAt {
+		l.resumed++
+	}
+	l.unvisitedAt = -1
+	if l.next < len(log) {
+		l.unvisitedAt = l.next
 	}
 	return out
 }
@@ -111,33 +165,56 @@ func FuzzAPTMatchesReference(f *testing.F) {
 }
 
 // TestAPTMatchesReference runs the fuzz seeds and checks that together they
-// exercise what the cache could get wrong: alternatives, APT-R declining
-// one, and rows of more than one word.
+// exercise what the cache and the waiting lists could get wrong:
+// alternatives, APT-R declining one, rows of more than one word, a call
+// resuming the log where an earlier one stopped, an alternative placed
+// from the lists, and a placement after an APT-R decline in the same call.
 func TestAPTMatchesReference(t *testing.T) {
-	var alts, declines, wide int
+	var total coverage
+	wide := 0
 	for _, c := range referenceCases() {
-		a, d := checkReference(t, c)
-		alts += a
-		declines += d
-		if c.procs > 64 && a > 0 {
+		got := checkReference(t, c)
+		total.add(got)
+		if c.procs > 64 && got.alts > 0 {
 			wide++
 		}
 	}
-	if alts == 0 || declines == 0 || wide == 0 {
-		t.Fatalf("weak seeds: %d alternative placements, %d APT-R declines, %d multi-word cases with alternatives",
-			alts, declines, wide)
+	if total.alts == 0 || total.declines == 0 || wide == 0 ||
+		total.resumed == 0 || total.listAlts == 0 || total.placedAfterDecline == 0 {
+		t.Fatalf("weak seeds: %+v, %d multi-word cases with alternatives", total, wide)
 	}
+	t.Logf("seeds exercised %+v, %d multi-word cases with alternatives", total, wide)
 }
 
-// checkReference runs one case and returns what it exercised: the
-// alternative placements, and the APT-R runs that placed fewer
-// alternatives than plain APT does on the same inputs.
-func checkReference(t *testing.T, c referenceCase) (alts, declines int) {
+// coverage is what one reference case exercised.
+type coverage struct {
+	// alts counts alternative placements, and declines the APT-R runs that
+	// placed fewer alternatives than plain APT does on the same inputs.
+	alts, declines int
+	// resumed counts calls that visited log entries an earlier call left
+	// unvisited; listAlts the waiting kernels placed from the lists on a
+	// processor other than pmin; placedAfterDecline the placements after
+	// an APT-R decline within the same call.
+	resumed, listAlts, placedAfterDecline int
+}
+
+func (c *coverage) add(o coverage) {
+	c.alts += o.alts
+	c.declines += o.declines
+	c.resumed += o.resumed
+	c.listAlts += o.listAlts
+	c.placedAfterDecline += o.placedAfterDecline
+}
+
+// checkReference runs one case and returns what it exercised.
+func checkReference(t *testing.T, c referenceCase) coverage {
 	t.Helper()
 	alpha := 1 + float64(c.alpha)/16
 	sys := referenceSystem(t, max(1, int(c.procs)), []platform.GBps{0.5, 4, 32}[uint64(c.seed)%3])
 	n := 1 + int(c.kernels)%400
 	shared := &APT{Alpha: alpha, ConsiderRemaining: c.flags&1 != 0}
+	probe := &listProbe{APT: shared}
+	var cov coverage
 	for run, g := range []*dfg.Graph{
 		referenceGraph(t, n, c.shape, c.seed),
 		referenceGraph(t, 1+n/2, c.shape+1, c.seed+1),
@@ -145,7 +222,7 @@ func checkReference(t *testing.T, c referenceCase) (alts, declines int) {
 		costs, opt := referenceInputs(t, g, sys, c)
 		ref := &referenceAPT{APT: APT{Alpha: alpha, ConsiderRemaining: shared.ConsiderRemaining}}
 		want := runReference(t, costs, ref, opt)
-		got := runReference(t, costs, shared, opt)
+		got := runReference(t, costs, probe, opt)
 		for k := range want.Placements {
 			if got.Placements[k] != want.Placements[k] {
 				t.Fatalf("%+v run %d: kernel %d placed %+v, reference %+v",
@@ -157,16 +234,18 @@ func checkReference(t *testing.T, c referenceCase) (alts, declines int) {
 			!maps.Equal(gs.ByKernel, ws.ByKernel) {
 			t.Fatalf("%+v run %d: stats %+v, reference %+v", c, run, gs, ws)
 		}
-		alts += gs.AltAssignments
+		cov.alts += gs.AltAssignments
+		cov.placedAfterDecline += ref.placedAfterDecline
 		if shared.ConsiderRemaining {
 			plain := &APT{Alpha: alpha}
 			runReference(t, costs, plain, opt)
 			if plain.Stats().AltAssignments > gs.AltAssignments {
-				declines++
+				cov.declines++
 			}
 		}
 	}
-	return alts, declines
+	cov.resumed, cov.listAlts = probe.resumed, probe.listAlts
+	return cov
 }
 
 func runReference(t *testing.T, c *sim.Costs, pol sim.Policy, opt sim.Options) *sim.Result {

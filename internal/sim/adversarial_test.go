@@ -23,7 +23,7 @@ func (p *partialPolicy) Name() string         { return "partial" }
 func (p *partialPolicy) Prepare(*Costs) error { return nil }
 func (p *partialPolicy) Select(st *State) []Assignment {
 	var out []Assignment
-	procs := st.AvailableProcs()
+	procs := st.AppendAvailableProcs(nil)
 	pi := 0
 	for i, k := range st.Ready() {
 		if (i+boolToInt(p.flip))%2 == 0 && pi < len(procs) {

@@ -108,7 +108,7 @@ func TestArrivalInvisibleToPolicy(t *testing.T) {
 		}
 		// Greedy on whatever is visible.
 		var out []Assignment
-		procs := st.AvailableProcs()
+		procs := st.AppendAvailableProcs(nil)
 		for i, k := range st.Ready() {
 			if i >= len(procs) {
 				break

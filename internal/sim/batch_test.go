@@ -291,13 +291,14 @@ func TestEngineWarmRunAllocs(t *testing.T) {
 // cost of the append-style State accessors with reused buffers.
 type accessorProbe struct {
 	leanGreedy
-	readyAllocs, procAllocs, queueAllocs float64
-	measured                             bool
+	log                                []dfg.KernelID
+	readyAllocs, procAllocs, logAllocs float64
+	measured                           bool
 }
 
 func (p *accessorProbe) Name() string { return "accessor-probe" }
 func (p *accessorProbe) Select(st *State) []Assignment {
-	if !p.measured && st.ReadyLen() > 0 {
+	if p.ready = st.AppendReady(p.ready[:0]); !p.measured && len(p.ready) > 0 {
 		p.measured = true
 		p.readyAllocs = testing.AllocsPerRun(50, func() {
 			p.ready = st.AppendReady(p.ready[:0])
@@ -305,10 +306,8 @@ func (p *accessorProbe) Select(st *State) []Assignment {
 		p.procAllocs = testing.AllocsPerRun(50, func() {
 			p.procs = st.AppendAvailableProcs(p.procs[:0])
 		})
-		var q []dfg.KernelID
-		q = make([]dfg.KernelID, 0, 64)
-		p.queueAllocs = testing.AllocsPerRun(50, func() {
-			q = st.AppendQueuedKernels(q[:0], 0)
+		p.logAllocs = testing.AllocsPerRun(50, func() {
+			p.log = st.ReadyLog()
 		})
 	}
 	return p.leanGreedy.Select(st)
@@ -330,8 +329,8 @@ func TestAppendAccessorsAllocFree(t *testing.T) {
 	if probe.procAllocs != 0 {
 		t.Errorf("AppendAvailableProcs allocated %v times per call, want 0", probe.procAllocs)
 	}
-	if probe.queueAllocs != 0 {
-		t.Errorf("AppendQueuedKernels allocated %v times per call, want 0", probe.queueAllocs)
+	if probe.logAllocs != 0 {
+		t.Errorf("ReadyLog allocated %v times per call, want 0", probe.logAllocs)
 	}
 }
 

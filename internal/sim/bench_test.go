@@ -51,7 +51,7 @@ func (g *greedyBench) Name() string           { return "greedy" }
 func (g *greedyBench) Prepare(c *Costs) error { g.c = c; return nil }
 func (g *greedyBench) Select(st *State) []Assignment {
 	var out []Assignment
-	procs := st.AvailableProcs()
+	procs := st.AppendAvailableProcs(nil)
 	for _, k := range st.Ready() {
 		if len(procs) == 0 {
 			break

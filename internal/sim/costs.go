@@ -290,19 +290,38 @@ const unusableLinkMs = 365 * 24 * 3600 * 1000.0
 // processor of each finished predecessor. Predecessors on p contribute
 // zero. Combination follows the configured TransferMode.
 func (c *Costs) TransferIn(k dfg.KernelID, p platform.ProcID, placement func(dfg.KernelID) platform.ProcID) float64 {
-	var total, max float64
+	var in float64
 	for _, pred := range c.g.Preds(k) {
-		from := placement(pred)
-		ms := c.TransferMs(c.g.Kernel(pred).OutElems, from, p)
-		total += ms
-		if ms > max {
-			max = ms
+		in = c.combine(in, c.TransferMs(c.g.Kernel(pred).OutElems, placement(pred), p))
+	}
+	return in
+}
+
+// TransferRow sets dst[p] to TransferIn(k, p, placement) for every
+// processor p, walking k's predecessors once rather than once per
+// processor. dst must hold one entry per processor.
+func (c *Costs) TransferRow(k dfg.KernelID, placement func(dfg.KernelID) platform.ProcID, dst []float64) {
+	dst = dst[:c.np]
+	clear(dst)
+	for _, pred := range c.g.Preds(k) {
+		from, elems := placement(pred), c.g.Kernel(pred).OutElems
+		for p := range dst {
+			dst[p] = c.combine(dst[p], c.TransferMs(elems, from, platform.ProcID(p)))
 		}
 	}
+}
+
+// combine folds one predecessor's transfer time ms into the incoming time
+// in so far, as the configured TransferMode says: the slowest link under
+// TransferMax, the serialized sum under TransferSum.
+func (c *Costs) combine(in, ms float64) float64 {
 	if c.cfg.Mode == TransferSum {
-		return total
+		return in + ms
 	}
-	return max
+	if ms > in {
+		return ms
+	}
+	return in
 }
 
 // MeanTransfer returns the average transfer cost of edge u->v across all

@@ -297,26 +297,17 @@ func (s *State) AppendReady(buf []dfg.KernelID) []dfg.KernelID {
 	return buf
 }
 
-// ReadyLen returns the number of ready, unassigned kernels.
-func (s *State) ReadyLen() int { return s.e.readyLen() }
-
-// Unassigned reports whether the kernel has not been committed yet.
-func (s *State) Unassigned(k dfg.KernelID) bool { return !s.e.assigned[k] }
-
-// Finished reports whether the kernel has completed execution.
-func (s *State) Finished(k dfg.KernelID) bool { return s.e.finished[k] }
+// ReadyLog returns every kernel that has become ready in this run, in the
+// order it did: the order of Ready, but including the kernels assigned
+// since. The log only grows within a run. It aliases engine state, so
+// callers must only read it, and only until Select returns — the same
+// contract as Costs.ExecRow.
+func (s *State) ReadyLog() []dfg.KernelID { return s.e.readyLog }
 
 // Available reports whether processor p is idle: executing no kernel and no
 // transfer, with an empty queue (the paper's set A).
 func (s *State) Available(p platform.ProcID) bool {
 	return s.e.running[p] < 0 && s.e.queues[p].len() == 0
-}
-
-// AvailableProcs returns all available processors in ID order. The returned
-// slice is fresh; allocation-sensitive policies should prefer
-// AppendAvailableProcs with a reused buffer.
-func (s *State) AvailableProcs() []platform.ProcID {
-	return s.AppendAvailableProcs(nil)
 }
 
 // AppendAvailableProcs appends the available processors in ID order to buf
@@ -348,20 +339,6 @@ func (s *State) BusyUntil(p platform.ProcID) float64 {
 
 // QueueLen returns the number of committed-but-not-started kernels on p.
 func (s *State) QueueLen(p platform.ProcID) int { return s.e.queues[p].len() }
-
-// QueuedKernels returns the committed-but-not-started kernels on p in queue
-// order. Fresh slice; allocation-sensitive callers should prefer
-// AppendQueuedKernels.
-func (s *State) QueuedKernels(p platform.ProcID) []dfg.KernelID {
-	return s.AppendQueuedKernels(nil, p)
-}
-
-// AppendQueuedKernels appends p's committed-but-not-started kernels in
-// queue order to buf and returns the extended slice.
-func (s *State) AppendQueuedKernels(buf []dfg.KernelID, p platform.ProcID) []dfg.KernelID {
-	q := &s.e.queues[p]
-	return append(buf, q.items[q.head:]...)
-}
 
 // ProcOf returns the processor a kernel was committed to and whether it has
 // been committed at all. Needed to price transfers from finished
@@ -406,6 +383,10 @@ type engine struct {
 	// tombstones outnumber live entries.
 	ready      []dfg.KernelID
 	readyHoles int
+	// readyLog appends every kernel as it becomes ready and is never
+	// trimmed within a run, so its order is the FCFS order of ready with
+	// the assigned kernels left in place (State.ReadyLog).
+	readyLog []dfg.KernelID
 	// readyIdx maps kernel ID -> its index in ready, or -1 when absent.
 	// int32 like every per-kernel array: KernelIDs are 32-bit, so indices
 	// into kernel-length slices fit by construction.
@@ -414,7 +395,6 @@ type engine struct {
 	predsLeft []int32
 	arrived   []bool
 	assigned  []bool
-	finished  []bool
 	procOf    []platform.ProcID
 	queues    []procQueue
 	running   []dfg.KernelID // -1 when idle
@@ -441,12 +421,13 @@ type engine struct {
 
 func (e *engine) readyLen() int { return len(e.ready) - e.readyHoles }
 
-// pushReady appends a kernel to the ready FIFO.
+// pushReady appends a kernel to the ready FIFO and the ready log.
 //
 //apt:hotpath
 func (e *engine) pushReady(k dfg.KernelID) {
 	e.readyIdx[k] = int32(len(e.ready))
 	e.ready = append(e.ready, k)
+	e.readyLog = append(e.readyLog, k)
 }
 
 // removeReady drops a kernel from the ready FIFO in O(1) amortised time by
@@ -595,6 +576,7 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 
 	e.ready = e.ready[:0]
 	e.readyHoles = 0
+	e.readyLog = grow(e.readyLog, n)[:0] // a kernel becomes ready at most once
 	e.events = e.events[:0]
 	e.lambdas = e.lambdas[:0]
 	e.sojourns = e.sojourns[:0]
@@ -605,7 +587,6 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.predsLeft = grow(e.predsLeft, n)
 	e.arrived = grow(e.arrived, n)
 	e.assigned = grow(e.assigned, n)
-	e.finished = grow(e.finished, n)
 	e.procOf = grow(e.procOf, n)
 	for i := 0; i < n; i++ {
 		e.readyIdx[i] = -1
@@ -613,7 +594,6 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 		e.predsLeft[i] = 0
 		e.arrived[i] = false
 		e.assigned[i] = false
-		e.finished[i] = false
 		e.procOf[i] = -1
 	}
 
@@ -797,7 +777,6 @@ func (e *engine) startDegraded(k dfg.KernelID, p platform.ProcID, pl *Placement)
 //apt:hotpath
 func (e *engine) complete(ev event) {
 	k, p := ev.kernel, ev.proc
-	e.finished[k] = true
 	e.nFinished++
 	e.running[p] = -1
 	// The AG policy's execution history holds observed durations: under

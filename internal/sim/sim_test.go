@@ -44,7 +44,7 @@ func (g *greedy) Prepare(c *Costs) error { g.c = c; return nil }
 func (g *greedy) Select(st *State) []Assignment {
 	var out []Assignment
 	avail := map[platform.ProcID]bool{}
-	for _, p := range st.AvailableProcs() {
+	for _, p := range st.AppendAvailableProcs(nil) {
 		avail[p] = true
 	}
 	for _, k := range st.Ready() {
@@ -333,11 +333,8 @@ func TestStateAccessors(t *testing.T) {
 		if len(ready) != 1 || ready[0] != k0 {
 			t.Errorf("Ready = %v, want [%d]", ready, k0)
 		}
-		if !st.Unassigned(k0) || st.Finished(k0) {
-			t.Error("k0 state flags wrong at t=0")
-		}
-		if got := len(st.AvailableProcs()); got != 3 {
-			t.Errorf("AvailableProcs = %d, want 3", got)
+		if got := len(st.AppendAvailableProcs(nil)); got != 3 {
+			t.Errorf("AppendAvailableProcs = %d, want 3", got)
 		}
 		if st.Now() != 0 {
 			t.Errorf("Now = %v", st.Now())

@@ -792,10 +792,12 @@ func (s *Scheduler) sweeper() {
 		case <-s.wakeCh:
 			// closed is set before the context is cancelled, so a wakeup
 			// racing Close cannot launch tasks the close path is about to
-			// fail (Drain only sets draining; sweeping continues).
+			// fail (Drain only sets draining; sweeping continues). Nor does
+			// it fail them yet: a Submit past its closed check may still
+			// enqueue, and only the cancel, which shutdown issues once the
+			// inflight gate drains, sees every such task.
 			if s.closed.Load() {
-				s.failPending()
-				return
+				continue
 			}
 			s.sweep()
 			s.tuner.maybeTune(s)

@@ -303,6 +303,65 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	s.Close()
 }
 
+// TestCloseSettlesRacingSubmits closes a scheduler while submitters are
+// still admitting tasks into an unbounded queue. A Submit that passed its
+// closed check before Close may enqueue after the sweeper's last gather;
+// every handle Submit returned must still deliver, and the final Stats
+// must show each accepted task settled.
+func TestCloseSettlesRacingSubmits(t *testing.T) {
+	const rounds, submitters = 100, 4
+	body := func(context.Context, ProcID) error {
+		time.Sleep(20 * time.Microsecond)
+		return nil
+	}
+	for round := range rounds {
+		s, err := NewWithConfig(Config{Procs: 2, Alpha: 4, QueueLimit: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		handles := make([][]*Handle, submitters)
+		var wg sync.WaitGroup
+		for g := range submitters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					h, err := s.Submit(Task{EstMs: []float64{1, 2}, Run: body})
+					if err != nil {
+						return
+					}
+					handles[g] = append(handles[g], h)
+				}
+			}()
+		}
+		time.Sleep(2 * time.Millisecond)
+		s.Close()
+		wg.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		for _, hs := range handles {
+			for _, h := range hs {
+				select {
+				case <-h.Done:
+					continue
+				case <-ctx.Done():
+				}
+				select {
+				case <-h.Done: // delivered just as the wait ran out
+				default:
+					st := s.Stats()
+					t.Fatalf("round %d: an accepted task never settled after Close: settled %d of %d",
+						round, st.Settled, st.Submitted)
+				}
+			}
+		}
+		cancel()
+		if st := s.Stats(); st.Settled != st.Submitted {
+			t.Fatalf("round %d: settled %d != submitted %d after Close", round, st.Settled, st.Submitted)
+		}
+	}
+}
+
 func TestRunErrorPropagates(t *testing.T) {
 	s := newStarted(t, 2, 4)
 	boom := errors.New("boom")

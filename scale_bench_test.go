@@ -58,9 +58,8 @@ func BenchmarkScale100k(b *testing.B) { benchScale(b, 100_000, apt.HEFT()) }
 func BenchmarkScale1M(b *testing.B) { benchScale(b, 1_000_000, apt.HEFT()) }
 
 // BenchmarkScaleAPT10k runs the dynamic policy at scale: APT(4) on the
-// 10k-kernel layered DAG. Every event walks the ready list (about n/32
-// kernels here), so this is where a per-event cost that grows with the
-// ready list shows.
+// 10k-kernel layered DAG. About n/32 kernels wait at any event here, so
+// this is where a per-event cost that grows with the ready list shows.
 func BenchmarkScaleAPT10k(b *testing.B) { benchScale(b, 10_000, apt.APT(4)) }
 
 // sweepFixture prepares one 10k-kernel cost oracle on a 16-processor
