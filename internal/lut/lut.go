@@ -19,6 +19,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -35,6 +36,25 @@ type Entry struct {
 	TimeMs map[platform.Kind]float64
 }
 
+// TimeError reports a measured time that is negative or NaN. A NaN time
+// would price every execution of that kernel and size on that kind as NaN,
+// and the APT rule never picks a NaN price, so placement would change
+// without an error. +Inf is a legal time.
+type TimeError struct {
+	Kernel    string
+	DataElems int64
+	Kind      platform.Kind
+	TimeMs    float64
+}
+
+func (e *TimeError) Error() string {
+	what := fmt.Sprintf("negative time %v", e.TimeMs)
+	if math.IsNaN(e.TimeMs) {
+		what = "NaN time"
+	}
+	return fmt.Sprintf("lut: kernel %q size %d has %s on %s", e.Kernel, e.DataElems, what, e.Kind)
+}
+
 // Table is an immutable collection of measured entries with interpolating
 // lookup. Build one with New or load the paper's table with Paper.
 type Table struct {
@@ -46,7 +66,8 @@ type Table struct {
 // New builds a table from entries. Every entry must name a kernel, have a
 // positive size, and supply a non-negative time for every kind that appears
 // anywhere in the input (the table must be rectangular: all kernels cover
-// the same set of kinds). Duplicate (kernel, size) pairs are rejected.
+// the same set of kinds). A negative or NaN time fails with a *TimeError.
+// Duplicate (kernel, size) pairs are rejected.
 func New(entries []Entry) (*Table, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("lut: no entries")
@@ -76,8 +97,8 @@ func New(entries []Entry) (*Table, error) {
 			if !ok {
 				return nil, fmt.Errorf("lut: kernel %q size %d missing time for kind %s", e.Kernel, e.DataElems, k)
 			}
-			if t < 0 {
-				return nil, fmt.Errorf("lut: kernel %q size %d has negative time %v on %s", e.Kernel, e.DataElems, t, k)
+			if !(t >= 0) { // NaN fails every comparison
+				return nil, &TimeError{Kernel: e.Kernel, DataElems: e.DataElems, Kind: k, TimeMs: t}
 			}
 		}
 		// Copy the map so the table does not alias caller memory.

@@ -2,7 +2,9 @@ package lut
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +172,52 @@ func TestNewRejectsBadInput(t *testing.T) {
 	for _, c := range cases {
 		if _, err := New(c.entries); err == nil {
 			t.Errorf("%s: New succeeded, want error", c.name)
+		}
+	}
+}
+
+// TestTimeErrors pins the typed time error at both entry points that take
+// measured times: New and ReadCSV refuse a negative or NaN time with a
+// *TimeError naming the row and kind, and accept +Inf.
+func TestTimeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*Table, error)
+		want  *TimeError // nil: accepted
+	}{
+		{"New NaN", func() (*Table, error) { return New([]Entry{row("k", 5, 1, math.NaN(), 3)}) },
+			&TimeError{Kernel: "k", DataElems: 5, Kind: platform.GPU}},
+		{"New negative", func() (*Table, error) { return New([]Entry{row("k", 5, -1, 2, 3)}) },
+			&TimeError{Kernel: "k", DataElems: 5, Kind: platform.CPU}},
+		{"New +Inf", func() (*Table, error) { return New([]Entry{row("k", 5, 1, 2, math.Inf(1))}) }, nil},
+		{"ReadCSV NaN", func() (*Table, error) {
+			return ReadCSV(bytes.NewBufferString("kernel,data_elems,CPU,GPU\nk,1,1,2\nk,7,NaN,2\n"))
+		}, &TimeError{Kernel: "k", DataElems: 7, Kind: platform.CPU}},
+		{"ReadCSV -Inf", func() (*Table, error) {
+			return ReadCSV(bytes.NewBufferString("kernel,data_elems,CPU\nj,3,-Inf\n"))
+		}, &TimeError{Kernel: "j", DataElems: 3, Kind: platform.CPU}},
+		{"ReadCSV +Inf", func() (*Table, error) {
+			return ReadCSV(bytes.NewBufferString("kernel,data_elems,CPU\nj,3,+Inf\n"))
+		}, nil},
+	} {
+		_, err := tc.build()
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		var te *TimeError
+		if !errors.As(err, &te) {
+			t.Errorf("%s: returned %v (%T), want *TimeError", tc.name, err, err)
+			continue
+		}
+		if te.Kernel != tc.want.Kernel || te.DataElems != tc.want.DataElems || te.Kind != tc.want.Kind {
+			t.Errorf("%s: TimeError names %q/%d/%s, want %q/%d/%s", tc.name,
+				te.Kernel, te.DataElems, te.Kind, tc.want.Kernel, tc.want.DataElems, tc.want.Kind)
+		}
+		if math.IsNaN(te.TimeMs) != strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: message %q does not say what the time was", tc.name, err)
 		}
 	}
 }

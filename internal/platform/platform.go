@@ -11,6 +11,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -139,6 +140,31 @@ func (s *System) DegreeOfHeterogeneity() float64 {
 	return float64(len(s.Kinds())) / float64(len(s.procs))
 }
 
+// RateError reports a link bandwidth that is negative or NaN. A NaN rate
+// would price every transfer over the link as NaN, and the APT rule never
+// picks a NaN price, so placement would change without an error. +Inf is a
+// legal rate: transfers over the link are free.
+type RateError struct {
+	// From and To name the directed link; both are Invalid for the
+	// uniform rate.
+	From, To ProcID
+	Rate     GBps
+}
+
+func (e *RateError) Error() string {
+	nan := math.IsNaN(float64(e.Rate))
+	switch {
+	case e.From == Invalid && nan:
+		return "platform: NaN uniform rate"
+	case e.From == Invalid:
+		return fmt.Sprintf("platform: negative uniform rate %v", e.Rate)
+	case nan:
+		return fmt.Sprintf("platform: NaN rate for link %d->%d", e.From, e.To)
+	default:
+		return fmt.Sprintf("platform: negative rate %v for link %d->%d", e.Rate, e.From, e.To)
+	}
+}
+
 // Builder assembles a System. The zero value is not usable; call NewBuilder.
 type Builder struct {
 	procs   []Processor
@@ -178,8 +204,8 @@ func (b *Builder) AddProcessor(k Kind, name string) ProcID {
 // ("we maintain the data transfer rates between all processors to be the
 // same"). Per-pair overrides via SetRate take precedence.
 func (b *Builder) SetUniformRate(r GBps) *Builder {
-	if r < 0 {
-		b.fail(fmt.Errorf("platform: negative uniform rate %v", r))
+	if !(r >= 0) { // NaN fails every comparison
+		b.fail(&RateError{From: Invalid, To: Invalid, Rate: r})
 		return b
 	}
 	b.uniform = r
@@ -189,8 +215,8 @@ func (b *Builder) SetUniformRate(r GBps) *Builder {
 // SetRate overrides the bandwidth of the directed link from -> to.
 // Use SetSymmetricRate for both directions at once.
 func (b *Builder) SetRate(from, to ProcID, r GBps) *Builder {
-	if r < 0 {
-		b.fail(fmt.Errorf("platform: negative rate %v for link %d->%d", r, from, to))
+	if !(r >= 0) { // NaN fails every comparison
+		b.fail(&RateError{From: from, To: to, Rate: r})
 		return b
 	}
 	if from == to {

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,6 +76,53 @@ func TestBuilderNegativeRate(t *testing.T) {
 	b.SetRate(a, c, -1)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("Build with negative rate succeeded, want error")
+	}
+}
+
+// TestBuilderRateErrors pins the typed rate error at every entry point that
+// takes a bandwidth: negative and NaN rates fail with a *RateError naming
+// the link, while zero (no link) and +Inf (free transfers) stay legal.
+func TestBuilderRateErrors(t *testing.T) {
+	nan := GBps(math.NaN())
+	inf := GBps(math.Inf(1))
+	for _, tc := range []struct {
+		name     string
+		set      func(b *Builder, a, c ProcID)
+		from, to ProcID
+		bad      bool
+	}{
+		{"SetRate NaN", func(b *Builder, a, c ProcID) { b.SetRate(a, c, nan) }, 0, 1, true},
+		{"SetRate negative", func(b *Builder, a, c ProcID) { b.SetRate(a, c, -1) }, 0, 1, true},
+		{"SetRate -Inf", func(b *Builder, a, c ProcID) { b.SetRate(a, c, -inf) }, 0, 1, true},
+		{"SetSymmetricRate NaN", func(b *Builder, a, c ProcID) { b.SetSymmetricRate(c, a, nan) }, 1, 0, true},
+		{"SetUniformRate NaN", func(b *Builder, _, _ ProcID) { b.SetUniformRate(nan) }, Invalid, Invalid, true},
+		{"SetUniformRate negative", func(b *Builder, _, _ ProcID) { b.SetUniformRate(-4) }, Invalid, Invalid, true},
+		{"SetRate +Inf", func(b *Builder, a, c ProcID) { b.SetRate(a, c, inf) }, 0, 0, false},
+		{"SetUniformRate +Inf", func(b *Builder, _, _ ProcID) { b.SetUniformRate(inf) }, 0, 0, false},
+		{"SetRate zero", func(b *Builder, a, c ProcID) { b.SetRate(a, c, 0) }, 0, 0, false},
+	} {
+		b := NewBuilder()
+		a := b.AddProcessor(CPU, "")
+		c := b.AddProcessor(GPU, "")
+		tc.set(b, a, c)
+		_, err := b.Build()
+		if !tc.bad {
+			if err != nil {
+				t.Errorf("%s: Build failed: %v", tc.name, err)
+			}
+			continue
+		}
+		var re *RateError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: Build returned %v (%T), want *RateError", tc.name, err, err)
+			continue
+		}
+		if re.From != tc.from || re.To != tc.to {
+			t.Errorf("%s: RateError names link %d->%d, want %d->%d", tc.name, re.From, re.To, tc.from, tc.to)
+		}
+		if math.IsNaN(float64(re.Rate)) != strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: message %q does not say what the rate was", tc.name, err)
+		}
 	}
 }
 

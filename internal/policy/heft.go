@@ -45,6 +45,7 @@ type HEFT struct {
 	scratch schedScratch
 	order   []dfg.KernelID
 	prio    []dfg.KernelID
+	cbar    meanXfer
 
 	// RankU, exposed after Prepare for inspection and tests, maps each
 	// kernel to its upward rank.
@@ -79,10 +80,11 @@ func (h *HEFT) Prepare(c *sim.Costs) error {
 	// with rank_u(exit) = w̄_exit (Eq. 4).
 	order := g.AppendTopoOrder(h.order[:0])
 	h.order = order
+	clear(h.cbar)
 	for i := n - 1; i >= 0; i-- {
 		k := order[i]
 		best := 0.0
-		cMean := c.MeanTransfer(k)
+		cMean := h.cbar.of(c, k)
 		for _, s := range g.Succs(k) {
 			if v := cMean + h.RankU[s]; v > best {
 				best = v

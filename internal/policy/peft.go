@@ -44,6 +44,7 @@ type PEFT struct {
 	indeg   []int32
 	visit   []dfg.KernelID
 	heapKs  []dfg.KernelID
+	cbar    meanXfer
 
 	// OCT, exposed after Prepare, is the optimistic cost table
 	// [kernel][processor]. Rows alias one flat backing array.
@@ -90,9 +91,10 @@ func (pf *PEFT) Prepare(c *sim.Costs) error {
 	}
 	order := g.AppendTopoOrder(pf.order[:0])
 	pf.order = order
+	clear(pf.cbar)
 	for i := n - 1; i >= 0; i-- {
 		ti := order[i]
-		cMean := c.MeanTransfer(ti)
+		cMean := pf.cbar.of(c, ti)
 		octRow := pf.OCT[ti]
 		for pk := 0; pk < np; pk++ {
 			best := 0.0

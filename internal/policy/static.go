@@ -96,6 +96,30 @@ type schedScratch struct {
 	tasks    []plannedTask
 }
 
+// meanXfer memoises sim.Costs.MeanTransfer, the mean communication cost
+// c̄ᵢⱼ of HEFT's and PEFT's ranks, per output size: c̄ of an edge depends
+// on nothing but its source kernel's OutElems, and graphs repeat sizes (the
+// 10k-kernel layered DAGs hold 11). It takes at most sim.MaxMemoKeys sizes;
+// past that a new size is priced every time it occurs. The zero value is
+// empty; clear it before pricing for another cost oracle.
+type meanXfer map[int64]float64
+
+// of returns c.MeanTransfer(k), bit for bit.
+func (m *meanXfer) of(c *sim.Costs, k dfg.KernelID) float64 {
+	elems := c.Graph().Kernel(k).OutElems
+	if v, ok := (*m)[elems]; ok {
+		return v
+	}
+	v := c.MeanTransfer(k)
+	if *m == nil {
+		*m = meanXfer{}
+	}
+	if len(*m) < sim.MaxMemoKeys {
+		(*m)[elems] = v
+	}
+	return v
+}
+
 // grow returns s resized to n elements, reusing its backing array when
 // possible. Contents are unspecified; callers must reinitialise.
 func grow[T any](s []T, n int) []T {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfg"
+	"repro/internal/sim"
 )
 
 // Hand-computed rank verification on the two-kernel chain a -> b with the
@@ -107,5 +108,32 @@ func TestHEFTThesisRuleHandTraced(t *testing.T) {
 	tb := e.run(t, g, &HEFT{Textbook: true})
 	if tb.MakespanMs != 6 {
 		t.Errorf("textbook makespan = %v, want 6", tb.MakespanMs)
+	}
+}
+
+// TestMeanXferMemo pins HEFT's and PEFT's c̄ memo: it returns
+// Costs.MeanTransfer bit for bit for every kernel, whether its output size
+// was memoised, memoised earlier or seen only past the key cap, and it
+// keeps at most sim.MaxMemoKeys sizes.
+func TestMeanXferMemo(t *testing.T) {
+	e := newEnv(t)
+	b := dfg.NewBuilder()
+	const sizes = sim.MaxMemoKeys + 20
+	for round := 0; round < 2; round++ {
+		for i := 0; i < sizes; i++ {
+			b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000, OutElems: int64(1 + 997*i)})
+		}
+	}
+	g := b.MustBuild()
+	c := e.costs(t, g)
+	var m meanXfer
+	for k := 0; k < g.NumKernels(); k++ {
+		id := dfg.KernelID(k)
+		if got, want := m.of(c, id), c.MeanTransfer(id); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("kernel %d: memo gives %v, MeanTransfer %v", k, got, want)
+		}
+	}
+	if len(m) != sim.MaxMemoKeys {
+		t.Errorf("memo holds %d sizes, want the cap %d", len(m), sim.MaxMemoKeys)
 	}
 }

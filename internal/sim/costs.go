@@ -19,7 +19,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dfg"
 	"repro/internal/lut"
@@ -68,6 +67,14 @@ func DefaultCostConfig() CostConfig { return CostConfig{ElemBytes: 4, Mode: Tran
 // same Costs, so all of them price work identically (the paper's policies
 // all share one lookup table).
 //
+// The lookup table prices a kernel by its name, its data size and the kind
+// of processor it runs on, and by nothing else (§2.5, §3.2). So Costs keys
+// its tables by shape, the (Name, DataElems) pair: kernels of one shape
+// share one execution-time row, one best processor and one mean, and each
+// kernel keeps only a 4-byte shape index. Graphs repeat shapes heavily (the
+// 10k-kernel layered DAGs hold 25), so the tables cost almost nothing per
+// kernel; a graph whose kernels are all distinct gets one row per kernel.
+//
 // # Estimates versus actuals
 //
 // A run carries up to two Costs with distinct roles. The Costs passed to
@@ -87,84 +94,140 @@ type Costs struct {
 	sys *platform.System
 	cfg CostConfig
 	np  int
-	// exec is the kernel×processor execution-time matrix flattened row-major
-	// with stride np (exec[k*np+p]), one contiguous allocation regardless of
-	// graph size.
+	// shape[k] is kernel k's row in the shape tables below. Shapes are
+	// numbered in order of their first kernel.
+	shape []int32
+	// exec is the shape×processor execution-time matrix flattened row-major
+	// with stride np (exec[s*np+p]), one contiguous allocation.
 	exec []float64
-	best []platform.ProcID
-	mean []float64 // mean exec across procs, for HEFT ranks
-
-	// ranked is the per-kernel ascending-execution-time processor order,
-	// flattened with stride np and built lazily on the first RankedProcs
-	// call (many runs never need it; 100k-kernel graphs should not pay an
-	// O(n·P log P) sort up front). Rows are quantised to uint16 processor
-	// indices — 2 bytes per entry instead of a 4-byte ProcID — which is why
-	// PrepareCosts caps systems at 65535 processors. sync.Once keeps the
-	// build race-free — one Costs is shared across worker goroutines.
-	rankOnce sync.Once
-	ranked   []uint16
+	best []platform.ProcID // per shape: the processor BestProc returns
+	mean []float64         // per shape: mean exec across procs, for HEFT ranks
 }
 
-// PrepareCosts precomputes the kernel×processor execution-time matrix and
+// MaxMemoKeys caps the distinct keys a per-graph memo table takes:
+// PrepareCosts' map of shapes, and HEFT's and PEFT's map of mean transfer
+// cost per output size. Past the cap a new key is priced every time it
+// occurs, so a graph whose kernels are all distinct pays one map lookup
+// per kernel, not one insert.
+const MaxMemoKeys = 256
+
+// shapeKey is what the lookup table prices a kernel by, apart from the
+// processor kind.
+type shapeKey struct {
+	name  string
+	elems int64
+}
+
+// PrepareCosts precomputes the shape×processor execution-time matrix and
 // validates that the table covers every kernel in the graph on every
-// processor kind in the system. From a few thousand kernels up the row
+// processor kind in the system. From a few thousand shapes up the row
 // fills shard across autoLanes parallel lanes; the result is byte-identical
 // for every lane count.
 func PrepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig) (*Costs, error) {
 	if g == nil || sys == nil || tab == nil {
 		return nil, fmt.Errorf("sim: PrepareCosts requires graph, system and table")
 	}
-	return prepareCosts(g, sys, tab, cfg, autoLanes(g.NumKernels()))
+	return prepareCosts(g, sys, tab, cfg, autoLanes)
 }
 
-// prepareCosts is PrepareCosts over an explicit lane count. Rows are
-// independent — each lane writes a disjoint slice of the matrix and derives
-// best/mean per row — and the lookup table is immutable, so the resulting
-// oracle is byte-identical for every lane count.
-func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig, lanes int) (*Costs, error) {
+// prepareCosts is PrepareCosts with the row fill's lane count given by
+// lanes(rows) for the graph's number of shapes. One serial pass numbers the
+// shapes; then the lanes fill disjoint ranges of shape rows, each with one
+// lookup per (shape, processor kind) copied to that kind's processors, and
+// derive best and mean per row in processor-ID order. The lookup table is
+// immutable, so the oracle is byte-identical for every lane count, and to
+// pricing every (kernel, processor) pair on its own.
+func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig, lanes func(rows int) int) (*Costs, error) {
 	if cfg.ElemBytes == 0 {
 		cfg.ElemBytes = DefaultCostConfig().ElemBytes
 	}
 	if cfg.ElemBytes < 0 {
 		return nil, fmt.Errorf("sim: negative ElemBytes %v", cfg.ElemBytes)
 	}
-	n := g.NumKernels()
+	kernels := g.Kernels()
 	np := sys.NumProcs()
-	if np > math.MaxUint16 {
-		return nil, fmt.Errorf("sim: %d processors exceed the ranked-order table's uint16 index space (max %d)", np, math.MaxUint16)
+	c := &Costs{g: g, sys: sys, cfg: cfg, np: np, shape: make([]int32, len(kernels))}
+
+	// Number the shapes in order of their first kernel, their
+	// representative. Shape order is then representative order, so the
+	// lowest-numbered failing shape names the first kernel that fails.
+	rows := 0
+	ids := make(map[shapeKey]int32)
+	for id := range kernels {
+		key := shapeKey{kernels[id].Name, kernels[id].DataElems}
+		s, ok := ids[key]
+		if !ok {
+			s = int32(rows)
+			rows++
+			if len(ids) < MaxMemoKeys {
+				ids[key] = s
+			}
+		}
+		c.shape[id] = s
 	}
-	c := &Costs{
-		g:    g,
-		sys:  sys,
-		cfg:  cfg,
-		np:   np,
-		exec: make([]float64, n*np),
-		best: make([]platform.ProcID, n),
-		mean: make([]float64, n),
+	// A kernel starts a new shape exactly where its index exceeds every
+	// earlier kernel's, so a second pass collects the representatives
+	// into one exactly sized slice.
+	reps := make([]dfg.KernelID, rows)
+	next := int32(0)
+	for id, s := range c.shape {
+		if s == next {
+			reps[s] = dfg.KernelID(id)
+			next++
+		}
 	}
-	errs := make([]laneError, clampLanes(lanes, n))
-	parallelChunks(n, lanes, func(ch laneChunk) {
-		for id := ch.lo; id < ch.hi; id++ {
-			k := g.Kernel(dfg.KernelID(id))
-			sum := 0.0
-			best := platform.ProcID(0)
-			bestMs := math.Inf(1)
-			for p := 0; p < np; p++ {
+
+	// firstOf[p] is the lowest-ID processor of p's kind. Pricing each kind
+	// on its first processor, in ID order, reports the lowest failing
+	// processor, as a walk over the processors would.
+	firstOf := make([]platform.ProcID, np)
+	kindFirst := make(map[platform.Kind]platform.ProcID)
+	for p := range np {
+		kind := sys.KindOf(platform.ProcID(p))
+		f, ok := kindFirst[kind]
+		if !ok {
+			f = platform.ProcID(p)
+			kindFirst[kind] = f
+		}
+		firstOf[p] = f
+	}
+
+	c.exec = make([]float64, rows*np)
+	c.best = make([]platform.ProcID, rows)
+	c.mean = make([]float64, rows)
+	nl := lanes(rows)
+	errs := make([]laneError, clampLanes(nl, rows))
+	parallelChunks(rows, nl, func(ch laneChunk) {
+		for s := ch.lo; s < ch.hi; s++ {
+			id := reps[s]
+			k := &kernels[id]
+			row := c.exec[s*np : (s+1)*np]
+			for p := range row {
+				if int(firstOf[p]) != p {
+					continue
+				}
 				ms, err := tab.Exec(k.Name, k.DataElems, sys.KindOf(platform.ProcID(p)))
 				if err != nil {
-					errs[ch.lane] = laneError{at: id, err: fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
+					errs[ch.lane] = laneError{at: s, err: fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
 						id, k.Name, k.DataElems, p, err)}
 					return
 				}
-				c.exec[id*np+p] = ms
+				row[p] = ms
+			}
+			sum := 0.0
+			best := platform.ProcID(0)
+			bestMs := math.Inf(1)
+			for p := range row {
+				ms := row[firstOf[p]] // priced above
+				row[p] = ms
 				sum += ms
 				if ms < bestMs {
 					bestMs = ms
 					best = platform.ProcID(p)
 				}
 			}
-			c.best[id] = best
-			c.mean[id] = sum / float64(np)
+			c.best[s] = best
+			c.mean[s] = sum / float64(np)
 		}
 	})
 	if err := firstLaneError(errs); err != nil {
@@ -186,82 +249,29 @@ func (c *Costs) Config() CostConfig { return c.cfg }
 //
 //apt:hotpath
 func (c *Costs) Exec(k dfg.KernelID, p platform.ProcID) float64 {
-	return c.exec[int(k)*c.np+int(p)]
+	return c.exec[int(c.shape[k])*c.np+int(p)]
 }
 
 // ExecRow returns kernel k's execution times across all processors,
-// indexed by ProcID. The slice aliases the flat cost table — do not modify.
+// indexed by ProcID. The slice aliases the shape table, shared by every
+// kernel of k's shape — do not modify.
 func (c *Costs) ExecRow(k dfg.KernelID) []float64 {
-	return c.exec[int(k)*c.np : int(k+1)*c.np]
+	s := int(c.shape[k])
+	return c.exec[s*c.np : (s+1)*c.np]
 }
 
 // MeanExec returns the mean execution time of kernel k across all
 // processors (the w̄ᵢ of HEFT's upward rank).
-func (c *Costs) MeanExec(k dfg.KernelID) float64 { return c.mean[k] }
+func (c *Costs) MeanExec(k dfg.KernelID) float64 { return c.mean[c.shape[k]] }
 
 // BestProc returns the processor with the minimum execution time for k
 // (the paper's pmin) and that minimum time. Ties break to the lower ID.
 //
 //apt:hotpath
 func (c *Costs) BestProc(k dfg.KernelID) (platform.ProcID, float64) {
-	p := c.best[k]
-	return p, c.Exec(k, p)
-}
-
-// rankedRow returns kernel k's ascending-execution-time processor order
-// from the lazily built flat table (ties by ID), as quantised uint16
-// processor indices. The first call pays one O(n·P log P) pass; later calls
-// are a slice expression.
-func (c *Costs) rankedRow(k dfg.KernelID) []uint16 {
-	c.rankOnce.Do(func() {
-		n := c.g.NumKernels()
-		np := c.np
-		ranked := make([]uint16, n*np)
-		for id := 0; id < n; id++ {
-			out := ranked[id*np : (id+1)*np]
-			for i := range out {
-				out[i] = uint16(i)
-			}
-			exec := func(p uint16) float64 { return c.Exec(dfg.KernelID(id), platform.ProcID(p)) }
-			// Insertion sort: np is small (3 in the paper's system, a few
-			// hundred at most for the scale machines).
-			for i := 1; i < np; i++ {
-				for j := i; j > 0; j-- {
-					a, b := out[j-1], out[j]
-					// Three-way cost comparison (no float equality):
-					// exact ties order by processor ID.
-					if exec(a) < exec(b) {
-						break
-					}
-					if exec(b) < exec(a) || b < a {
-						out[j-1], out[j] = b, a
-					} else {
-						break
-					}
-				}
-			}
-		}
-		c.ranked = ranked
-	})
-	return c.ranked[int(k)*c.np : int(k+1)*c.np]
-}
-
-// RankedProcs returns all processors ordered by ascending execution time
-// for k (ties by ID). The slice is fresh and owned by the caller;
-// allocation-sensitive callers should prefer AppendRankedProcs.
-func (c *Costs) RankedProcs(k dfg.KernelID) []platform.ProcID {
-	return c.AppendRankedProcs(make([]platform.ProcID, 0, c.np), k)
-}
-
-// AppendRankedProcs appends kernel k's ascending-execution-time processor
-// order (same order as RankedProcs) to buf and returns the extended slice;
-// with a reused buffer the query is allocation-free after the table's
-// one-time lazy build.
-func (c *Costs) AppendRankedProcs(buf []platform.ProcID, k dfg.KernelID) []platform.ProcID {
-	for _, p := range c.rankedRow(k) {
-		buf = append(buf, platform.ProcID(p))
-	}
-	return buf
+	s := int(c.shape[k])
+	p := c.best[s]
+	return p, c.exec[s*c.np+int(p)]
 }
 
 // TransferMs returns the time to move elems elements across the directed

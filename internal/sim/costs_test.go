@@ -50,9 +50,52 @@ func TestCostsExecAndBest(t *testing.T) {
 	if got := c.MeanExec(ka); math.Abs(got-(10+2+50)/3.0) > 1e-9 {
 		t.Errorf("MeanExec(a) = %v", got)
 	}
-	ranked := c.RankedProcs(ka)
-	if ranked[0] != gpu || ranked[1] != cpu || ranked[2] != fpga {
-		t.Errorf("RankedProcs(a) = %v, want [gpu cpu fpga]", ranked)
+}
+
+// TestPrepareCostsPastShapeCap crosses the shape map's key cap: kernels
+// repeating a shape first seen before the cap share its row, those
+// repeating one first seen after it get rows of their own, and every
+// kernel still prices exactly as per-(kernel, processor) pricing does.
+func TestPrepareCostsPastShapeCap(t *testing.T) {
+	env := tiny(t, 4)
+	const distinct = MaxMemoKeys + 5
+	shape := func(i int) dfg.Kernel {
+		name := "a"
+		if i%3 == 0 {
+			name = "b"
+		}
+		return dfg.Kernel{Name: name, DataElems: int64(500 + 7*i)}
+	}
+	b := dfg.NewBuilder()
+	for i := 0; i < distinct; i++ {
+		b.AddKernel(shape(i))
+	}
+	for i := 0; i < distinct; i += 2 { // repeat every other shape
+		b.AddKernel(shape(i))
+	}
+	g := b.MustBuild()
+	c := mustCosts(t, g, env)
+	repeatsPastCap := 0
+	for i := MaxMemoKeys; i < distinct; i += 2 {
+		repeatsPastCap++
+	}
+	if rows, want := len(c.best), distinct+repeatsPastCap; rows != want {
+		t.Errorf("%d shape rows, want %d: %d distinct shapes plus one per repeat of a shape past the cap", rows, want, distinct)
+	}
+	wantExec, wantBest, wantMean, err := refCosts(g, env.sys, env.tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range wantExec {
+		id := dfg.KernelID(k)
+		for p, want := range wantExec[k] {
+			if !sameBits(c.Exec(id, platform.ProcID(p)), want) {
+				t.Fatalf("Exec(%d, %d) = %v, want %v", k, p, c.Exec(id, platform.ProcID(p)), want)
+			}
+		}
+		if p, _ := c.BestProc(id); p != wantBest[k] || !sameBits(c.MeanExec(id), wantMean[k]) {
+			t.Fatalf("kernel %d: BestProc %d, MeanExec %v; want %d, %v", k, p, c.MeanExec(id), wantBest[k], wantMean[k])
+		}
 	}
 }
 

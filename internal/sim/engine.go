@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dfg"
@@ -406,6 +407,7 @@ type engine struct {
 	lambdas     []float64
 	sojourns    []float64 // scratch for latency summaries, reused per run
 	qwaits      []float64
+	sortBuf     []uint64 // sortFloat64s' radix scratch, reused per run
 	nFinished   int
 	selectCalls int
 	assignments int
@@ -835,9 +837,9 @@ func (e *engine) result() *Result {
 	e.lambdas, e.sojourns, e.qwaits = lambdas, sojourns, qwaits
 	// Only the scalar summaries escape into the Result; the sorted arrays
 	// stay engine scratch, so warm runs stay allocation-lean.
-	sort.Float64s(sojourns)
+	e.sortBuf = sortFloat64s(sojourns, e.sortBuf)
 	res.Sojourn = stats.SummarizeSorted(sojourns)
-	sort.Float64s(qwaits)
+	e.sortBuf = sortFloat64s(qwaits, e.sortBuf)
 	res.QueueWait = stats.SummarizeSorted(qwaits)
 	res.MakespanMs = makespan
 	for p := range res.ProcStats {
@@ -993,15 +995,15 @@ func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
 				return
 			}
 			bucket := byProc[starts[p]:starts[p+1]]
-			sort.Slice(bucket, func(i, j int) bool {
-				a, b := &r.Placements[bucket[i]], &r.Placements[bucket[j]]
-				if a.TransferStart < b.TransferStart {
-					return true
+			slices.SortFunc(bucket, func(a, b int32) int {
+				ta, tb := r.Placements[a].TransferStart, r.Placements[b].TransferStart
+				if ta < tb {
+					return -1
 				}
-				if b.TransferStart < a.TransferStart {
-					return false
+				if tb < ta {
+					return 1
 				}
-				return bucket[i] < bucket[j]
+				return cmp.Compare(a, b)
 			})
 			for i := 1; i < len(bucket); i++ {
 				prev, cur := &r.Placements[bucket[i-1]], &r.Placements[bucket[i]]

@@ -12,11 +12,12 @@ import (
 // because policies observe global state (ready set, processor availability)
 // at every decision point, so any reordering would change the schedule
 // itself. What lanes do parallelise are the trajectory-independent phases
-// that measurably win from it: cost-table preparation (per-kernel rows are
+// that measurably win from it: cost-table preparation (per-shape rows are
 // independent), schedule validation (per-kernel lifecycle checks and
 // per-processor occupancy scans) and the public result conversion in apt.
-// The lane count is not a knob: autoLanes derives it from the kernel count
-// and GOMAXPROCS, so small graphs stay on the serial, goroutine-free path.
+// The lane count is not a knob: autoLanes derives it from the number of
+// items a phase covers (shape rows or kernels) and GOMAXPROCS, so small
+// graphs stay on the serial, goroutine-free path.
 //
 // # Determinism invariant
 //
@@ -44,13 +45,15 @@ type laneChunk struct {
 // minKernelsPerLane is the smallest per-lane share of kernels worth a
 // goroutine. Measured on a 2-vCPU Xeon, two lanes lose to one in
 // validation at 1k kernels, run level to 15% faster at 10k and win clearly
-// from 30k, while cost preparation wins at every size; ~2k kernels per lane
-// keeps the paper's 46–157-kernel graphs serial and gives a 10k-kernel run
-// two lanes (see ARCHITECTURE.md "What was removed and why").
+// from 30k, while cost preparation (then one row per kernel) won at every
+// size; ~2k kernels per lane keeps the paper's 46–157-kernel graphs serial
+// and gives a 10k-kernel run two lanes (see ARCHITECTURE.md "What was
+// removed and why").
 const minKernelsPerLane = 2048
 
-// autoLanes is the lane count for a phase over n kernels: one lane per
-// minKernelsPerLane kernels, at least 1 and at most GOMAXPROCS.
+// autoLanes is the lane count for a phase over n kernels (or n shape rows,
+// in cost preparation): one lane per minKernelsPerLane items, at least 1
+// and at most GOMAXPROCS.
 func autoLanes(n int) int {
 	return max(1, min(n/minKernelsPerLane, runtime.GOMAXPROCS(0)))
 }

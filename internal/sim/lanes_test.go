@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -10,23 +12,35 @@ import (
 	"repro/internal/platform"
 )
 
-// fuzzDAG decodes an arbitrary byte string into a DAG over the tiny test
-// table's kernel names: the first byte picks the vertex count (2..41), the
-// second alternates names, every following byte pair an edge directed low
-// ID -> high ID — always acyclic, often disconnected, which is exactly the
-// shape the component partitioner and the lane reducer must agree on.
+// fuzzNames and fuzzSizes are what fuzzDAG draws kernels from. Against
+// fuzzTable the sizes hit exact rows (1000, 4000, 16000), interpolate
+// between rows (2500, 7000) and clamp below (7, 100) and above (50000);
+// "zz" is missing from the table.
+var (
+	fuzzNames = []string{"a", "b", "zz"}
+	fuzzSizes = []int64{1000, 2500, 4000, 7, 16000, 7000, 100, 50000}
+)
+
+// fuzzDAG decodes an arbitrary byte string into a DAG over fuzzTable's
+// kernels: the first byte picks the vertex count (2..41), the second how
+// kernels draw names and sizes, every following byte pair an edge directed
+// low ID -> high ID — always acyclic, often disconnected, which is exactly
+// the shape the lane reducer must agree on. Shapes repeat; when the second
+// byte's top bit is set, one kernel is named "zz", which the table lacks.
 func fuzzDAG(data []byte) *dfg.Graph {
 	if len(data) < 2 {
 		return nil
 	}
 	n := int(data[0])%40 + 2
+	mix := int(data[1])
 	b := dfg.NewBuilder()
 	for i := 0; i < n; i++ {
-		name := "a"
-		if (int(data[1])+i)%3 == 0 {
-			name = "b"
+		name := fuzzNames[(mix+i)%3%2]
+		if mix&0x80 != 0 && i == mix%n {
+			name = fuzzNames[2]
 		}
-		b.AddKernel(dfg.Kernel{Name: name, DataElems: 1000})
+		size := fuzzSizes[(mix/2+i*(mix%5+1))%len(fuzzSizes)]
+		b.AddKernel(dfg.Kernel{Name: name, DataElems: size})
 	}
 	for i := 2; i+1 < len(data); i += 2 {
 		u := dfg.KernelID(int(data[i]) % n)
@@ -42,80 +56,180 @@ func fuzzDAG(data []byte) *dfg.Graph {
 	return b.MustBuild()
 }
 
-// FuzzLanesOracle is the partition-vs-serial oracle: for arbitrary DAGs,
-// cost tables prepared across 1, 2, 4 and one-per-CPU lanes must match the
-// serial tables bit for bit, runs over them must serialise to the same
-// bytes as the serial run, and the lane-parallel validator must accept
-// every schedule the serial one accepts.
+// fuzzTable prices kernels "a" and "b" on the paper's three kinds at
+// several sizes, so lookups interpolate and clamp.
+func fuzzTable(f *testing.F) *lut.Table {
+	f.Helper()
+	tab, err := lut.New([]lut.Entry{
+		{Kernel: "a", DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 10, platform.GPU: 2, platform.FPGA: 50}},
+		{Kernel: "a", DataElems: 4000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 40, platform.GPU: 3, platform.FPGA: 3}},
+		{Kernel: "a", DataElems: 16000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 170, platform.GPU: 9.5, platform.FPGA: 1.25}},
+		{Kernel: "b", DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 4, platform.GPU: 8, platform.FPGA: 1}},
+		{Kernel: "b", DataElems: 16000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 0.1, platform.GPU: 16, platform.FPGA: 7}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return tab
+}
+
+// fuzzMachines are the systems the lanes oracle runs on: the paper's three
+// kinds; repeated kinds in mixed order, whose duplicate processors tie on
+// execution time; and the same with a kind the table lacks.
+func fuzzMachines() []*platform.System {
+	build := func(kinds ...platform.Kind) *platform.System {
+		b := platform.NewBuilder()
+		for _, k := range kinds {
+			b.AddProcessor(k, "")
+		}
+		return b.SetUniformRate(4).MustBuild()
+	}
+	return []*platform.System{
+		platform.PaperSystem(4),
+		build(platform.GPU, platform.CPU, platform.GPU, platform.FPGA, platform.CPU, platform.FPGA, platform.GPU),
+		build(platform.CPU, platform.GPU, platform.CPU, "DSP", platform.FPGA, "DSP"),
+	}
+}
+
+// refCosts is the reference PrepareCosts' shape table must agree with: it
+// prices every (kernel, processor) pair with its own lookup-table call,
+// walking kernels and then processors in ID order, and returns each
+// kernel's execution row, best processor (ties to the lower ID) and mean,
+// or the error PrepareCosts must return.
+func refCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table) (exec [][]float64, best []platform.ProcID, mean []float64, err error) {
+	np := sys.NumProcs()
+	for id := 0; id < g.NumKernels(); id++ {
+		k := g.Kernel(dfg.KernelID(id))
+		row := make([]float64, np)
+		sum := 0.0
+		bp := platform.ProcID(0)
+		bestMs := math.Inf(1)
+		for p := 0; p < np; p++ {
+			ms, err := tab.Exec(k.Name, k.DataElems, sys.KindOf(platform.ProcID(p)))
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
+					id, k.Name, k.DataElems, p, err)
+			}
+			row[p] = ms
+			sum += ms
+			if ms < bestMs {
+				bestMs, bp = ms, platform.ProcID(p)
+			}
+		}
+		exec = append(exec, row)
+		best = append(best, bp)
+		mean = append(mean, sum/float64(np))
+	}
+	return exec, best, mean, nil
+}
+
+// fixedLanes is a prepareCosts lane rule that ignores the row count.
+func fixedLanes(lanes int) func(rows int) int { return func(int) int { return lanes } }
+
+// sameBits reports whether two float64s are the same value bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// FuzzLanesOracle is the shape-table and partition-vs-serial oracle: for
+// arbitrary DAGs on every fuzz machine, cost tables prepared at 1, 2, 4 and
+// one-per-CPU lanes must return exactly what per-(kernel, processor)
+// pricing does — Exec, ExecRow, BestProc and MeanExec bit for bit, or the
+// same error string — runs over them must serialise to the same bytes as
+// the serial run, and the lane-parallel validator must accept every
+// schedule the serial one accepts.
 func FuzzLanesOracle(f *testing.F) {
 	f.Add([]byte{5, 0})
 	f.Add([]byte{11, 1, 0, 1, 1, 2, 0, 2, 5, 9})
 	f.Add([]byte{39, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200, 100})
-	env := tinyF(f, 4)
+	f.Add([]byte{20, 0x93, 0, 5, 5, 9})
+	f.Add([]byte{33, 0x47, 3, 4, 4, 30, 1, 2})
+	tab := fuzzTable(f)
+	machines := fuzzMachines()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzDAG(data)
 		if g == nil {
 			return
 		}
-		serialCosts, err := prepareCosts(g, env.sys, env.tab, CostConfig{}, 1)
-		if err != nil {
-			return
-		}
-		serial, err := Run(serialCosts, &greedy{}, Options{})
-		if err != nil {
-			return
-		}
-		var want bytes.Buffer
-		if err := serial.WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
-		for _, lanes := range []int{2, 4, runtime.NumCPU()} {
-			laneCosts, err := prepareCosts(g, env.sys, env.tab, CostConfig{}, lanes)
-			if err != nil {
-				t.Fatalf("lanes=%d: prepareCosts: %v", lanes, err)
-			}
-			for k := 0; k < g.NumKernels(); k++ {
-				id := dfg.KernelID(k)
-				rowS := serialCosts.ExecRow(id)
-				rowL := laneCosts.ExecRow(id)
-				for p := range rowS {
-					if rowS[p] != rowL[p] {
-						t.Fatalf("lanes=%d: exec[%d][%d] = %v, serial %v", lanes, k, p, rowL[p], rowS[p])
+		for mi, sys := range machines {
+			wantExec, wantBest, wantMean, wantErr := refCosts(g, sys, tab)
+			var serial *Costs
+			for _, lanes := range []int{1, 2, 4, runtime.NumCPU()} {
+				c, err := prepareCosts(g, sys, tab, CostConfig{}, fixedLanes(lanes))
+				if wantErr != nil {
+					if err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("machine %d lanes=%d: error %v, per-kernel pricing gives %v", mi, lanes, err, wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("machine %d lanes=%d: prepareCosts: %v", mi, lanes, err)
+				}
+				for k := range wantExec {
+					id := dfg.KernelID(k)
+					row := c.ExecRow(id)
+					for p, want := range wantExec[k] {
+						if !sameBits(row[p], want) || !sameBits(c.Exec(id, platform.ProcID(p)), want) {
+							t.Fatalf("machine %d lanes=%d: exec[%d][%d] = %v/%v, want %v",
+								mi, lanes, k, p, row[p], c.Exec(id, platform.ProcID(p)), want)
+						}
+					}
+					bp, bms := c.BestProc(id)
+					if bp != wantBest[k] || !sameBits(bms, wantExec[k][wantBest[k]]) {
+						t.Fatalf("machine %d lanes=%d: BestProc(%d) = %d/%v, want %d", mi, lanes, k, bp, bms, wantBest[k])
+					}
+					if !sameBits(c.MeanExec(id), wantMean[k]) {
+						t.Fatalf("machine %d lanes=%d: MeanExec(%d) = %v, want %v", mi, lanes, k, c.MeanExec(id), wantMean[k])
 					}
 				}
+				if lanes == 1 {
+					serial = c
+				}
 			}
-			res, err := Run(laneCosts, &greedy{}, Options{})
-			if err != nil {
-				t.Fatalf("lanes=%d: run failed where serial succeeded: %v", lanes, err)
+			if wantErr != nil {
+				continue
 			}
-			if err := res.validate(g, env.sys, lanes); err != nil {
-				t.Fatalf("lanes=%d: schedule rejected: %v", lanes, err)
-			}
-			var got bytes.Buffer
-			if err := res.WriteJSON(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("lanes=%d: result JSON differs from serial engine", lanes)
-			}
+			checkLaneRuns(t, g, sys, tab, serial)
 		}
 	})
 }
 
-// tinyF is tiny for fuzz targets (testing.F and testing.T share no common
-// interface, so the setup is duplicated rather than abstracted).
-func tinyF(f *testing.F, rate platform.GBps) tinyEnv {
-	f.Helper()
-	tab, err := lut.New([]lut.Entry{
-		{Kernel: "a", DataElems: 1000, TimeMs: map[platform.Kind]float64{
-			platform.CPU: 10, platform.GPU: 2, platform.FPGA: 50}},
-		{Kernel: "b", DataElems: 1000, TimeMs: map[platform.Kind]float64{
-			platform.CPU: 4, platform.GPU: 8, platform.FPGA: 1}},
-	})
+// checkLaneRuns runs greedy over the serial cost table and over tables
+// prepared at several lane counts: every run must serialise to the serial
+// run's bytes, and the lane-parallel validator must accept each schedule.
+func checkLaneRuns(t *testing.T, g *dfg.Graph, sys *platform.System, tab *lut.Table, serialCosts *Costs) {
+	t.Helper()
+	serial, err := Run(serialCosts, &greedy{}, Options{})
 	if err != nil {
-		f.Fatal(err)
+		return
 	}
-	return tinyEnv{sys: platform.PaperSystem(rate), tab: tab}
+	var want bytes.Buffer
+	if err := serial.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, lanes := range []int{2, 4, runtime.NumCPU()} {
+		laneCosts, err := prepareCosts(g, sys, tab, CostConfig{}, fixedLanes(lanes))
+		if err != nil {
+			t.Fatalf("lanes=%d: prepareCosts: %v", lanes, err)
+		}
+		res, err := Run(laneCosts, &greedy{}, Options{})
+		if err != nil {
+			t.Fatalf("lanes=%d: run failed where serial succeeded: %v", lanes, err)
+		}
+		if err := res.validate(g, sys, lanes); err != nil {
+			t.Fatalf("lanes=%d: schedule rejected: %v", lanes, err)
+		}
+		var got bytes.Buffer
+		if err := res.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("lanes=%d: result JSON differs from serial engine", lanes)
+		}
+	}
 }
 
 func TestLaneChunksTile(t *testing.T) {
@@ -204,11 +318,13 @@ func mallocsPerRun(runs int, fn func()) uint64 {
 // TestSerialPhasesAllocs pins the below-threshold path: on a graph too small
 // for a second lane, PrepareCosts and Validate must start no goroutines and
 // build no chunk slices, even with several procs available. The counts are
-// the serial path's own allocations: PrepareCosts the Costs header, its
-// exec/best/mean tables, the one-entry error slot and the row-fill closure;
-// Validate its per-lane scratch (error slot, finish max, per-proc counts),
-// the occupancy index, the bucket starts, the proc error slot, two closures
-// and one sort.Slice per processor.
+// the serial path's own allocations: PrepareCosts the Costs header, the
+// per-kernel shape index, the exec/best/mean shape tables, the shape
+// representatives, each processor's first processor of its kind, the
+// one-entry error slot and the row-fill closure (the small shape and kind
+// maps stay on the stack); Validate its per-lane scratch
+// (error slot, finish max, per-proc counts), the occupancy index, the
+// bucket starts, the proc error slot and two closures.
 func TestSerialPhasesAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	env := tiny(t, 4)
@@ -224,16 +340,16 @@ func TestSerialPhasesAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if prep != 6 {
-		t.Errorf("PrepareCosts at %d kernels allocates %d objects, want the serial path's 6", n, prep)
+	if prep != 9 {
+		t.Errorf("PrepareCosts at %d kernels allocates %d objects, want the serial path's 9", n, prep)
 	}
 	val := mallocsPerRun(20, func() {
 		if err := res.Validate(g, env.sys); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if val != 15 {
-		t.Errorf("Validate at %d kernels allocates %d objects, want the serial path's 15", n, val)
+	if val != 9 {
+		t.Errorf("Validate at %d kernels allocates %d objects, want the serial path's 9", n, val)
 	}
 }
 

@@ -36,28 +36,26 @@ func tiny(t *testing.T, rate platform.GBps) tinyEnv {
 }
 
 // greedy assigns each ready kernel (FCFS) to the available processor with
-// the minimum execution time; if none is available, it waits.
+// the minimum execution time, ties to the lower ID; if none is available,
+// it waits.
 type greedy struct{ c *Costs }
 
 func (g *greedy) Name() string           { return "greedy" }
 func (g *greedy) Prepare(c *Costs) error { g.c = c; return nil }
 func (g *greedy) Select(st *State) []Assignment {
 	var out []Assignment
-	avail := map[platform.ProcID]bool{}
-	for _, p := range st.AppendAvailableProcs(nil) {
-		avail[p] = true
-	}
+	avail := st.AppendAvailableProcs(nil) // ID order; taken entries become -1
 	for _, k := range st.Ready() {
-		bestP := platform.ProcID(-1)
+		bi := -1
 		best := math.Inf(1)
-		for p := range avail {
-			if avail[p] && g.c.Exec(k, p) < best {
-				best, bestP = g.c.Exec(k, p), p
+		for i, p := range avail {
+			if p >= 0 && g.c.Exec(k, p) < best {
+				best, bi = g.c.Exec(k, p), i
 			}
 		}
-		if bestP >= 0 {
-			avail[bestP] = false
-			out = append(out, Assignment{Kernel: k, Proc: bestP})
+		if bi >= 0 {
+			out = append(out, Assignment{Kernel: k, Proc: avail[bi]})
+			avail[bi] = -1
 		}
 	}
 	return out

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/apt"
+	"repro/internal/dfg"
 	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/policy"
@@ -61,6 +62,55 @@ func BenchmarkScale1M(b *testing.B) { benchScale(b, 1_000_000, apt.HEFT()) }
 // 10k-kernel layered DAG. About n/32 kernels wait at any event here, so
 // this is where a per-event cost that grows with the ready list shows.
 func BenchmarkScaleAPT10k(b *testing.B) { benchScale(b, 10_000, apt.APT(4)) }
+
+// BenchmarkScaleDistinct10k is BenchmarkScale10k's DAG with each kernel's
+// size offset by its index, under HEFT: every kernel is its own shape and
+// its own output size, so the shape table and HEFT's mean-transfer memo
+// save nothing and cost prep pays one table row per kernel. It guards the
+// graphs that repeat no shape (DAG JSON with arbitrary sizes).
+func BenchmarkScaleDistinct10k(b *testing.B) {
+	const n = 10_000
+	series, err := workload.ScaleSeries(n, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range series {
+		series[i].DataElems += int64(i)
+	}
+	g, err := workload.BuildScaleLayered(series, workload.DefaultScaleLayeredConfig(),
+		rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wb := apt.NewWorkload()
+	for _, k := range g.Kernels() {
+		wb.AddKernel(k.Name, k.DataElems)
+	}
+	for u := range g.Kernels() {
+		for _, v := range g.Succs(dfg.KernelID(u)) {
+			wb.AddDep(u, int(v))
+		}
+	}
+	w, err := wb.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := apt.ScaleMachine(8, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := apt.Run(w, m, apt.HEFT(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Kernels) != n {
+			b.Fatalf("kernels = %d", len(res.Kernels))
+		}
+	}
+}
 
 // sweepFixture prepares one 10k-kernel cost oracle on a 16-processor
 // machine for the repeated-graph sweep benches.
