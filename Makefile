@@ -5,7 +5,7 @@
 # allocs/op snapshots that future PRs can gate against). Keep this filter
 # in sync with the bench-regression job's -bench pattern.
 BENCH_FILTER ?= BenchmarkRun|BenchmarkEngineRun|BenchmarkStreamRunner|BenchmarkScale|BenchmarkSweep|BenchmarkBatchSweep|BenchmarkOnlineSubmit|BenchmarkOnlineRetry|BenchmarkMetricsRender
-BENCH_RECORD ?= BENCH_PR16.json
+BENCH_RECORD ?= BENCH_PR17.json
 
 .PHONY: test build vet lint bench bench-record
 

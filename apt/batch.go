@@ -285,14 +285,15 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result 
 		wl:            w,
 	}
 	out.Kernels = make([]KernelRun, len(res.Placements))
+	kernels, procs := w.g.Kernels(), m.sys.Procs()
 	sim.ParallelOver(len(res.Placements), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			pl := res.Placements[i]
+			pl := &res.Placements[i]
 			out.Kernels[i] = KernelRun{
 				Kernel:      int32(pl.Kernel),
-				Name:        w.g.Kernel(pl.Kernel).Name,
+				Name:        kernels[pl.Kernel].Name,
 				Proc:        int32(pl.Proc),
-				ProcName:    m.sys.Proc(pl.Proc).Name,
+				ProcName:    procs[pl.Proc].Name,
 				ArrivalMs:   pl.Arrival,
 				ReadyMs:     pl.Ready,
 				ExecStartMs: pl.ExecStart,
@@ -308,7 +309,7 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result 
 	for _, st := range res.ProcStats {
 		out.Procs = append(out.Procs, ProcUse{
 			Proc:    int32(st.Proc),
-			Name:    m.sys.Proc(st.Proc).Name,
+			Name:    procs[st.Proc].Name,
 			Kernels: st.Kernels,
 			ExecMs:  st.ExecMs,
 			XferMs:  st.XferMs,

@@ -205,7 +205,10 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // submitFailure maps scheduler admission errors to the API contract.
 func submitFailure(err error) (int, string) {
+	var est *online.EstimateError
 	switch {
+	case errors.As(err, &est):
+		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, online.ErrQueueFull):
 		return http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, online.ErrClosed):

@@ -236,7 +236,7 @@ func (a *APT) visit(st *sim.State, log []dfg.KernelID, i int32) bool {
 		}
 		p = palt
 		a.stats.AltAssignments++
-		a.stats.ByKernel[st.Graph().Kernel(k).Name]++
+		a.stats.ByKernel[st.Graph().Kernels()[k].Name]++
 	}
 	clear(row)
 	a.free[p>>6] &^= 1 << (p & 63)

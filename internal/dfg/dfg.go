@@ -96,80 +96,6 @@ type Graph struct {
 	// shared read-only by TopoOrder, Levels and CriticalPath.
 	topo  []KernelID
 	edges int
-	// comp[id] is the weakly-connected component of kernel id. Components
-	// are numbered 0..ncomp-1 in order of their smallest kernel ID, so the
-	// numbering is deterministic and component 0 always contains kernel 0.
-	// Computed once at Build (union-find over the deduplicated edge list);
-	// the partitioned engine shards independent work along these boundaries.
-	comp  []int32
-	ncomp int
-}
-
-// NumComponents returns the number of weakly-connected components. An empty
-// graph has zero; every kernel belongs to exactly one component.
-func (g *Graph) NumComponents() int { return g.ncomp }
-
-// ComponentOf returns the weakly-connected component index of id.
-// Components are numbered by smallest member ID, ascending.
-func (g *Graph) ComponentOf(id KernelID) int32 {
-	if id < 0 || int(id) >= len(g.kernels) {
-		badKernelID(id, len(g.kernels))
-	}
-	return g.comp[id]
-}
-
-// AppendComponent appends the kernels of component c to buf in ascending ID
-// order and returns the extended slice. Out-of-range components append
-// nothing.
-func (g *Graph) AppendComponent(c int32, buf []KernelID) []KernelID {
-	if c < 0 || int(c) >= g.ncomp {
-		return buf
-	}
-	for id := range g.kernels {
-		if g.comp[id] == c {
-			buf = append(buf, KernelID(id))
-		}
-	}
-	return buf
-}
-
-// components labels every vertex with its weakly-connected component using
-// union-find (path halving + union by smaller root ID, so the final root of
-// each set is its smallest member and the renumbering pass is a formality).
-func components(n int, edges []edgePair) ([]int32, int) {
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		a, b := find(int32(e.from)), find(int32(e.to))
-		if a == b {
-			continue
-		}
-		if a < b {
-			parent[b] = a
-		} else {
-			parent[a] = b
-		}
-	}
-	comp := make([]int32, n)
-	ncomp := int32(0)
-	for id := 0; id < n; id++ {
-		if r := find(int32(id)); r == int32(id) {
-			comp[id] = ncomp
-			ncomp++
-		} else {
-			comp[id] = comp[r] // r < id, already numbered
-		}
-	}
-	return comp, int(ncomp)
 }
 
 // NumKernels returns the number of vertices.
@@ -616,7 +542,6 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(g.topo) != n {
 		return nil, fmt.Errorf("dfg: graph contains a cycle")
 	}
-	g.comp, g.ncomp = components(n, dedup)
 	return g, nil
 }
 

@@ -148,44 +148,6 @@ func refCriticalPath(g *Graph, weight func(Kernel) float64) (float64, []KernelID
 	return dist[bestStart], path
 }
 
-// refComponents is the reference weakly-connected-component labelling:
-// breadth-first search over the undirected adjacency, seeded from each
-// unvisited vertex in ascending ID order — which is exactly the "components
-// numbered by first appearance" contract of Graph.ComponentOf.
-func refComponents(g *Graph) []int32 {
-	n := g.NumKernels()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := int32(0)
-	for start := 0; start < n; start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		queue := []KernelID{KernelID(start)}
-		comp[start] = next
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Succs(u) {
-				if comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-			for _, v := range g.Preds(u) {
-				if comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-		}
-		next++
-	}
-	return comp
-}
-
 // fuzzGraph decodes an arbitrary byte string into a DAG: the first byte
 // picks the vertex count (2..65), every following byte pair (a, b) an edge
 // between distinct vertices directed low ID -> high ID — always acyclic,
@@ -293,46 +255,6 @@ func FuzzGraphAlgos(f *testing.F) {
 		}
 		if edges != g.NumEdges() {
 			t.Fatalf("NumEdges %d != summed out-degrees %d", g.NumEdges(), edges)
-		}
-
-		// Weakly-connected components against a BFS reference: identical
-		// labels (the numbering contract is deterministic, not just the
-		// partition), and AppendComponent tiles [0, n) — every kernel in
-		// exactly one component, ascending ID order within each.
-		wantComp := refComponents(g)
-		nc := g.NumComponents()
-		for id := 0; id < g.NumKernels(); id++ {
-			c := g.ComponentOf(KernelID(id))
-			if c != wantComp[id] {
-				t.Fatalf("ComponentOf(%d) = %d, BFS reference %d", id, c, wantComp[id])
-			}
-			if c < 0 || int(c) >= nc {
-				t.Fatalf("ComponentOf(%d) = %d outside [0, %d)", id, c, nc)
-			}
-		}
-		seen := make([]bool, g.NumKernels())
-		for c := 0; c < nc; c++ {
-			members := g.AppendComponent(int32(c), nil)
-			if len(members) == 0 {
-				t.Fatalf("component %d is empty", c)
-			}
-			for i, id := range members {
-				if g.ComponentOf(id) != int32(c) {
-					t.Fatalf("AppendComponent(%d) contains kernel %d of component %d", c, id, g.ComponentOf(id))
-				}
-				if seen[id] {
-					t.Fatalf("kernel %d appears in two components", id)
-				}
-				seen[id] = true
-				if i > 0 && members[i-1] >= id {
-					t.Fatalf("component %d members not ascending: %d before %d", c, members[i-1], id)
-				}
-			}
-		}
-		for id, ok := range seen {
-			if !ok {
-				t.Fatalf("kernel %d missing from every component", id)
-			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/dfg"
+	"repro/internal/radix"
 	"repro/internal/sim"
 )
 
@@ -95,24 +96,11 @@ func (h *HEFT) Prepare(c *sim.Costs) error {
 
 	// Priority order: decreasing rank_u; ties by kernel ID for determinism.
 	// Decreasing rank_u is a linear extension of the precedence order
-	// because rank_u strictly decreases along every edge (w̄ > 0).
+	// because rank_u strictly decreases along every edge (w̄ > 0). The plan
+	// is not set yet, so its radix scratch is free to lend.
 	prio := grow(h.prio, n)
 	h.prio = prio
-	for i := range prio {
-		prio[i] = dfg.KernelID(i)
-	}
-	slices.SortFunc(prio, func(a, b dfg.KernelID) int {
-		// Three-way rank comparison (no float equality): exact rank ties
-		// fall through to the kernel-ID tie-break. The key is a total
-		// order, so the sort needs no stability.
-		if h.RankU[a] > h.RankU[b] {
-			return -1
-		}
-		if h.RankU[a] < h.RankU[b] {
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
+	rankOrder(prio, h.RankU, &h.plan.byKey)
 
 	var tasks []plannedTask
 	var err error
@@ -152,3 +140,50 @@ func (h *HEFT) Prepare(c *sim.Costs) error {
 
 // Select implements sim.Policy: release the precomputed schedule once.
 func (h *HEFT) Select(*sim.State) []sim.Assignment { return h.plan.release() }
+
+// rankOrder fills prio with the kernel IDs by decreasing rank, exact ties
+// by ascending ID. From radix.MinLen kernels it radix-orders the IDs by
+// ^Float64bits(rank): the complement turns descending ranks into ascending
+// keys, and the order is stable, so equal ranks keep ID order. That is the
+// comparison sort's order whenever every rank is +0, positive or +Inf, so a
+// NaN, −0 or negative rank, like a short graph, takes the comparison sort.
+func rankOrder(prio []dfg.KernelID, rank []float64, o *radix.Order) {
+	if len(rank) >= radix.MinLen && complementKeys(o.Keys(len(rank)), rank) {
+		for i, id := range o.Perm() {
+			prio[i] = dfg.KernelID(id)
+		}
+		return
+	}
+	for i := range prio {
+		prio[i] = dfg.KernelID(i)
+	}
+	slices.SortFunc(prio, byRankDesc(rank))
+}
+
+// byRankDesc compares kernel IDs by decreasing rank, exact ties by
+// ascending ID. The rank comparison is three-way (no float equality), and
+// the key is a total order, so a sort by it needs no stability.
+func byRankDesc(rank []float64) func(a, b dfg.KernelID) int {
+	return func(a, b dfg.KernelID) int {
+		if rank[a] > rank[b] {
+			return -1
+		}
+		if rank[a] < rank[b] {
+			return 1
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// complementKeys sets keys[i] to ^Float64bits(xs[i]) and reports whether
+// every xs[i] keys exactly (see radix.Key).
+func complementKeys(keys []uint64, xs []float64) bool {
+	for i, x := range xs {
+		b, ok := radix.Key(x)
+		if !ok {
+			return false
+		}
+		keys[i] = ^b
+	}
+	return true
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/platform"
+	"repro/internal/radix"
 	"repro/internal/sim"
 )
 
@@ -106,7 +107,7 @@ type meanXfer map[int64]float64
 
 // of returns c.MeanTransfer(k), bit for bit.
 func (m *meanXfer) of(c *sim.Costs, k dfg.KernelID) float64 {
-	elems := c.Graph().Kernel(k).OutElems
+	elems := c.Graph().Kernels()[k].OutElems
 	if v, ok := (*m)[elems]; ok {
 		return v
 	}
@@ -151,7 +152,8 @@ func listSchedule(
 	pick func(k dfg.KernelID, est, eft []float64) int,
 ) ([]plannedTask, error) {
 	g := c.Graph()
-	n := g.NumKernels()
+	kernels := g.Kernels()
+	n := len(kernels)
 	np := c.System().NumProcs()
 	sc.tls = grow(sc.tls, np)
 	for i := range sc.tls {
@@ -178,7 +180,7 @@ func listSchedule(
 					return nil, fmt.Errorf("policy: order visits kernel %d before predecessor %d", k, pred)
 				}
 				pt := &sc.placed[pred]
-				arrive := pt.finish + c.TransferMs(g.Kernel(pred).OutElems, pt.proc, pid)
+				arrive := pt.finish + c.TransferMs(kernels[pred].OutElems, pt.proc, pid)
 				if arrive > ready {
 					ready = arrive
 				}
@@ -254,12 +256,40 @@ type staticPlan struct {
 	tasks    []plannedTask
 	out      []sim.Assignment
 	released bool
+	// byKey is the radix scratch of set, reused across Prepare calls.
+	// HEFT borrows it for its priority order before setting the plan.
+	byKey radix.Order
 }
 
+// set stores tasks (which must not alias sp's buffers) ordered by planned
+// start, ties in their given order: sort.SliceStable's order. From
+// radix.MinLen tasks it is a radix order by Float64bits(start), which is
+// that order whenever every start is +0, positive or +Inf; a NaN, −0 or
+// negative start, like a short plan, takes sort.SliceStable.
 func (sp *staticPlan) set(tasks []plannedTask) {
-	sp.tasks = append(sp.tasks[:0], tasks...)
-	sort.SliceStable(sp.tasks, func(i, j int) bool { return sp.tasks[i].start < sp.tasks[j].start })
+	sp.tasks = grow(sp.tasks, len(tasks))
 	sp.released = false
+	if len(tasks) >= radix.MinLen && startKeys(sp.byKey.Keys(len(tasks)), tasks) {
+		for i, j := range sp.byKey.Perm() {
+			sp.tasks[i] = tasks[j]
+		}
+		return
+	}
+	copy(sp.tasks, tasks)
+	sort.SliceStable(sp.tasks, func(i, j int) bool { return sp.tasks[i].start < sp.tasks[j].start })
+}
+
+// startKeys sets keys[i] to Float64bits(tasks[i].start) and reports whether
+// every start keys exactly (see radix.Key).
+func startKeys(keys []uint64, tasks []plannedTask) bool {
+	for i := range tasks {
+		b, ok := radix.Key(tasks[i].start)
+		if !ok {
+			return false
+		}
+		keys[i] = b
+	}
+	return true
 }
 
 // rearm resets the one-shot release for another run of the same plan.

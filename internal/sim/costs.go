@@ -300,9 +300,12 @@ const unusableLinkMs = 365 * 24 * 3600 * 1000.0
 // processor of each finished predecessor. Predecessors on p contribute
 // zero. Combination follows the configured TransferMode.
 func (c *Costs) TransferIn(k dfg.KernelID, p platform.ProcID, placement func(dfg.KernelID) platform.ProcID) float64 {
+	// Read OutElems in place: Graph.Kernel is too large to inline, so it
+	// would copy a whole Kernel per edge.
+	kernels := c.g.Kernels()
 	var in float64
 	for _, pred := range c.g.Preds(k) {
-		in = c.combine(in, c.TransferMs(c.g.Kernel(pred).OutElems, placement(pred), p))
+		in = c.combine(in, c.TransferMs(kernels[pred].OutElems, placement(pred), p))
 	}
 	return in
 }
@@ -313,8 +316,9 @@ func (c *Costs) TransferIn(k dfg.KernelID, p platform.ProcID, placement func(dfg
 func (c *Costs) TransferRow(k dfg.KernelID, placement func(dfg.KernelID) platform.ProcID, dst []float64) {
 	dst = dst[:c.np]
 	clear(dst)
+	kernels := c.g.Kernels()
 	for _, pred := range c.g.Preds(k) {
-		from, elems := placement(pred), c.g.Kernel(pred).OutElems
+		from, elems := placement(pred), kernels[pred].OutElems
 		for p := range dst {
 			dst[p] = c.combine(dst[p], c.TransferMs(elems, from, platform.ProcID(p)))
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/heaps"
 	"repro/internal/platform"
+	"repro/internal/radix"
 	"repro/internal/stats"
 )
 
@@ -405,9 +406,9 @@ type engine struct {
 	placements  []Placement // escapes into Result: fresh per run
 	events      []event     // min-heap ordered by event.before
 	lambdas     []float64
-	sojourns    []float64 // scratch for latency summaries, reused per run
+	sojourns    []float64 // appended in completion order, reused per run
 	qwaits      []float64
-	sortBuf     []uint64 // sortFloat64s' radix scratch, reused per run
+	sortBuf     []uint64 // radix.Float64s' scratch, reused per run
 	nFinished   int
 	selectCalls int
 	assignments int
@@ -581,7 +582,7 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.readyLog = grow(e.readyLog, n)[:0] // a kernel becomes ready at most once
 	e.events = e.events[:0]
 	e.lambdas = e.lambdas[:0]
-	e.sojourns = e.sojourns[:0]
+	e.sojourns = grow(e.sojourns, n)[:0] // one append per completion
 	e.qwaits = e.qwaits[:0]
 
 	e.readyIdx = grow(e.readyIdx, n)
@@ -781,6 +782,10 @@ func (e *engine) complete(ev event) {
 	k, p := ev.kernel, ev.proc
 	e.nFinished++
 	e.running[p] = -1
+	// Finish events pop in nondecreasing time, so under the closed model
+	// (sojourn = Finish) the sojourns arrive ascending and result's sort
+	// is one linear check.
+	e.sojourns = append(e.sojourns, e.placements[k].Sojourn())
 	// The AG policy's execution history holds observed durations: under
 	// degradation that is the stretched wall time, not the nominal cost
 	// (the nominal path keeps the exact oracle value to avoid float
@@ -814,9 +819,7 @@ func (e *engine) result() *Result {
 	for p := 0; p < np; p++ {
 		res.ProcStats[p].Proc = platform.ProcID(p)
 	}
-	n := len(e.placements)
-	sojourns := grow(e.sojourns, n)
-	qwaits := grow(e.qwaits, n)
+	qwaits := grow(e.qwaits, len(e.placements))
 	var makespan float64
 	lambdas := e.lambdas[:0]
 	for i := range e.placements {
@@ -831,15 +834,18 @@ func (e *engine) result() *Result {
 		if l := pl.Lambda(); l > 0 {
 			lambdas = append(lambdas, l)
 		}
-		sojourns[i] = pl.Sojourn()
 		qwaits[i] = pl.QueueWait()
 	}
-	e.lambdas, e.sojourns, e.qwaits = lambdas, sojourns, qwaits
+	e.lambdas, e.qwaits = lambdas, qwaits
 	// Only the scalar summaries escape into the Result; the sorted arrays
-	// stay engine scratch, so warm runs stay allocation-lean.
-	e.sortBuf = sortFloat64s(sojourns, e.sortBuf)
-	res.Sojourn = stats.SummarizeSorted(sojourns)
-	e.sortBuf = sortFloat64s(qwaits, e.sortBuf)
+	// stay engine scratch, so warm runs stay allocation-lean. A sorted
+	// array depends only on the values, not their input order, except
+	// where values compare equal with different bits (−0 beside +0, NaNs
+	// of different payloads), which run times do not mix. So summarising
+	// sojourns in completion order changes no bit.
+	e.sortBuf = radix.Float64s(e.sojourns, e.sortBuf)
+	res.Sojourn = stats.SummarizeSorted(e.sojourns)
+	e.sortBuf = radix.Float64s(qwaits, e.sortBuf)
 	res.QueueWait = stats.SummarizeSorted(qwaits)
 	res.MakespanMs = makespan
 	for p := range res.ProcStats {

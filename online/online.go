@@ -196,6 +196,31 @@ var ErrNotStarted = errors.New("online: Submit before Start")
 // its limit. SubmitCtx blocks instead.
 var ErrQueueFull = errors.New("online: admission queue full")
 
+// EstimateError reports a task value the scheduler refuses: an execution
+// estimate that is not finite and positive, a transfer estimate that is
+// not finite and non-negative, or a non-finite TimeoutMs. Admitted, a bad
+// estimate would change placement without an error (a NaN bars its
+// processor for good, a negative transfer slips under α·x).
+type EstimateError struct {
+	Task string
+	// Field names the Task field: "EstMs", "XferMs" or "TimeoutMs".
+	Field string
+	// Proc is the processor of the EstMs or XferMs entry; -1 for TimeoutMs.
+	Proc  ProcID
+	Value float64
+}
+
+func (e *EstimateError) Error() string {
+	switch e.Field {
+	case "XferMs":
+		return fmt.Sprintf("online: task %q has invalid transfer estimate %v on processor %d (want finite and >= 0)", e.Task, e.Value, e.Proc)
+	case "TimeoutMs":
+		return fmt.Sprintf("online: task %q has non-finite TimeoutMs %v", e.Task, e.Value)
+	default:
+		return fmt.Sprintf("online: task %q has invalid estimate %v on processor %d (want finite and > 0)", e.Task, e.Value, e.Proc)
+	}
+}
+
 // DefaultQueueLimit bounds the admission queue when Config.QueueLimit is 0.
 const DefaultQueueLimit = 4096
 
@@ -551,7 +576,7 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 	pmin := 0
 	for p, e := range t.EstMs {
 		if !(e > 0) || math.IsInf(e, 1) { // rejects non-positive, NaN and +Inf
-			return nil, fmt.Errorf("online: task %q has invalid estimate %v on processor %d (want finite and > 0)", t.Name, e, p)
+			return nil, &EstimateError{Task: t.Name, Field: "EstMs", Proc: ProcID(p), Value: e}
 		}
 		if e < t.EstMs[pmin] {
 			pmin = p
@@ -564,11 +589,11 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 		// A NaN would bar p from ever being an alternative, a negative value
 		// would let one slip under α·x, and +Inf is no estimate at all.
 		if !(x >= 0) || math.IsInf(x, 1) {
-			return nil, fmt.Errorf("online: task %q has invalid transfer estimate %v on processor %d (want finite and >= 0)", t.Name, x, p)
+			return nil, &EstimateError{Task: t.Name, Field: "XferMs", Proc: ProcID(p), Value: x}
 		}
 	}
 	if math.IsNaN(t.TimeoutMs) || math.IsInf(t.TimeoutMs, 0) {
-		return nil, fmt.Errorf("online: task %q has non-finite TimeoutMs %v", t.Name, t.TimeoutMs)
+		return nil, &EstimateError{Task: t.Name, Field: "TimeoutMs", Proc: -1, Value: t.TimeoutMs}
 	}
 	lt := &liveTask{task: t, onDone: onDone, pmin: pmin, bestEst: t.EstMs[pmin], avoid: -1}
 	tms := t.TimeoutMs

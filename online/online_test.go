@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,31 +44,61 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsNonFiniteInputs: every estimate must be finite and
-// positive and every transfer finite and non-negative, and the error names
-// the task and the offending processor.
+// positive, every transfer finite and non-negative and TimeoutMs finite.
+// Each refusal is one *EstimateError naming the task, the field, the
+// processor and the value, through Submit and through SubmitGraph, and
+// its message is the one the scheduler has always printed.
 func TestSubmitRejectsNonFiniteInputs(t *testing.T) {
 	s := newStarted(t, 3, 4)
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name      string
 		est, xfer []float64
-		wantInMsg string
+		timeout   float64
+		want      EstimateError
+		msg       string
 	}{
-		{"est+inf", []float64{1, inf, 2}, nil, "processor 1"},
-		{"est-inf", []float64{1, 2, -inf}, nil, "processor 2"},
-		{"est-nan", []float64{nan, 1, 2}, nil, "processor 0"},
-		{"xfer-nan", []float64{1, 2, 3}, []float64{0, nan, 0}, "processor 1"},
-		{"xfer+inf", []float64{1, 2, 3}, []float64{0, 0, inf}, "processor 2"},
-		{"xfer-inf", []float64{1, 2, 3}, []float64{-inf, 0, 0}, "processor 0"},
-		{"xfer-negative", []float64{1, 2, 3}, []float64{0, -0.5, 0}, "processor 1"},
+		{"est+inf", []float64{1, inf, 2}, nil, 0, EstimateError{"est+inf", "EstMs", 1, inf},
+			`online: task "est+inf" has invalid estimate +Inf on processor 1 (want finite and > 0)`},
+		{"est-inf", []float64{1, 2, -inf}, nil, 0, EstimateError{"est-inf", "EstMs", 2, -inf},
+			`online: task "est-inf" has invalid estimate -Inf on processor 2 (want finite and > 0)`},
+		{"est-nan", []float64{nan, 1, 2}, nil, 0, EstimateError{"est-nan", "EstMs", 0, nan},
+			`online: task "est-nan" has invalid estimate NaN on processor 0 (want finite and > 0)`},
+		{"est-zero", []float64{1, 0, 2}, nil, 0, EstimateError{"est-zero", "EstMs", 1, 0},
+			`online: task "est-zero" has invalid estimate 0 on processor 1 (want finite and > 0)`},
+		{"est-negative", []float64{1, 2, -3}, nil, 0, EstimateError{"est-negative", "EstMs", 2, -3},
+			`online: task "est-negative" has invalid estimate -3 on processor 2 (want finite and > 0)`},
+		{"xfer-nan", []float64{1, 2, 3}, []float64{0, nan, 0}, 0, EstimateError{"xfer-nan", "XferMs", 1, nan},
+			`online: task "xfer-nan" has invalid transfer estimate NaN on processor 1 (want finite and >= 0)`},
+		{"xfer+inf", []float64{1, 2, 3}, []float64{0, 0, inf}, 0, EstimateError{"xfer+inf", "XferMs", 2, inf},
+			`online: task "xfer+inf" has invalid transfer estimate +Inf on processor 2 (want finite and >= 0)`},
+		{"xfer-inf", []float64{1, 2, 3}, []float64{-inf, 0, 0}, 0, EstimateError{"xfer-inf", "XferMs", 0, -inf},
+			`online: task "xfer-inf" has invalid transfer estimate -Inf on processor 0 (want finite and >= 0)`},
+		{"xfer-negative", []float64{1, 2, 3}, []float64{0, -0.5, 0}, 0, EstimateError{"xfer-negative", "XferMs", 1, -0.5},
+			`online: task "xfer-negative" has invalid transfer estimate -0.5 on processor 1 (want finite and >= 0)`},
+		{"timeout-nan", []float64{1, 2, 3}, nil, nan, EstimateError{"timeout-nan", "TimeoutMs", -1, nan},
+			`online: task "timeout-nan" has non-finite TimeoutMs NaN`},
+		{"timeout+inf", []float64{1, 2, 3}, nil, inf, EstimateError{"timeout+inf", "TimeoutMs", -1, inf},
+			`online: task "timeout+inf" has non-finite TimeoutMs +Inf`},
+		{"timeout-inf", []float64{1, 2, 3}, nil, -inf, EstimateError{"timeout-inf", "TimeoutMs", -1, -inf},
+			`online: task "timeout-inf" has non-finite TimeoutMs -Inf`},
 	} {
-		_, err := s.Submit(Task{Name: tc.name, EstMs: tc.est, XferMs: tc.xfer})
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if msg := err.Error(); !strings.Contains(msg, `"`+tc.name+`"`) || !strings.Contains(msg, tc.wantInMsg) {
-			t.Errorf("%s: error %q does not name the task and %s", tc.name, msg, tc.wantInMsg)
+		task := Task{Name: tc.name, EstMs: tc.est, XferMs: tc.xfer, TimeoutMs: tc.timeout}
+		_, err := s.Submit(task)
+		_, gerr := s.SubmitGraph([]GraphTask{{Task: Task{Name: "ok", EstMs: []float64{1, 1, 1}}}, {Task: task, Deps: []int{0}}})
+		for via, err := range map[string]error{"Submit": err, "SubmitGraph": gerr} {
+			var got *EstimateError
+			if !errors.As(err, &got) {
+				t.Errorf("%s %s: error %v (%T) is not an *EstimateError", via, tc.name, err, err)
+				continue
+			}
+			if got.Task != tc.want.Task || got.Field != tc.want.Field || got.Proc != tc.want.Proc ||
+				math.Float64bits(got.Value) != math.Float64bits(tc.want.Value) && !(math.IsNaN(got.Value) && math.IsNaN(tc.want.Value)) {
+				t.Errorf("%s %s: got %+v, want %+v", via, tc.name, *got, tc.want)
+			}
+			if err.Error() != tc.msg {
+				t.Errorf("%s %s: message %q, want %q", via, tc.name, err.Error(), tc.msg)
+			}
 		}
 	}
 	// Zero transfers stay legal: a co-located input costs nothing to stage.
