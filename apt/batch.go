@@ -110,21 +110,38 @@ func RunBatch(ctx context.Context, configs []RunConfig, opts *BatchOptions) ([]*
 	return results, nil
 }
 
-// runOne executes one config of a batch on a worker's reusable engine,
-// sharing prepared state through the worker's memo.
+// runOne executes one config: prepare, simulate, validate, assemble. A
+// batch worker runs it on its reusable engine and shares prepared state
+// through its memo; Run passes a nil worker and takes a pooled engine.
 func runOne(w *sim.Worker, cfg RunConfig) (*Result, error) {
-	run, pol, err := prepareRun(cfg, w)
+	run, err := prepareRun(cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.Runner().Run(run.Costs, pol, run.Opt)
+	var res *sim.Result
+	if w == nil {
+		res, err = sim.Run(run.costs, run.pol, run.opt)
+	} else {
+		res, err = w.Runner().Run(run.costs, run.pol, run.opt)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if err := res.Validate(cfg.Workload.g, cfg.Machine.sys); err != nil {
 		return nil, fmt.Errorf("internal error, invalid schedule: %w", err)
 	}
-	return assemble(res, cfg.Workload, cfg.Machine, pol), nil
+	return assemble(res, cfg.Workload, cfg.Machine, run.pol), nil
+}
+
+// preparedRun is one config ready for the engine: the estimate cost
+// oracle, the policy instance (kept so APT allocation stats can be read
+// back) and the engine options. Policies are stateful (Prepare mutates
+// them), so concurrent runs never share an instance: each batch worker
+// memoises its own.
+type preparedRun struct {
+	costs *sim.Costs
+	pol   sim.Policy
+	opt   sim.Options
 }
 
 // costsMemoKey identifies one prepared cost oracle in a worker's memo. It
@@ -166,19 +183,18 @@ func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.
 	return v.(*sim.Costs), nil
 }
 
-// prepareRun turns one RunConfig into an engine-level batch run plus the
-// policy instance (kept so APT allocation stats can be read back). A
-// non-nil worker supplies the prepared-state memo; Run passes nil.
-func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) {
+// prepareRun turns one RunConfig into a preparedRun. A non-nil worker
+// supplies the prepared-state memo; Run passes nil.
+func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 	if cfg.Workload == nil || cfg.Machine == nil {
-		return sim.BatchRun{}, nil, fmt.Errorf("run requires a workload and a machine")
+		return preparedRun{}, fmt.Errorf("run requires a workload and a machine")
 	}
 	opts := cfg.Options
 	if opts == nil {
 		opts = &Options{}
 	}
 	if err := validateArrivals(cfg.Workload.NumKernels(), opts.Arrivals); err != nil {
-		return sim.BatchRun{}, nil, err
+		return preparedRun{}, err
 	}
 	mode := sim.TransferMax
 	if opts.SerialTransfers {
@@ -197,7 +213,7 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 	if p := opts.Perturb; p != nil {
 		actualTab, err := memoNoisyTable(w, estTab, p.Noise)
 		if err != nil {
-			return sim.BatchRun{}, nil, err
+			return preparedRun{}, err
 		}
 		if p.Oracle {
 			// Perfect information: the policy sees the actual table, so no
@@ -206,14 +222,14 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 		} else if actualTab != estTab {
 			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab, costCfg)
 			if err != nil {
-				return sim.BatchRun{}, nil, err
+				return preparedRun{}, err
 			}
 			simOpt.ActualCosts = actual
 		}
 		if len(p.Events) > 0 {
 			sched, err := perturb.NewSchedule(internalEvents(p.Events))
 			if err != nil {
-				return sim.BatchRun{}, nil, err
+				return preparedRun{}, err
 			}
 			simOpt.Degrade = sched
 		}
@@ -221,13 +237,13 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 
 	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab, costCfg)
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return preparedRun{}, err
 	}
 	pol, err := memoPolicy(w, cfg.Policy)
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return preparedRun{}, err
 	}
-	return sim.BatchRun{Costs: costs, Policy: pol, Opt: simOpt}, pol, nil
+	return preparedRun{costs: costs, pol: pol, opt: simOpt}, nil
 }
 
 // memoNoisyTable returns the actual-time table a Noise produces from tab,
@@ -267,7 +283,7 @@ func memoPolicy(w *sim.Worker, p Policy) (sim.Policy, error) {
 	return v.(sim.Policy), nil
 }
 
-// assemble converts an engine result into the public Result, mirroring Run.
+// assemble converts an engine result into the public Result.
 // The per-kernel rows are filled into an exact-size preallocation, sharded
 // across lanes on large runs (disjoint index ranges, so the output is
 // byte-identical for every lane count — see sim.ParallelOver).

@@ -217,18 +217,7 @@ func Run(w *Workload, m *Machine, p Policy, opts *Options) (*Result, error) {
 	if w == nil || m == nil {
 		return nil, fmt.Errorf("apt: Run requires a workload and a machine")
 	}
-	run, pol, err := prepareRun(RunConfig{Workload: w, Machine: m, Policy: p, Options: opts}, nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(run.Costs, pol, run.Opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Validate(w.g, m.sys); err != nil {
-		return nil, fmt.Errorf("apt: internal error, invalid schedule: %w", err)
-	}
-	return assemble(res, w, m, pol), nil
+	return runOne(nil, RunConfig{Workload: w, Machine: m, Policy: p, Options: opts})
 }
 
 // Gantt renders the schedule as a time-ordered event log.

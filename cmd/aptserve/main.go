@@ -120,6 +120,7 @@ func newServer(cfg config) (*server, error) {
 		Procs:            cfg.procs,
 		Alpha:            cfg.alpha,
 		QueueLimit:       cfg.queueLimit,
+		AutoTune:         cfg.autoTune,
 		TraceDepth:       cfg.traceDepth,
 		DefaultTimeoutMs: cfg.timeoutMs,
 		Retry: online.RetryPolicy{
@@ -128,9 +129,6 @@ func newServer(cfg config) (*server, error) {
 			MaxBackoff:  cfg.retryMaxBackoff,
 			JitterSeed:  cfg.retrySeed,
 		},
-	}
-	if cfg.autoTune {
-		sc.AutoTune = &online.AutoTuneConfig{}
 	}
 	if cfg.breakerFails > 0 {
 		sc.Breaker = &online.BreakerConfig{

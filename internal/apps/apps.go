@@ -67,15 +67,6 @@ type Application struct {
 	Synthesised bool
 }
 
-// NumKernels returns the number of kernels in the application's DFG.
-func (a *Application) NumKernels() int {
-	n := 0
-	for _, s := range a.pipeline {
-		n += len(s)
-	}
-	return n
-}
-
 // HasDwarf reports membership of a dwarf class.
 func (a *Application) HasDwarf(d Dwarf) bool {
 	for _, x := range a.DwarfSet {
@@ -108,13 +99,6 @@ func (a *Application) AppendTo(b *dfg.Builder, app int) []dfg.KernelID {
 		prev = cur
 	}
 	return prev
-}
-
-// Graph builds the application's standalone DFG.
-func (a *Application) Graph() (*dfg.Graph, error) {
-	b := dfg.NewBuilder()
-	a.AppendTo(b, 0)
-	return b.Build()
 }
 
 func u(kernel string, elems int64) workUnit { return workUnit{kernel: kernel, elems: elems} }
@@ -212,16 +196,6 @@ func Catalogue() []Application {
 	out := make([]Application, len(catalogue))
 	copy(out, catalogue)
 	return out
-}
-
-// ByName looks an application up case-sensitively.
-func ByName(name string) (*Application, error) {
-	for i := range catalogue {
-		if catalogue[i].Name == name {
-			return &catalogue[i], nil
-		}
-	}
-	return nil, fmt.Errorf("apps: unknown application %q", name)
 }
 
 // Names returns all application names in row order.

@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"repro/internal/dfg"
 	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -53,30 +54,30 @@ func TestDwarfsColumns(t *testing.T) {
 	}
 }
 
-func TestByNameAndNames(t *testing.T) {
+func TestNames(t *testing.T) {
 	names := Names()
-	if len(names) != 11 {
-		t.Fatalf("names = %d", len(names))
+	apps := Catalogue()
+	if len(names) != 11 || len(apps) != len(names) {
+		t.Fatalf("names = %d, catalogue = %d, want 11", len(names), len(apps))
 	}
-	for _, n := range names {
-		a, err := ByName(n)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
-			continue
+	for i, a := range apps {
+		if a.Name != names[i] {
+			t.Errorf("names[%d] = %q, catalogue row %q", i, names[i], a.Name)
 		}
-		if a.NumKernels() < 1 {
-			t.Errorf("%s has no kernels", n)
+		b := dfg.NewBuilder()
+		a.AppendTo(b, 0)
+		if b.NumKernels() < 1 {
+			t.Errorf("%s has no kernels", a.Name)
 		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown application accepted")
 	}
 }
 
 func TestApplicationGraphsValidAndSchedulable(t *testing.T) {
 	sys := platform.PaperSystem(4)
 	for _, a := range Catalogue() {
-		g, err := a.Graph()
+		b := dfg.NewBuilder()
+		a.AppendTo(b, 0)
+		g, err := b.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}

@@ -69,8 +69,8 @@ func TestFigure5Golden(t *testing.T) {
 		t.Errorf("alt stats = %+v, want exactly one bfs alternative", st)
 	}
 	// The schedule: kernel 2 (second bfs) runs on the GPU.
-	pl := res.PlacementOf(2)
-	if got := res.PlacementOf(2); platform.PaperSystem(4).KindOf(got.Proc) != platform.GPU {
+	pl := res.Placements[2]
+	if got := res.Placements[2]; platform.PaperSystem(4).KindOf(got.Proc) != platform.GPU {
 		t.Errorf("bfs#2 ran on proc %d, want the GPU", pl.Proc)
 	}
 }

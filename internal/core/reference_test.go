@@ -37,7 +37,7 @@ func (r *referenceAPT) Select(st *sim.State) []sim.Assignment {
 	}
 	var out []sim.Assignment
 	declined := false
-	for _, k := range st.Ready() {
+	for _, k := range st.AppendReady(nil) {
 		if nAvail == 0 {
 			break
 		}

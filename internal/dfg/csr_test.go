@@ -13,28 +13,21 @@ func csrDiamond(t *testing.T) *Graph {
 	return b.MustBuild()
 }
 
-func TestAppendEntriesExits(t *testing.T) {
+func TestAppendEntries(t *testing.T) {
 	g := csrDiamond(t)
 	if got := g.Entries(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Entries = %v", got)
-	}
-	if got := g.Exits(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Exits = %v", got)
 	}
 	buf := make([]KernelID, 0, 4)
 	if got := g.AppendEntries(buf); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("AppendEntries = %v", got)
 	}
-	if got := g.AppendExits(buf); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("AppendExits = %v", got)
-	}
-	// Append variants must reuse the supplied buffer, not allocate.
+	// AppendEntries must reuse the supplied buffer, not allocate.
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = g.AppendEntries(buf[:0])
-		buf = g.AppendExits(buf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("AppendEntries/AppendExits allocated %.1f per call", allocs)
+		t.Errorf("AppendEntries allocated %.1f per call", allocs)
 	}
 }
 
@@ -65,14 +58,6 @@ func TestCSRAdjacencySorted(t *testing.T) {
 	preds := g.Preds(4)
 	if len(preds) != 3 || preds[0] != 0 || preds[1] != 1 || preds[2] != 3 {
 		t.Fatalf("Preds(4) = %v, want sorted [0 1 3]", preds)
-	}
-	for _, want := range []struct {
-		u, v KernelID
-		has  bool
-	}{{0, 2, true}, {0, 3, true}, {0, 4, true}, {0, 1, false}, {2, 0, false}, {3, 4, true}, {4, 3, false}} {
-		if got := g.HasEdge(want.u, want.v); got != want.has {
-			t.Errorf("HasEdge(%d,%d) = %v, want %v", want.u, want.v, got, want.has)
-		}
 	}
 }
 

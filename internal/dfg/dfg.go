@@ -82,9 +82,9 @@ type Kernel struct {
 // Adjacency lives in two CSR halves: the successors of kernel id are
 // succEdges[succOff[id]:succOff[id+1]] and its predecessors the analogous
 // predEdges range. Both per-vertex ranges are sorted ascending by kernel
-// ID, which makes HasEdge a binary search and every traversal order
-// deterministic. Offsets are int32, which caps a single graph at 2^31-1
-// edges — far beyond the 100k-kernel workloads the generators produce.
+// ID, which makes every traversal order deterministic. Offsets are int32,
+// which caps a single graph at 2^31-1 edges — far beyond the 100k-kernel
+// workloads the generators produce.
 type Graph struct {
 	kernels   []Kernel
 	succOff   []int32
@@ -93,7 +93,7 @@ type Graph struct {
 	predEdges []KernelID
 	// topo caches the deterministic topological order (ascending IDs among
 	// simultaneously-ready vertices); it is computed once at Build and
-	// shared read-only by TopoOrder, Levels and CriticalPath.
+	// shared read-only by AppendTopoOrder and CriticalPath.
 	topo  []KernelID
 	edges int
 }
@@ -141,9 +141,6 @@ func (g *Graph) Preds(id KernelID) []KernelID {
 // InDegree returns the number of dependencies of id.
 func (g *Graph) InDegree(id KernelID) int { return int(g.predOff[id+1] - g.predOff[id]) }
 
-// OutDegree returns the number of dependents of id.
-func (g *Graph) OutDegree(id KernelID) int { return int(g.succOff[id+1] - g.succOff[id]) }
-
 // Entries returns all kernels with no predecessors, in ID order. The slice
 // is fresh and exactly sized; allocation-sensitive callers should prefer
 // AppendEntries with a reused buffer.
@@ -169,57 +166,11 @@ func (g *Graph) AppendEntries(buf []KernelID) []KernelID {
 	return buf
 }
 
-// Exits returns all kernels with no successors, in ID order. The slice is
-// fresh and exactly sized; allocation-sensitive callers should prefer
-// AppendExits with a reused buffer.
-func (g *Graph) Exits() []KernelID {
-	count := 0
-	for id := range g.kernels {
-		if g.OutDegree(KernelID(id)) == 0 {
-			count++
-		}
-	}
-	return g.AppendExits(make([]KernelID, 0, count))
-}
-
-// AppendExits appends the exit kernels (no successors, ID order) to buf and
-// returns the extended slice.
-func (g *Graph) AppendExits(buf []KernelID) []KernelID {
-	for id := range g.kernels {
-		if g.OutDegree(KernelID(id)) == 0 {
-			buf = append(buf, KernelID(id))
-		}
-	}
-	return buf
-}
-
-// HasEdge reports whether the dependency u -> v exists. The CSR successor
-// ranges are sorted, so this is a binary search: O(log out-degree).
-func (g *Graph) HasEdge(u, v KernelID) bool {
-	s := g.Succs(u)
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
-}
-
-// TopoOrder returns a deterministic topological order: among ready
-// vertices, smaller IDs first (Kahn's algorithm with a min-heap frontier,
-// O(E log V)). The graph is acyclic by construction, so this never fails.
-// The order is computed once at Build; TopoOrder returns a fresh copy.
-func (g *Graph) TopoOrder() []KernelID {
-	return append(make([]KernelID, 0, len(g.topo)), g.topo...)
-}
-
-// AppendTopoOrder appends the deterministic topological order to buf and
-// returns the extended slice; with a reused buffer the query is
-// allocation-free.
+// AppendTopoOrder appends a deterministic topological order to buf and
+// returns the extended slice: among ready vertices, smaller IDs first
+// (Kahn's algorithm with a min-heap frontier, computed once at Build). The
+// graph is acyclic by construction, so the order covers every kernel. With
+// a reused buffer the query is allocation-free.
 func (g *Graph) AppendTopoOrder(buf []KernelID) []KernelID {
 	return append(buf, g.topo...)
 }
@@ -261,39 +212,6 @@ func kahnTopo(n int, succOff []int32, succEdges []KernelID, predOff []int32) []K
 	return order
 }
 
-// Levels decomposes the graph into dependency levels: level 0 holds the
-// entry kernels, level k the kernels all of whose predecessors are in
-// levels < k with at least one in level k-1. Useful for describing the
-// paper's Type-1 graphs ("level-1" of n-1 parallel kernels).
-func (g *Graph) Levels() [][]KernelID {
-	level := make([]int, len(g.kernels))
-	maxLevel := 0
-	for _, id := range g.topo {
-		l := 0
-		for _, p := range g.Preds(id) {
-			if level[p]+1 > l {
-				l = level[p] + 1
-			}
-		}
-		level[id] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	counts := make([]int, maxLevel+1)
-	for id := range g.kernels {
-		counts[level[id]]++
-	}
-	out := make([][]KernelID, maxLevel+1)
-	for l := range out {
-		out[l] = make([]KernelID, 0, counts[l])
-	}
-	for id := range g.kernels {
-		out[level[id]] = append(out[level[id]], KernelID(id))
-	}
-	return out
-}
-
 // CriticalPath returns the longest path through the graph where each vertex
 // costs weight(kernel) and edges are free, along with the path itself
 // (entry to exit). It is a lower bound on makespan when weight is the
@@ -332,16 +250,6 @@ func (g *Graph) CriticalPath(weight func(Kernel) float64) (float64, []KernelID) 
 		path = append(path, id)
 	}
 	return dist[bestStart], path
-}
-
-// TotalWeight sums weight over all kernels. With weight = fastest execution
-// time, TotalWeight / numProcs is another makespan lower bound.
-func (g *Graph) TotalWeight(weight func(Kernel) float64) float64 {
-	var sum float64
-	for _, k := range g.kernels {
-		sum += weight(k)
-	}
-	return sum
 }
 
 // Validate re-checks structural invariants (acyclic, consistent CSR

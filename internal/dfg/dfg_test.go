@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,21 +22,21 @@ func diamond(t *testing.T) *Graph {
 	return b.MustBuild()
 }
 
+// hasEdge reports whether the dependency u -> v exists.
+func hasEdge(g *Graph, u, v KernelID) bool { return slices.Contains(g.Succs(u), v) }
+
 func TestBuilderBasics(t *testing.T) {
 	g := diamond(t)
 	if g.NumKernels() != 4 || g.NumEdges() != 4 {
 		t.Fatalf("got %d kernels %d edges, want 4/4", g.NumKernels(), g.NumEdges())
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) || g.HasEdge(0, 3) {
-		t.Error("HasEdge adjacency wrong")
+	if !hasEdge(g, 0, 1) || hasEdge(g, 1, 0) || hasEdge(g, 0, 3) {
+		t.Error("adjacency wrong")
 	}
 	if got := g.Entries(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Entries = %v, want [0]", got)
 	}
-	if got := g.Exits(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Exits = %v, want [3]", got)
-	}
-	if g.InDegree(3) != 2 || g.OutDegree(0) != 2 {
+	if g.InDegree(3) != 2 || len(g.Succs(0)) != 2 {
 		t.Error("degree bookkeeping wrong")
 	}
 }
@@ -108,7 +109,7 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	g := diamond(t)
-	order := g.TopoOrder()
+	order := g.AppendTopoOrder(nil)
 	if len(order) != 4 {
 		t.Fatalf("topo order len %d, want 4", len(order))
 	}
@@ -129,23 +130,6 @@ func TestTopoOrder(t *testing.T) {
 			t.Errorf("order = %v, want [0 1 2 3]", order)
 			break
 		}
-	}
-}
-
-func TestLevels(t *testing.T) {
-	g := diamond(t)
-	levels := g.Levels()
-	if len(levels) != 3 {
-		t.Fatalf("levels = %v, want 3 levels", levels)
-	}
-	if len(levels[0]) != 1 || levels[0][0] != 0 {
-		t.Errorf("level 0 = %v", levels[0])
-	}
-	if len(levels[1]) != 2 {
-		t.Errorf("level 1 = %v", levels[1])
-	}
-	if len(levels[2]) != 1 || levels[2][0] != 3 {
-		t.Errorf("level 2 = %v", levels[2])
 	}
 }
 
@@ -172,9 +156,6 @@ func TestCriticalPath(t *testing.T) {
 			t.Errorf("path = %v, want %v", path, want)
 			break
 		}
-	}
-	if tw := g.TotalWeight(w); tw != 121 {
-		t.Errorf("TotalWeight = %v, want 121", tw)
 	}
 }
 
@@ -233,7 +214,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Errorf("kernel %d: %+v != %+v", id, a, b)
 		}
 		for _, s := range g.Succs(KernelID(id)) {
-			if !back.HasEdge(KernelID(id), s) {
+			if !hasEdge(back, KernelID(id), s) {
 				t.Errorf("edge %d->%d lost in round trip", id, s)
 			}
 		}
@@ -266,15 +247,15 @@ func randomDAG(r *rand.Rand, n int, p float64) *Graph {
 	return b.MustBuild()
 }
 
-// Property: topological order is a permutation respecting all edges, and
-// Levels is consistent with it, for random DAGs.
+// Property: topological order is a permutation respecting all edges, for
+// random DAGs.
 func TestTopoOrderProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8, pRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw%40) + 1
 		p := float64(pRaw%100) / 100
 		g := randomDAG(r, n, p)
-		order := g.TopoOrder()
+		order := g.AppendTopoOrder(nil)
 		if len(order) != n {
 			return false
 		}
@@ -290,25 +271,6 @@ func TestTopoOrderProperty(t *testing.T) {
 				if pos[KernelID(u)] >= pos[v] {
 					return false
 				}
-			}
-		}
-		// Each kernel's level is exactly 1 + max pred level.
-		levels := g.Levels()
-		levelOf := map[KernelID]int{}
-		for l, ids := range levels {
-			for _, id := range ids {
-				levelOf[id] = l
-			}
-		}
-		for u := 0; u < n; u++ {
-			want := 0
-			for _, pr := range g.Preds(KernelID(u)) {
-				if levelOf[pr]+1 > want {
-					want = levelOf[pr] + 1
-				}
-			}
-			if levelOf[KernelID(u)] != want {
-				return false
 			}
 		}
 		return g.Validate() == nil
@@ -337,7 +299,7 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			for _, v := range g.Succs(KernelID(u)) {
-				if !back.HasEdge(KernelID(u), v) {
+				if !hasEdge(back, KernelID(u), v) {
 					return false
 				}
 			}

@@ -11,25 +11,24 @@ import (
 
 func TestRunMemoises(t *testing.T) {
 	r := NewRunner(Config{})
-	a, err := r.Run(workload.Type1, 0, 4, PolicySpec{Name: "MET"})
+	a, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "MET"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(workload.Type1, 0, 4, PolicySpec{Name: "MET"})
+	b, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "MET"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("identical runs not memoised")
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("graph %d: identical runs not memoised", i)
+		}
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	r := NewRunner(Config{})
-	if _, err := r.Run(workload.Type1, 99, 4, PolicySpec{Name: "MET"}); err == nil {
-		t.Error("out-of-range graph accepted")
-	}
-	if _, err := r.Run(workload.Type1, 0, 4, PolicySpec{Name: "BOGUS"}); err == nil {
+	if _, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "BOGUS"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -280,15 +279,6 @@ func TestArtifactRegistryComplete(t *testing.T) {
 	}
 	if _, err := r.Artifact("nope"); err == nil {
 		t.Error("unknown artifact accepted")
-	}
-}
-
-func TestSortedIDsSorted(t *testing.T) {
-	ids := SortedIDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("not sorted: %v", ids)
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/dfg"
 	"repro/internal/lut"
 )
@@ -86,24 +83,4 @@ func IDs() []string {
 	out := make([]string, len(artifactOrder))
 	copy(out, artifactOrder)
 	return out
-}
-
-// All regenerates every artifact in paper order.
-func (r *Runner) All() ([]*Artifact, error) {
-	out := make([]*Artifact, 0, len(artifactOrder))
-	for _, id := range artifactOrder {
-		a, err := r.Artifact(id)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// SortedIDs returns the IDs sorted lexically (for deterministic CLI help).
-func SortedIDs() []string {
-	ids := IDs()
-	sort.Strings(ids)
-	return ids
 }

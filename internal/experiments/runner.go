@@ -191,41 +191,6 @@ func outcomeOf(spec PolicySpec, res *sim.Result, pol sim.Policy) *Outcome {
 	return o
 }
 
-// Run simulates one (graph type, experiment index, transfer rate, policy)
-// cell and memoises the outcome. graph is zero-based.
-func (r *Runner) Run(typ workload.GraphType, graph int, rate platform.GBps, spec PolicySpec) (*Outcome, error) {
-	key := runKey{typ, graph, rate, spec.Name, spec.Alpha}
-	r.mu.Lock()
-	if o, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return o, nil
-	}
-	r.mu.Unlock()
-
-	graphs := r.Graphs(typ)
-	if graph < 0 || graph >= len(graphs) {
-		return nil, fmt.Errorf("experiments: graph index %d out of range [0,%d)", graph, len(graphs))
-	}
-	g := graphs[graph]
-	costs, pol, sys, err := r.prepareCell(g, rate, spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(costs, pol, sim.Options{SchedOverheadMs: r.cfg.SchedOverheadMs})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Validate(g, sys); err != nil {
-		return nil, fmt.Errorf("experiments: %s on %v graph %d produced an invalid schedule: %w",
-			spec.Name, typ, graph+1, err)
-	}
-	o := outcomeOf(spec, res, pol)
-	r.mu.Lock()
-	r.cache[key] = o
-	r.mu.Unlock()
-	return o, nil
-}
-
 // Suite runs one policy over all ten experiments of a suite and returns
 // the outcomes in experiment order. Uncached cells are fanned across the
 // engine's worker pool (sim.RunPool), which bounds concurrency at

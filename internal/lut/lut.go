@@ -16,12 +16,9 @@
 package lut
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/platform"
 )
@@ -165,9 +162,6 @@ func (t *Table) Sizes(kernel string) []int64 {
 	return sizes
 }
 
-// HasKernel reports whether the table has any entry for the kernel.
-func (t *Table) HasKernel(kernel string) bool { return len(t.byKernel[kernel]) > 0 }
-
 // Exec returns the estimated execution time in milliseconds of the kernel
 // at the given data size on the given processor kind.
 //
@@ -204,56 +198,6 @@ func (t *Table) Exec(kernel string, elems int64, kind platform.Kind) (float64, e
 	}
 }
 
-// BestKind returns the processor kind with the minimum execution time for
-// the kernel at the given size, together with that time. Ties break toward
-// the alphabetically smaller kind for determinism.
-func (t *Table) BestKind(kernel string, elems int64) (platform.Kind, float64, error) {
-	var bestKind platform.Kind
-	best := 0.0
-	found := false
-	for _, k := range t.kinds {
-		ms, err := t.Exec(kernel, elems, k)
-		if err != nil {
-			return "", 0, err
-		}
-		if !found || ms < best {
-			found, best, bestKind = true, ms, k
-		}
-	}
-	if !found {
-		return "", 0, fmt.Errorf("lut: table has no kinds")
-	}
-	return bestKind, best, nil
-}
-
-// Heterogeneity returns max/min execution time across kinds for the kernel
-// at the given size — a measure of how much the choice of processor matters
-// for this kernel. Returns +Inf ratio when the minimum is zero is avoided by
-// reporting the raw min and max instead.
-func (t *Table) Heterogeneity(kernel string, elems int64) (min, max float64, err error) {
-	first := true
-	for _, k := range t.kinds {
-		ms, e := t.Exec(kernel, elems, k)
-		if e != nil {
-			return 0, 0, e
-		}
-		if first {
-			min, max, first = ms, ms, false
-			continue
-		}
-		if ms < min {
-			min = ms
-		}
-		if ms > max {
-			max = ms
-		}
-	}
-	if first {
-		return 0, 0, fmt.Errorf("lut: table has no kinds")
-	}
-	return min, max, nil
-}
-
 // Entries returns every row of the table, sorted by kernel then size.
 // The returned entries are copies.
 func (t *Table) Entries() []Entry {
@@ -268,69 +212,4 @@ func (t *Table) Entries() []Entry {
 		}
 	}
 	return out
-}
-
-// WriteCSV writes the table with a header row:
-//
-//	kernel,data_elems,<kind1>,<kind2>,...
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"kernel", "data_elems"}
-	for _, k := range t.kinds {
-		header = append(header, string(k))
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, e := range t.Entries() {
-		rec := []string{e.Kernel, strconv.FormatInt(e.DataElems, 10)}
-		for _, k := range t.kinds {
-			rec = append(rec, strconv.FormatFloat(e.TimeMs[k], 'g', -1, 64))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a table previously written by WriteCSV.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("lut: csv read: %w", err)
-	}
-	if len(recs) < 2 {
-		return nil, fmt.Errorf("lut: csv has no data rows")
-	}
-	header := recs[0]
-	if len(header) < 3 || header[0] != "kernel" || header[1] != "data_elems" {
-		return nil, fmt.Errorf("lut: csv header %v malformed", header)
-	}
-	kinds := make([]platform.Kind, 0, len(header)-2)
-	for _, h := range header[2:] {
-		kinds = append(kinds, platform.Kind(h))
-	}
-	var entries []Entry
-	for ln, rec := range recs[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("lut: csv row %d has %d fields, want %d", ln+2, len(rec), len(header))
-		}
-		size, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("lut: csv row %d size: %w", ln+2, err)
-		}
-		e := Entry{Kernel: rec[0], DataElems: size, TimeMs: map[platform.Kind]float64{}}
-		for i, k := range kinds {
-			v, err := strconv.ParseFloat(rec[2+i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("lut: csv row %d kind %s: %w", ln+2, k, err)
-			}
-			e.TimeMs[k] = v
-		}
-		entries = append(entries, e)
-	}
-	return New(entries)
 }

@@ -1,7 +1,6 @@
 package lut
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -116,43 +115,6 @@ func TestExecClamping(t *testing.T) {
 	}
 }
 
-func TestBestKind(t *testing.T) {
-	tab := Paper()
-	cases := []struct {
-		kernel string
-		elems  int64
-		want   platform.Kind
-	}{
-		{MatMul, 16000000, platform.GPU},
-		{CD, 16000000, platform.FPGA},
-		{NW, 16777216, platform.CPU},
-		{BFS, 2034736, platform.FPGA},
-		{SRAD, 134217728, platform.GPU},
-		{GEM, 2070376, platform.GPU},
-		{MatInv, 698896, platform.GPU},
-	}
-	for _, c := range cases {
-		kind, ms, err := tab.BestKind(c.kernel, c.elems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind != c.want {
-			t.Errorf("BestKind(%s,%d) = %s (%v ms), want %s", c.kernel, c.elems, kind, ms, c.want)
-		}
-	}
-}
-
-func TestHeterogeneity(t *testing.T) {
-	tab := Paper()
-	min, max, err := tab.Heterogeneity(NW, 16777216)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != 112 || max != 397 {
-		t.Errorf("Heterogeneity(nw) = %v..%v, want 112..397", min, max)
-	}
-}
-
 func TestNewRejectsBadInput(t *testing.T) {
 	good := row(MatMul, 100, 1, 2, 3)
 	cases := []struct {
@@ -176,9 +138,8 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestTimeErrors pins the typed time error at both entry points that take
-// measured times: New and ReadCSV refuse a negative or NaN time with a
-// *TimeError naming the row and kind, and accept +Inf.
+// TestTimeErrors pins the typed time error: New refuses a negative or NaN
+// time with a *TimeError naming the row and kind, and accepts +Inf.
 func TestTimeErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -190,15 +151,8 @@ func TestTimeErrors(t *testing.T) {
 		{"New negative", func() (*Table, error) { return New([]Entry{row("k", 5, -1, 2, 3)}) },
 			&TimeError{Kernel: "k", DataElems: 5, Kind: platform.CPU}},
 		{"New +Inf", func() (*Table, error) { return New([]Entry{row("k", 5, 1, 2, math.Inf(1))}) }, nil},
-		{"ReadCSV NaN", func() (*Table, error) {
-			return ReadCSV(bytes.NewBufferString("kernel,data_elems,CPU,GPU\nk,1,1,2\nk,7,NaN,2\n"))
-		}, &TimeError{Kernel: "k", DataElems: 7, Kind: platform.CPU}},
-		{"ReadCSV -Inf", func() (*Table, error) {
-			return ReadCSV(bytes.NewBufferString("kernel,data_elems,CPU\nj,3,-Inf\n"))
-		}, &TimeError{Kernel: "j", DataElems: 3, Kind: platform.CPU}},
-		{"ReadCSV +Inf", func() (*Table, error) {
-			return ReadCSV(bytes.NewBufferString("kernel,data_elems,CPU\nj,3,+Inf\n"))
-		}, nil},
+		{"New -Inf", func() (*Table, error) { return New([]Entry{row("j", 3, math.Inf(-1), 2, 3)}) },
+			&TimeError{Kernel: "j", DataElems: 3, Kind: platform.CPU}},
 	} {
 		_, err := tc.build()
 		if tc.want == nil {
@@ -235,47 +189,6 @@ func TestEntriesAreCopies(t *testing.T) {
 	}
 	if v == -999 {
 		t.Error("mutating Entries() result corrupted the table")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tab := Paper()
-	var buf bytes.Buffer
-	if err := tab.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := tab.Entries(), back.Entries()
-	if len(a) != len(b) {
-		t.Fatalf("round trip lost rows: %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Kernel != b[i].Kernel || a[i].DataElems != b[i].DataElems {
-			t.Errorf("row %d key mismatch: %+v vs %+v", i, a[i], b[i])
-		}
-		for k, v := range a[i].TimeMs {
-			if b[i].TimeMs[k] != v {
-				t.Errorf("row %d kind %s: %v != %v", i, k, b[i].TimeMs[k], v)
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"kernel,data_elems,CPU\n", // header only
-		"bogus,header\nrow,1\n",
-		"kernel,data_elems,CPU\nk,notanumber,1\n",
-		"kernel,data_elems,CPU\nk,1,notanumber\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("case %d: ReadCSV succeeded, want error", i)
-		}
 	}
 }
 

@@ -108,16 +108,6 @@ func NewSchedule(events []Event) (*Schedule, error) {
 	return s, nil
 }
 
-// Events returns a copy of the schedule's events.
-func (s *Schedule) Events() []Event {
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
-// Empty reports whether the schedule holds no events.
-func (s *Schedule) Empty() bool { return len(s.events) == 0 }
-
 // fold composes one event into a running (speed, until) pair at time at:
 // active events multiply the speed in and bound the validity horizon at
 // their end; future events bound it at their start.

@@ -101,8 +101,8 @@ func TestScheduleValidation(t *testing.T) {
 		}
 	}
 	s, err := NewSchedule(nil)
-	if err != nil || !s.Empty() {
-		t.Errorf("empty schedule: %v, Empty=%v", err, s.Empty())
+	if err != nil || len(s.events) != 0 {
+		t.Errorf("empty schedule: %v, %d events", err, len(s.events))
 	}
 }
 

@@ -95,17 +95,6 @@ func (s *System) Rate(from, to ProcID) GBps {
 	return s.rate[from][to]
 }
 
-// ByKind returns the IDs of all processors of the given kind, in ID order.
-func (s *System) ByKind(k Kind) []ProcID {
-	var ids []ProcID
-	for _, p := range s.procs {
-		if p.Kind == k {
-			ids = append(ids, p.ID)
-		}
-	}
-	return ids
-}
-
 // Kinds returns the distinct processor kinds present, sorted alphabetically.
 func (s *System) Kinds() []Kind {
 	seen := map[Kind]bool{}
@@ -127,17 +116,6 @@ func (s *System) String() string {
 		names[i] = p.Name
 	}
 	return "System(" + strings.Join(names, ", ") + ")"
-}
-
-// DegreeOfHeterogeneity is a simple descriptive statistic: the number of
-// distinct processor kinds divided by the number of processors. The paper
-// argues APT's flexibility factor should be tuned to the degree of
-// heterogeneity; this gives callers a handle on it.
-func (s *System) DegreeOfHeterogeneity() float64 {
-	if len(s.procs) == 0 {
-		return 0
-	}
-	return float64(len(s.Kinds())) / float64(len(s.procs))
 }
 
 // RateError reports a link bandwidth that is negative or NaN. A NaN rate

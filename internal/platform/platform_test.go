@@ -163,22 +163,6 @@ func TestRateOverridePrecedence(t *testing.T) {
 	}
 }
 
-func TestByKind(t *testing.T) {
-	b := NewBuilder()
-	b.AddProcessor(CPU, "")
-	g0 := b.AddProcessor(GPU, "")
-	b.AddProcessor(CPU, "")
-	g1 := b.AddProcessor(GPU, "")
-	s := b.SetUniformRate(1).MustBuild()
-	got := s.ByKind(GPU)
-	if len(got) != 2 || got[0] != g0 || got[1] != g1 {
-		t.Errorf("ByKind(GPU) = %v, want [%d %d]", got, g0, g1)
-	}
-	if ids := s.ByKind("TPU"); ids != nil {
-		t.Errorf("ByKind(TPU) = %v, want nil", ids)
-	}
-}
-
 func TestKindsSorted(t *testing.T) {
 	s := PaperSystem(4)
 	kinds := s.Kinds()
@@ -189,21 +173,6 @@ func TestKindsSorted(t *testing.T) {
 		if kinds[i-1] >= kinds[i] {
 			t.Errorf("Kinds not sorted: %v", kinds)
 		}
-	}
-}
-
-func TestDegreeOfHeterogeneity(t *testing.T) {
-	if got := PaperSystem(4).DegreeOfHeterogeneity(); got != 1 {
-		t.Errorf("paper system heterogeneity = %v, want 1", got)
-	}
-	b := NewBuilder()
-	b.AddProcessor(CPU, "")
-	b.AddProcessor(CPU, "")
-	b.AddProcessor(GPU, "")
-	b.AddProcessor(GPU, "")
-	s := b.SetUniformRate(1).MustBuild()
-	if got := s.DegreeOfHeterogeneity(); got != 0.5 {
-		t.Errorf("heterogeneity = %v, want 0.5", got)
 	}
 }
 

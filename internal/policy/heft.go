@@ -37,9 +37,6 @@ type HEFT struct {
 	// Textbook selects Topcuoglu's original insertion-based EFT processor
 	// selection instead of the thesis's simplified rule.
 	Textbook bool
-	// NoInsertion disables the insertion slot search within the textbook
-	// variant (append-only timelines). Ignored unless Textbook is set.
-	NoInsertion bool
 
 	plan    staticPlan
 	memo    prepMemo
@@ -105,7 +102,7 @@ func (h *HEFT) Prepare(c *sim.Costs) error {
 	var tasks []plannedTask
 	var err error
 	if h.Textbook {
-		tasks, err = listSchedule(c, &h.scratch, prio, h.NoInsertion, func(k dfg.KernelID, est, eft []float64) int {
+		tasks, err = listSchedule(c, &h.scratch, prio, func(k dfg.KernelID, est, eft []float64) int {
 			best := 0
 			for p := 1; p < len(eft); p++ {
 				if eft[p] < eft[best] {

@@ -32,9 +32,6 @@ type PEFT struct {
 	// Textbook selects the original OEFT (insertion-based EFT + OCT)
 	// processor selection instead of the thesis's simplified rule.
 	Textbook bool
-	// NoInsertion disables the insertion slot search within the textbook
-	// variant. Ignored unless Textbook is set.
-	NoInsertion bool
 
 	plan    staticPlan
 	memo    prepMemo
@@ -138,7 +135,7 @@ func (pf *PEFT) Prepare(c *sim.Costs) error {
 	var tasks []plannedTask
 	var err error
 	if pf.Textbook {
-		tasks, err = listSchedule(c, &pf.scratch, visit, pf.NoInsertion, func(k dfg.KernelID, est, eft []float64) int {
+		tasks, err = listSchedule(c, &pf.scratch, visit, func(k dfg.KernelID, est, eft []float64) int {
 			best := 0
 			bestV := math.Inf(1)
 			for p := 0; p < np; p++ {

@@ -35,24 +35,15 @@ func (m *prepMemo) forget() { m.c = nil }
 // timeline is one processor's planned occupancy during static list
 // scheduling, supporting the insertion-based slot search HEFT and PEFT use:
 // a task may be planned into an idle gap between two already-planned tasks
-// if the gap is long enough. With noInsertion set, tasks only ever append
-// after the last planned task (the "non-insertion" variant common in
-// reimplementations; exposed for ablation).
+// if the gap is long enough.
 type timeline struct {
 	// intervals are kept sorted by start; they never overlap.
 	starts, ends []float64
-	noInsertion  bool
 }
 
 // earliestSlot returns the earliest start >= ready that fits dur.
 func (tl *timeline) earliestSlot(ready, dur float64) float64 {
 	prevEnd := 0.0
-	if tl.noInsertion {
-		if n := len(tl.ends); n > 0 {
-			prevEnd = tl.ends[n-1]
-		}
-		return math.Max(ready, prevEnd)
-	}
 	for i := range tl.starts {
 		gapStart := math.Max(ready, prevEnd)
 		if tl.starts[i]-gapStart >= dur {
@@ -148,7 +139,6 @@ func listSchedule(
 	c *sim.Costs,
 	sc *schedScratch,
 	order []dfg.KernelID,
-	noInsertion bool,
 	pick func(k dfg.KernelID, est, eft []float64) int,
 ) ([]plannedTask, error) {
 	g := c.Graph()
@@ -159,7 +149,6 @@ func listSchedule(
 	for i := range sc.tls {
 		sc.tls[i].starts = sc.tls[i].starts[:0]
 		sc.tls[i].ends = sc.tls[i].ends[:0]
-		sc.tls[i].noInsertion = noInsertion
 	}
 	sc.placed = grow(sc.placed, n)
 	sc.isPlaced = grow(sc.isPlaced, n)

@@ -9,7 +9,7 @@ import (
 
 func TestLatencyTable(t *testing.T) {
 	rows := []LatencyRow{
-		{Label: "APT", S: stats.Summarize([]float64{1, 2, 3, 4})},
+		{Label: "APT", S: stats.SummarizeInPlace([]float64{1, 2, 3, 4})},
 		{Label: "MET", S: stats.Summary{}}, // empty distribution renders too
 	}
 	tab := LatencyTable("latency", rows)

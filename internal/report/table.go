@@ -93,29 +93,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// RenderMarkdown writes the table as GitHub-flavoured markdown.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "### %s\n\n", t.Title)
-	}
-	sb.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	sb.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	for _, row := range t.Rows {
-		sb.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	for _, n := range t.Notes {
-		sb.WriteString("\n> " + n + "\n")
-	}
-	sb.WriteString("\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
 // WriteCSV writes headers then rows.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

@@ -107,7 +107,7 @@ func (splitPolicy) Prepare(*sim.Costs) error { return nil }
 func (splitPolicy) Select(st *sim.State) []sim.Assignment {
 	var out []sim.Assignment
 	np := st.System().NumProcs()
-	for _, k := range st.Ready() {
+	for _, k := range st.AppendReady(nil) {
 		out = append(out, sim.Assignment{Kernel: k, Proc: platform.ProcID(int(k) % np)})
 	}
 	return out

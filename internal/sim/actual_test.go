@@ -43,7 +43,7 @@ func TestActualCostsDriveExecution(t *testing.T) {
 		t.Errorf("makespan = %v, want 6 (actual time)", res.MakespanMs)
 	}
 	// λ baseline is the actual best (6), so λ = 0 here.
-	if l := res.PlacementOf(0).Lambda(); math.Abs(l) > 1e-9 {
+	if l := res.Placements[0].Lambda(); math.Abs(l) > 1e-9 {
 		t.Errorf("λ = %v, want 0", l)
 	}
 }
@@ -90,7 +90,7 @@ func TestActualCostsMisleadEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := res.PlacementOf(0)
+	pl := res.Placements[0]
 	if env.sys.KindOf(pl.Proc) != platform.GPU {
 		t.Fatalf("policy placed on %v, expected to trust estimate (GPU)", env.sys.KindOf(pl.Proc))
 	}

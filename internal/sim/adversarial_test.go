@@ -1,16 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dfg"
-	"repro/internal/lut"
-	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // These tests attack the engine with misbehaving and pathological policies
@@ -25,7 +21,7 @@ func (p *partialPolicy) Select(st *State) []Assignment {
 	var out []Assignment
 	procs := st.AppendAvailableProcs(nil)
 	pi := 0
-	for i, k := range st.Ready() {
+	for i, k := range st.AppendReady(nil) {
 		if (i+boolToInt(p.flip))%2 == 0 && pi < len(procs) {
 			out = append(out, Assignment{Kernel: k, Proc: procs[pi]})
 			pi++
@@ -163,52 +159,6 @@ func TestLazyPolicyDeadlocksOnlyWithoutEvents(t *testing.T) {
 	}
 	if res.MakespanMs < 6 {
 		t.Errorf("makespan = %v, want >= arrival 6", res.MakespanMs)
-	}
-}
-
-func TestResultJSONRoundTrip(t *testing.T) {
-	g := workload.MustSuite(workload.Type2, 11)[0]
-	sys := platform.PaperSystem(4)
-	c, err := PrepareCosts(g, sys, lut.Paper(), CostConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(c, &greedy{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadResultJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.MakespanMs != res.MakespanMs || back.Policy != res.Policy {
-		t.Errorf("round trip changed headline: %v/%q vs %v/%q",
-			back.MakespanMs, back.Policy, res.MakespanMs, res.Policy)
-	}
-	if len(back.Placements) != len(res.Placements) {
-		t.Fatalf("placements %d vs %d", len(back.Placements), len(res.Placements))
-	}
-	for i := range res.Placements {
-		if back.Placements[i] != res.Placements[i] {
-			t.Fatalf("placement %d differs: %+v vs %+v", i, back.Placements[i], res.Placements[i])
-		}
-	}
-	// The deserialized schedule must still validate against its graph.
-	if err := back.Validate(g, sys); err != nil {
-		t.Errorf("deserialized result invalid: %v", err)
-	}
-}
-
-func TestReadResultJSONErrors(t *testing.T) {
-	if _, err := ReadResultJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadResultJSON(strings.NewReader(`{"placements":[{"kernel":5}]}`)); err == nil {
-		t.Error("misnumbered placement accepted")
 	}
 }
 

@@ -21,7 +21,7 @@ func TestArrivalPacingDelaysReadiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := res.PlacementOf(k1)
+	p1 := res.Placements[k1]
 	if p1.Ready != 10 {
 		t.Errorf("Ready = %v, want 10 (arrival)", p1.Ready)
 	}
@@ -53,7 +53,7 @@ func TestArrivalAfterPredecessorFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := res.PlacementOf(k1)
+	p1 := res.Placements[k1]
 	if p1.Ready != 50 {
 		t.Errorf("Ready = %v, want 50 (arrival after preds)", p1.Ready)
 	}
@@ -76,7 +76,7 @@ func TestArrivalBeforePredecessorFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.PlacementOf(k1).Ready; got != 2 {
+	if got := res.Placements[k1].Ready; got != 2 {
 		t.Errorf("Ready = %v, want 2 (dependency dominates)", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestArrivalInvisibleToPolicy(t *testing.T) {
 	c := mustCosts(t, g, env)
 	sawEarly := false
 	pol := &scriptedPolicy{onSelect: func(st *State, call int) []Assignment {
-		for _, k := range st.Ready() {
+		for _, k := range st.AppendReady(nil) {
 			if k == 1 && st.Now() < 5 {
 				sawEarly = true
 			}
@@ -109,7 +109,7 @@ func TestArrivalInvisibleToPolicy(t *testing.T) {
 		// Greedy on whatever is visible.
 		var out []Assignment
 		procs := st.AppendAvailableProcs(nil)
-		for i, k := range st.Ready() {
+		for i, k := range st.AppendReady(nil) {
 			if i >= len(procs) {
 				break
 			}
@@ -131,14 +131,14 @@ func TestQueuedHeadWaitsForArrival(t *testing.T) {
 	k0 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
 	g := b.MustBuild()
 	c := mustCosts(t, g, env)
-	gpu := env.sys.ByKind(platform.GPU)[0]
+	gpu := firstOfKind(env.sys, platform.GPU)
 	// A static-style policy assigns the kernel at t=0 although it arrives
 	// at t=7: the processor must idle until the arrival.
 	res, err := Run(c, &fixed{as: []Assignment{{k0, gpu}}}, Options{ArrivalTimes: []float64{7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.PlacementOf(k0).ExecStart; got < 7 {
+	if got := res.Placements[k0].ExecStart; got < 7 {
 		t.Errorf("ExecStart = %v, want >= 7 (arrival)", got)
 	}
 }

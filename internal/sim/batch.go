@@ -2,58 +2,9 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 )
-
-// BatchRun is one unit of work for RunBatch: a prepared cost oracle, a
-// policy instance and engine options. Policies are stateful (Prepare
-// mutates them), so every BatchRun must carry its own instance — sharing
-// one Policy value across runs of a batch is a data race.
-type BatchRun struct {
-	Costs  *Costs
-	Policy Policy
-	Opt    Options
-}
-
-// BatchOptions tunes RunBatch.
-type BatchOptions struct {
-	// Workers bounds the worker pool; <= 0 selects runtime.GOMAXPROCS(0).
-	// The pool never exceeds the number of runs.
-	Workers int
-}
-
-// RunError is one failed run of a batch, tagged with its index.
-type RunError struct {
-	Index int
-	Err   error
-}
-
-// Error implements error.
-func (e *RunError) Error() string { return fmt.Sprintf("batch run %d: %v", e.Index, e.Err) }
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *RunError) Unwrap() error { return e.Err }
-
-// BatchError reports the failures of a batch. RunBatch wraps every failed
-// run's error in a *RunError carrying its index; errors.As recovers these,
-// errors.Is each underlying cause.
-type BatchError struct {
-	// Errs holds one *RunError per failed run, in run order.
-	Errs []error
-}
-
-// Error implements error.
-func (b *BatchError) Error() string {
-	if len(b.Errs) == 1 {
-		return b.Errs[0].Error()
-	}
-	return fmt.Sprintf("%v (and %d more batch errors)", b.Errs[0], len(b.Errs)-1)
-}
-
-// Unwrap exposes the individual failures to errors.Is/As.
-func (b *BatchError) Unwrap() []error { return b.Errs }
 
 // Worker is the per-goroutine state RunPool hands to its callback: a
 // reusable Runner plus a bounded memo space for prepared artifacts — cost
@@ -104,7 +55,7 @@ func (w *Worker) Memo(key any, build func() (any, error)) (any, error) {
 // RunPool dispatches indices 0..n-1 across a bounded pool of workers, each
 // owning a reusable Runner (plus a prepared-artifact memo, see Worker), and
 // collects fn's error per index. It is the shared fan-out primitive under
-// RunBatch, apt.RunBatch and the experiment runner: callers put their whole
+// apt.RunBatch and the experiment runner: callers put their whole
 // per-item pipeline (cost preparation, simulation, post-processing) inside
 // fn so every stage parallelises.
 //
@@ -149,37 +100,4 @@ func RunPool(ctx context.Context, n, workers int, fn func(i int, w *Worker) erro
 	}
 	wg.Wait()
 	return errs
-}
-
-// RunBatch executes every run across a bounded worker pool and returns the
-// results in input order: results[i] corresponds to runs[i]. Each worker
-// owns a Runner, so engine buffers are reused across the runs it executes;
-// simulations are deterministic, so results are byte-identical to calling
-// Run sequentially regardless of worker count or scheduling.
-//
-// Cancelling the context stops new runs from starting (in-flight runs
-// complete). Failed or cancelled runs leave a nil entry in the results and
-// contribute to the returned *BatchError; results for successful runs are
-// always returned, even when others fail.
-func RunBatch(ctx context.Context, runs []BatchRun, opt BatchOptions) ([]*Result, error) {
-	results := make([]*Result, len(runs))
-	errs := RunPool(ctx, len(runs), opt.Workers, func(i int, w *Worker) error {
-		res, err := w.Runner().Run(runs[i].Costs, runs[i].Policy, runs[i].Opt)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-
-	var failed []error
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, &RunError{Index: i, Err: err})
-		}
-	}
-	if len(failed) > 0 {
-		return results, &BatchError{Errs: failed}
-	}
-	return results, nil
 }

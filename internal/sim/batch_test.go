@@ -56,21 +56,49 @@ func (g *leanGreedy) Select(st *State) []Assignment {
 	return out
 }
 
-func TestRunBatchMatchesSequential(t *testing.T) {
-	costs := suiteCosts(t, 4)
-	build := func() []BatchRun {
-		var runs []BatchRun
-		for _, c := range costs {
-			runs = append(runs, BatchRun{Costs: c, Policy: &leanGreedy{}})
-			runs = append(runs, BatchRun{Costs: c, Policy: &outOfOrderStatic{}, Opt: Options{SchedOverheadMs: 0.25}})
+// poolRuns runs every (costs, policy, options) triple through RunPool on
+// the given worker count, the cost oracle fetched through each worker's
+// memo, and returns the results and per-index errors in input order.
+func poolRuns(ctx context.Context, costs []*Costs, pols []Policy, opts []Options, workers int) ([]*Result, []error) {
+	results := make([]*Result, len(pols))
+	errs := RunPool(ctx, len(pols), workers, func(i int, w *Worker) error {
+		c, err := w.Memo(i%len(costs), func() (any, error) { return costs[i%len(costs)], nil })
+		if err != nil {
+			return err
 		}
-		return runs
+		res, err := w.Runner().Run(c.(*Costs), pols[i], opts[i])
+		if err != nil {
+			return err
+		}
+		results[i] = res
+		return nil
+	})
+	return results, errs
+}
+
+func TestRunPoolMatchesSequential(t *testing.T) {
+	costs := suiteCosts(t, 4)
+	// Run i simulates costs[i%4]: the lean greedy policy first, then the
+	// out-of-order static one with a scheduling overhead, so each worker's
+	// memo hits on the second visit of a graph.
+	build := func() ([]Policy, []Options) {
+		var pols []Policy
+		var opts []Options
+		for range costs {
+			pols = append(pols, &leanGreedy{})
+			opts = append(opts, Options{})
+		}
+		for range costs {
+			pols = append(pols, &outOfOrderStatic{})
+			opts = append(opts, Options{SchedOverheadMs: 0.25})
+		}
+		return pols, opts
 	}
 
-	seqRuns := build()
-	want := make([]*Result, len(seqRuns))
-	for i, r := range seqRuns {
-		res, err := Run(r.Costs, r.Policy, r.Opt)
+	pols, opts := build()
+	want := make([]*Result, len(pols))
+	for i := range pols {
+		res, err := Run(costs[i%len(costs)], pols[i], opts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +106,12 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 7} {
-		got, err := RunBatch(context.Background(), build(), BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		pols, opts := build()
+		got, errs := poolRuns(context.Background(), costs, pols, opts, workers)
 		for i := range want {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d: run %d: %v", workers, i, errs[i])
+			}
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("workers=%d: run %d differs from sequential Run:\ngot  %+v\nwant %+v",
 					workers, i, got[i], want[i])
@@ -91,24 +120,15 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestRunBatchErrorKeepsOtherResults(t *testing.T) {
+func TestRunPoolErrorKeepsOtherResults(t *testing.T) {
 	costs := suiteCosts(t, 2)
-	runs := []BatchRun{
-		{Costs: costs[0], Policy: &leanGreedy{}},
-		{Costs: nil, Policy: &leanGreedy{}}, // invalid
-		{Costs: costs[1], Policy: &leanGreedy{}},
+	results, errs := poolRuns(context.Background(), []*Costs{costs[0], nil, costs[1]},
+		[]Policy{&leanGreedy{}, &leanGreedy{}, &leanGreedy{}}, make([]Options, 3), 0)
+	if errs[1] == nil {
+		t.Fatal("want an error for the run without a cost oracle")
 	}
-	results, err := RunBatch(context.Background(), runs, BatchOptions{})
-	if err == nil {
-		t.Fatal("want error for invalid run")
-	}
-	var be *BatchError
-	if !errors.As(err, &be) || len(be.Errs) != 1 {
-		t.Fatalf("want BatchError with 1 failure, got %v", err)
-	}
-	var re *RunError
-	if !errors.As(be.Errs[0], &re) || re.Index != 1 {
-		t.Fatalf("want RunError with index 1, got %v", be.Errs[0])
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("valid runs failed: %v, %v", errs[0], errs[2])
 	}
 	if results[0] == nil || results[2] == nil {
 		t.Error("successful runs should still report results")
@@ -118,20 +138,16 @@ func TestRunBatchErrorKeepsOtherResults(t *testing.T) {
 	}
 }
 
-func TestRunBatchCancelled(t *testing.T) {
+func TestRunPoolCancelled(t *testing.T) {
 	costs := suiteCosts(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runs := []BatchRun{
-		{Costs: costs[0], Policy: &leanGreedy{}},
-		{Costs: costs[0], Policy: &leanGreedy{}},
-	}
-	results, err := RunBatch(ctx, runs, BatchOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	for i, r := range results {
-		if r != nil {
+	results, errs := poolRuns(ctx, costs, []Policy{&leanGreedy{}, &leanGreedy{}}, make([]Options, 2), 0)
+	for i := range results {
+		if !errors.Is(errs[i], context.Canceled) {
+			t.Errorf("run %d: want context.Canceled, got %v", i, errs[i])
+		}
+		if results[i] != nil {
 			t.Errorf("run %d: want nil result after pre-cancelled context", i)
 		}
 	}
@@ -235,7 +251,7 @@ func TestReadyListRemoval(t *testing.T) {
 		e.removeReady(k)
 	}
 	want := []dfg.KernelID{1, 2, 4, 6}
-	if got := st.Ready(); !reflect.DeepEqual(got, want) {
+	if got := st.AppendReady(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after removals: ready = %v, want %v", got, want)
 	}
 	if e.readyLen() != len(want) {
@@ -258,7 +274,7 @@ func TestReadyListRemoval(t *testing.T) {
 	}
 	e.pushReady(5)
 	e.pushReady(2)
-	if got := st.Ready(); !reflect.DeepEqual(got, []dfg.KernelID{5, 2}) {
+	if got := st.AppendReady(nil); !reflect.DeepEqual(got, []dfg.KernelID{5, 2}) {
 		t.Fatalf("after re-push: ready = %v", got)
 	}
 }
@@ -349,39 +365,6 @@ func BenchmarkRunnerWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Run(c, pol, Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatch measures the batch runner fanning the full Type2 suite
-// across all CPUs, the shape cmd/sweep produces.
-func BenchmarkRunBatch(b *testing.B) {
-	costs := suiteCosts(b, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runs := make([]BatchRun, len(costs))
-		for j, c := range costs {
-			runs[j] = BatchRun{Costs: c, Policy: &leanGreedy{}}
-		}
-		if _, err := RunBatch(context.Background(), runs, BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatchSequentialBaseline is the same workload as
-// BenchmarkRunBatch executed with sequential Run calls, for the speedup
-// comparison.
-func BenchmarkRunBatchSequentialBaseline(b *testing.B) {
-	costs := suiteCosts(b, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range costs {
-			if _, err := Run(c, &leanGreedy{}, Options{}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -52,7 +52,7 @@ func (g *greedyBench) Prepare(c *Costs) error { g.c = c; return nil }
 func (g *greedyBench) Select(st *State) []Assignment {
 	var out []Assignment
 	procs := st.AppendAvailableProcs(nil)
-	for _, k := range st.Ready() {
+	for _, k := range st.AppendReady(nil) {
 		if len(procs) == 0 {
 			break
 		}
@@ -65,8 +65,11 @@ func (g *greedyBench) Select(st *State) []Assignment {
 func BenchmarkTransferIn(b *testing.B) {
 	c := benchGraphCosts(b)
 	g := c.Graph()
-	// Find a kernel with predecessors.
-	kid := g.Exits()[0]
+	// Find a kernel with predecessors: the first exit.
+	kid := dfg.KernelID(0)
+	for len(g.Succs(kid)) > 0 {
+		kid++
+	}
 	place := func(k dfg.KernelID) platform.ProcID { return platform.ProcID(int(k) % 3) }
 	b.ReportAllocs()
 	b.ResetTimer()

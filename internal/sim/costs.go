@@ -78,8 +78,8 @@ func DefaultCostConfig() CostConfig { return CostConfig{ElemBytes: 4, Mode: Tran
 // # Estimates versus actuals
 //
 // A run carries up to two Costs with distinct roles. The Costs passed to
-// Run is the estimate oracle: it is handed to Policy.Prepare and exposed
-// through State.Costs/BusyUntil, so it is all a policy ever sees — its
+// Run is the estimate oracle: it is handed to Policy.Prepare and priced
+// through State.BusyUntil, so it is all a policy ever sees — its
 // model of the platform. Options.ActualCosts, when set, is the actual
 // oracle: the engine times execution and transfers from it (and takes λ's
 // best-exec baseline from it), so it is what the platform really does.

@@ -34,9 +34,9 @@ func TestCostsExecAndBest(t *testing.T) {
 	g := b.MustBuild()
 	c := mustCosts(t, g, env)
 
-	cpu := env.sys.ByKind(platform.CPU)[0]
-	gpu := env.sys.ByKind(platform.GPU)[0]
-	fpga := env.sys.ByKind(platform.FPGA)[0]
+	cpu := firstOfKind(env.sys, platform.CPU)
+	gpu := firstOfKind(env.sys, platform.GPU)
+	fpga := firstOfKind(env.sys, platform.FPGA)
 
 	if got := c.Exec(ka, cpu); got != 10 {
 		t.Errorf("Exec(a,cpu) = %v, want 10", got)

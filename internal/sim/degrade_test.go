@@ -43,8 +43,8 @@ func TestDegradeSlowdownStretchesExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PlacementOf(0).Proc != gpu {
-		t.Fatalf("kernel placed on %d, want GPU %d", res.PlacementOf(0).Proc, gpu)
+	if res.Placements[0].Proc != gpu {
+		t.Fatalf("kernel placed on %d, want GPU %d", res.Placements[0].Proc, gpu)
 	}
 	if math.Abs(res.MakespanMs-4) > 1e-9 {
 		t.Errorf("makespan = %v, want 4 (2 ms at half speed)", res.MakespanMs)
@@ -100,21 +100,21 @@ func TestDegradeLinkSlowdownStretchesTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := base.PlacementOf(1)
+	pl := base.Placements[1]
 	baseXfer := pl.ExecStart - pl.TransferStart
 	if baseXfer <= 0 {
 		t.Fatalf("expected a cross-processor transfer, got %v (procs %d -> %d)",
-			baseXfer, base.PlacementOf(0).Proc, pl.Proc)
+			baseXfer, base.Placements[0].Proc, pl.Proc)
 	}
 
 	deg := mustSchedule(t, perturb.Event{
-		Kind: perturb.LinkSlowdown, From: base.PlacementOf(0).Proc, To: pl.Proc,
+		Kind: perturb.LinkSlowdown, From: base.Placements[0].Proc, To: pl.Proc,
 		Factor: 10, StartMs: 0, EndMs: 1e6})
 	res, err := Run(c, &greedy{}, Options{Degrade: deg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpl := res.PlacementOf(1)
+	dpl := res.Placements[1]
 	gotXfer := dpl.ExecStart - dpl.TransferStart
 	if math.Abs(gotXfer-10*baseXfer) > 1e-9 {
 		t.Errorf("degraded transfer = %v, want %v (10x the nominal %v)", gotXfer, 10*baseXfer, baseXfer)
@@ -134,8 +134,8 @@ func TestDegradeOfflineDestinationBlocksTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := base.PlacementOf(1).Proc
-	start := base.PlacementOf(1).TransferStart
+	dst := base.Placements[1].Proc
+	start := base.Placements[1].TransferStart
 	// Take the destination offline for 50 ms spanning the transfer start:
 	// the incoming transfer (and exec) cannot begin until it returns.
 	deg := mustSchedule(t, perturb.Event{Kind: perturb.ProcOffline, Proc: dst, StartMs: start, EndMs: start + 50})
@@ -143,7 +143,7 @@ func TestDegradeOfflineDestinationBlocksTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.PlacementOf(1).ExecStart; got < start+50 {
+	if got := res.Placements[1].ExecStart; got < start+50 {
 		t.Errorf("exec started at %v during the destination's offline window (ends %v)", got, start+50)
 	}
 	if err := res.Validate(g, env.sys); err != nil {
@@ -191,16 +191,17 @@ func TestDegradeSpeedAboveOneErrors(t *testing.T) {
 	}
 }
 
-// spy wraps greedy and records every estimate it reads through the State.
+// spy wraps greedy and records every estimate it reads from the cost
+// oracle Prepare hands it.
 type spy struct {
 	greedy
 	seenExec []float64
 }
 
 func (s *spy) Select(st *State) []Assignment {
-	for _, k := range st.Ready() {
+	for _, k := range st.AppendReady(nil) {
 		for p := 0; p < st.System().NumProcs(); p++ {
-			s.seenExec = append(s.seenExec, st.Costs().Exec(k, platform.ProcID(p)))
+			s.seenExec = append(s.seenExec, s.c.Exec(k, platform.ProcID(p)))
 		}
 	}
 	return s.greedy.Select(st)
@@ -246,7 +247,7 @@ func TestPolicySeesEstimatesEngineChargesActuals(t *testing.T) {
 
 	// The engine charged the perturbed actual (3 x 2 = 6 ms on the GPU)
 	// stretched by the degradation (x2): 12 ms.
-	pl := res.PlacementOf(0)
+	pl := res.Placements[0]
 	if pl.Proc != gpu {
 		t.Fatalf("kernel placed on %d, want GPU %d (estimates say GPU)", pl.Proc, gpu)
 	}

@@ -29,7 +29,7 @@ type Assignment struct {
 // called at time zero and after every kernel completion; it returns the
 // assignments to commit at the current instant (possibly none, if the
 // policy prefers to wait). Dynamic policies must restrict themselves to
-// st.Ready() kernels; static policies may assign any unassigned kernel
+// st.AppendReady kernels; static policies may assign any unassigned kernel
 // (the engine starts it only once its dependencies complete).
 //
 // The engine consumes the slice returned by Select before the next Select
@@ -175,9 +175,6 @@ type Result struct {
 	Assignments int
 }
 
-// PlacementOf returns the placement of a kernel.
-func (r *Result) PlacementOf(k dfg.KernelID) Placement { return r.Placements[k] }
-
 // eventKind distinguishes the engine's event types. 32 bits keep the event
 // struct at 24 bytes — the heap holds one event per in-flight kernel, and
 // paced million-kernel streams buffer one arrival event per kernel.
@@ -269,27 +266,17 @@ type State struct{ e *engine }
 // Now returns the current simulation time in ms.
 func (s *State) Now() float64 { return s.e.now }
 
-// Costs returns the shared cost oracle.
-func (s *State) Costs() *Costs { return s.e.costs }
-
 // Graph returns the workload graph.
 func (s *State) Graph() *dfg.Graph { return s.e.costs.g }
 
 // System returns the platform.
 func (s *State) System() *platform.System { return s.e.costs.sys }
 
-// Ready returns the kernels whose dependencies have completed and that have
-// not been assigned yet, in first-come-first-serve order: ascending by the
-// time they became ready, ties by kernel ID (which is stream order).
-// The returned slice is fresh and owned by the caller. Allocation-sensitive
-// policies should prefer AppendReady with a reused buffer.
-func (s *State) Ready() []dfg.KernelID {
-	return s.AppendReady(make([]dfg.KernelID, 0, s.e.readyLen()))
-}
-
-// AppendReady appends the ready kernels (same order as Ready) to buf and
-// returns the extended slice. Passing buf[:0] of a buffer retained across
-// Select calls makes the query allocation-free.
+// AppendReady appends the kernels whose dependencies have completed and
+// that have not been assigned yet to buf, in first-come-first-serve order:
+// ascending by the time they became ready, ties by kernel ID (which is
+// stream order). Passing buf[:0] of a buffer retained across Select calls
+// makes the query allocation-free.
 func (s *State) AppendReady(buf []dfg.KernelID) []dfg.KernelID {
 	for _, k := range s.e.ready {
 		if k >= 0 {
@@ -300,10 +287,10 @@ func (s *State) AppendReady(buf []dfg.KernelID) []dfg.KernelID {
 }
 
 // ReadyLog returns every kernel that has become ready in this run, in the
-// order it did: the order of Ready, but including the kernels assigned
-// since. The log only grows within a run. It aliases engine state, so
-// callers must only read it, and only until Select returns — the same
-// contract as Costs.ExecRow.
+// order it did: the order of AppendReady, but including the kernels
+// assigned since. The log only grows within a run. It aliases engine
+// state, so callers must only read it, and only until Select returns —
+// the same contract as Costs.ExecRow.
 func (s *State) ReadyLog() []dfg.KernelID { return s.e.readyLog }
 
 // Available reports whether processor p is idle: executing no kernel and no

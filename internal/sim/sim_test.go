@@ -35,6 +35,16 @@ func tiny(t *testing.T, rate platform.GBps) tinyEnv {
 	return tinyEnv{sys: platform.PaperSystem(rate), tab: tab}
 }
 
+// firstOfKind returns the lowest-ID processor of the given kind.
+func firstOfKind(sys *platform.System, k platform.Kind) platform.ProcID {
+	for p := 0; p < sys.NumProcs(); p++ {
+		if sys.KindOf(platform.ProcID(p)) == k {
+			return platform.ProcID(p)
+		}
+	}
+	panic("no processor of kind " + string(k))
+}
+
 // greedy assigns each ready kernel (FCFS) to the available processor with
 // the minimum execution time, ties to the lower ID; if none is available,
 // it waits.
@@ -45,7 +55,7 @@ func (g *greedy) Prepare(c *Costs) error { g.c = c; return nil }
 func (g *greedy) Select(st *State) []Assignment {
 	var out []Assignment
 	avail := st.AppendAvailableProcs(nil) // ID order; taken entries become -1
-	for _, k := range st.Ready() {
+	for _, k := range st.AppendReady(nil) {
 		bi := -1
 		best := math.Inf(1)
 		for i, p := range avail {
@@ -111,7 +121,7 @@ func TestRunSingleKernel(t *testing.T) {
 	if res.MakespanMs != 2 {
 		t.Errorf("makespan = %v, want 2", res.MakespanMs)
 	}
-	pl := res.PlacementOf(0)
+	pl := res.Placements[0]
 	if env.sys.KindOf(pl.Proc) != platform.GPU {
 		t.Errorf("kernel ran on %v, want GPU", env.sys.KindOf(pl.Proc))
 	}
@@ -142,7 +152,7 @@ func TestRunChainWithTransfer(t *testing.T) {
 	if math.Abs(res.MakespanMs-want) > 1e-9 {
 		t.Errorf("makespan = %v, want %v", res.MakespanMs, want)
 	}
-	plB := res.PlacementOf(bb)
+	plB := res.Placements[bb]
 	if math.Abs(plB.Lambda()-0.001) > 1e-9 {
 		t.Errorf("λ(b) = %v, want 0.001 (transfer only)", plB.Lambda())
 	}
@@ -164,7 +174,7 @@ func TestRunSameProcNoTransfer(t *testing.T) {
 	g := b.MustBuild()
 	c := mustCosts(t, g, env)
 	// Force both onto the GPU.
-	gpu := env.sys.ByKind(platform.GPU)[0]
+	gpu := firstOfKind(env.sys, platform.GPU)
 	res, err := Run(c, &fixed{as: []Assignment{{a, gpu}, {a2, gpu}}}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +194,7 @@ func TestRunQueuedAssignments(t *testing.T) {
 	k1 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
 	g := b.MustBuild()
 	c := mustCosts(t, g, env)
-	gpu := env.sys.ByKind(platform.GPU)[0]
+	gpu := firstOfKind(env.sys, platform.GPU)
 	// Both queued on the GPU at t=0: FIFO execution, makespan 4.
 	res, err := Run(c, &fixed{as: []Assignment{{k0, gpu}, {k1, gpu}}}, Options{})
 	if err != nil {
@@ -193,7 +203,7 @@ func TestRunQueuedAssignments(t *testing.T) {
 	if res.MakespanMs != 4 {
 		t.Errorf("makespan = %v, want 4", res.MakespanMs)
 	}
-	p0, p1 := res.PlacementOf(k0), res.PlacementOf(k1)
+	p0, p1 := res.Placements[k0], res.Placements[k1]
 	if p0.Finish != 2 || p1.ExecStart != 2 || p1.Finish != 4 {
 		t.Errorf("FIFO order broken: %+v / %+v", p0, p1)
 	}
@@ -214,15 +224,15 @@ func TestStaticAssignBeforeReady(t *testing.T) {
 	b.AddEdge(a, dep)
 	g := b.MustBuild()
 	c := mustCosts(t, g, env)
-	gpu := env.sys.ByKind(platform.GPU)[0]
-	fpga := env.sys.ByKind(platform.FPGA)[0]
+	gpu := firstOfKind(env.sys, platform.GPU)
+	fpga := firstOfKind(env.sys, platform.FPGA)
 	// Assign both at t=0 like a static policy; dep is not ready yet and its
 	// processor must wait for a to finish.
 	res, err := Run(c, &fixed{as: []Assignment{{a, gpu}, {dep, fpga}}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := res.PlacementOf(dep)
+	pl := res.Placements[dep]
 	if pl.Assign != 0 {
 		t.Errorf("Assign = %v, want 0", pl.Assign)
 	}
@@ -251,8 +261,8 @@ func TestDoubleAssignPanics(t *testing.T) {
 			t.Error("double assignment did not panic")
 		}
 	}()
-	gpu := env.sys.ByKind(platform.GPU)[0]
-	cpu := env.sys.ByKind(platform.CPU)[0]
+	gpu := firstOfKind(env.sys, platform.GPU)
+	cpu := firstOfKind(env.sys, platform.CPU)
 	Run(c, &fixed{as: []Assignment{{0, gpu}, {0, cpu}}}, Options{}) //nolint:errcheck
 }
 
@@ -266,7 +276,7 @@ func TestSchedOverhead(t *testing.T) {
 	if math.Abs(res.MakespanMs-2.5) > 1e-9 {
 		t.Errorf("makespan = %v, want 2.5 (overhead + exec)", res.MakespanMs)
 	}
-	if l := res.PlacementOf(0).Lambda(); math.Abs(l-0.5) > 1e-9 {
+	if l := res.Placements[0].Lambda(); math.Abs(l-0.5) > 1e-9 {
 		t.Errorf("λ = %v, want 0.5", l)
 	}
 	if _, err := Run(c, &greedy{}, Options{SchedOverheadMs: -1}); err == nil {
@@ -327,7 +337,7 @@ func TestStateAccessors(t *testing.T) {
 			return
 		}
 		probed = true
-		ready := st.Ready()
+		ready := st.AppendReady(nil)
 		if len(ready) != 1 || ready[0] != k0 {
 			t.Errorf("Ready = %v, want [%d]", ready, k0)
 		}
@@ -379,7 +389,7 @@ func TestRecentExecAvgAndBusyUntil(t *testing.T) {
 	k1 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
 	g := b.MustBuild()
 	c := mustCosts(t, g, env)
-	gpu := env.sys.ByKind(platform.GPU)[0]
+	gpu := firstOfKind(env.sys, platform.GPU)
 
 	var sawAvg, sawBusy bool
 	pol := &scriptedPolicy{
@@ -468,7 +478,10 @@ func TestGreedyScheduleValidProperty(t *testing.T) {
 		if res.MakespanMs < cp-1e-9 {
 			return false
 		}
-		work := g.TotalWeight(fastest)
+		var work float64
+		for _, k := range g.Kernels() {
+			work += fastest(k)
+		}
 		if res.MakespanMs < work/float64(env.sys.NumProcs())-1e-9 {
 			return false
 		}

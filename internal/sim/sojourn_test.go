@@ -22,9 +22,9 @@ func summaryBits(s stats.Summary) [9]uint64 {
 // TestSojournSummaryCompletionOrder pins the engine's latency summaries on
 // graphs above radix.MinLen: collected in completion order (the closed
 // model's sojourns arrive ascending, the paced model's do not) and sorted
-// by radix.Float64s, they must equal stats.Summarize over the placements in
-// kernel order, bit for bit, for dynamic and static policies, with and
-// without ArrivalTimes, on a reused Runner.
+// by radix.Float64s, they must equal stats.SummarizeInPlace over the
+// placements in kernel order, bit for bit, for dynamic and static
+// policies, with and without ArrivalTimes, on a reused Runner.
 func TestSojournSummaryCompletionOrder(t *testing.T) {
 	c := readyLogCosts(t, 3000, 7)
 	g := c.Graph()
@@ -53,13 +53,14 @@ func TestSojournSummaryCompletionOrder(t *testing.T) {
 				qwaits[i] = pl.QueueWait()
 			}
 			paced := opt.ArrivalTimes != nil
-			if got, want := summaryBits(res.Sojourn), summaryBits(stats.Summarize(sojourns)); got != want {
+			wantS, wantQ := stats.SummarizeInPlace(sojourns), stats.SummarizeInPlace(qwaits)
+			if summaryBits(res.Sojourn) != summaryBits(wantS) {
 				t.Errorf("%s paced=%v: sojourn summary %+v, kernel-order summary %+v",
-					pol.Name(), paced, res.Sojourn, stats.Summarize(sojourns))
+					pol.Name(), paced, res.Sojourn, wantS)
 			}
-			if got, want := summaryBits(res.QueueWait), summaryBits(stats.Summarize(qwaits)); got != want {
+			if summaryBits(res.QueueWait) != summaryBits(wantQ) {
 				t.Errorf("%s paced=%v: queue-wait summary %+v, kernel-order summary %+v",
-					pol.Name(), paced, res.QueueWait, stats.Summarize(qwaits))
+					pol.Name(), paced, res.QueueWait, wantQ)
 			}
 		}
 	}

@@ -41,9 +41,6 @@ func NewHistogram(growth float64) (*Histogram, error) {
 	return &Histogram{growth: growth, invLogG: 1 / math.Log(growth)}, nil
 }
 
-// Growth returns the bucket growth factor.
-func (h *Histogram) Growth() float64 { return h.growth }
-
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int { return int(h.count) }
 

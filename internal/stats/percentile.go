@@ -8,7 +8,7 @@ import (
 // Quantile returns the q-quantile (0 <= q <= 1) of an ascending-sorted
 // sample, interpolating linearly between closest ranks. It returns 0 for
 // an empty sample, clamping q into [0, 1]. Callers with unsorted data
-// should use Percentile, or sort once and query repeatedly.
+// sort once and query repeatedly.
 func Quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -30,19 +30,10 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
 }
 
-// Percentile returns the p-th percentile (p50 → p = 50) of an unsorted
-// sample, sorting a copy. For many queries over one sample, sort once and
-// use Quantile.
-func Percentile(xs []float64, p float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Quantile(sorted, p/100)
-}
-
 // Summary captures one metric's distribution: moments, extrema and the
 // tail percentiles open-system latency evaluation reports. The zero value
-// describes an empty sample set; unlike raw Min/Max — which return ±Inf
-// on empty input — every Summary field is finite, so Summaries embedded
+// describes an empty sample set; unlike a raw minimum or maximum — ±Inf
+// over no samples — every Summary field is finite, so Summaries embedded
 // in results always JSON-encode.
 type Summary struct {
 	Count int     `json:"count"`
@@ -56,15 +47,9 @@ type Summary struct {
 	P99   float64 `json:"p99"`
 }
 
-// Summarize computes a Summary over the sample, sorting a copy of the
-// input. An empty input yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	sorted := append([]float64(nil), xs...)
-	return SummarizeInPlace(sorted)
-}
-
-// SummarizeInPlace is Summarize without the defensive copy: it sorts xs in
-// place, so hot paths can reuse one scratch buffer across calls.
+// SummarizeInPlace computes a Summary over the sample, sorting xs in place
+// so hot paths can reuse one scratch buffer across calls. An empty input
+// yields the zero Summary.
 func SummarizeInPlace(xs []float64) Summary {
 	sort.Float64s(xs)
 	return SummarizeSorted(xs)

@@ -31,35 +31,22 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestPercentileMatchesQuantileOnUnsorted(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if got, want := Percentile(xs, 50), Quantile(sorted, 0.5); got != want {
-		t.Errorf("Percentile(50) = %v, want %v", got, want)
-	}
-	// Percentile must not mutate its input.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestSummarizeEmptyIsFiniteAndEncodable(t *testing.T) {
-	s := Summarize(nil)
+	s := SummarizeInPlace(nil)
 	if s != (Summary{}) {
-		t.Errorf("Summarize(empty) = %+v, want zero Summary", s)
+		t.Errorf("SummarizeInPlace(empty) = %+v, want zero Summary", s)
 	}
-	// The whole point of Summary over raw Min/Max: empty aggregates must
-	// survive encoding/json, which rejects ±Inf.
+	// The whole point of Summary over a raw minimum and maximum: empty
+	// aggregates must survive encoding/json, which rejects ±Inf.
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("empty Summary does not encode: %v", err)
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
+	s := SummarizeInPlace([]float64{4, 1, 3, 2})
 	if s.Count != 4 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("Summarize = %+v", s)
+		t.Errorf("SummarizeInPlace = %+v", s)
 	}
 	if math.Abs(s.Mean-2.5) > 1e-12 {
 		t.Errorf("Mean = %v, want 2.5", s.Mean)

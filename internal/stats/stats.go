@@ -5,10 +5,10 @@
 // Three layers, from exact to streaming:
 //
 //   - Scalar helpers over samples: Mean, StdDev (population, the thesis's
-//     λ standard deviation, Eq. 12), Sum, Min/Max/ArgMin, and the
-//     percentage-improvement metric of §4.4 (Eq. 13–14).
-//   - Exact order statistics: Quantile/Percentile interpolate between
-//     closest ranks, Summarize condenses a sample into a Summary
+//     λ standard deviation, Eq. 12), Sum, and the percentage-improvement
+//     metric of §4.4 (Eq. 13–14).
+//   - Exact order statistics: Quantile interpolates between closest
+//     ranks, SummarizeInPlace condenses a sample into a Summary
 //     (count/mean/std/extrema plus p50/p90/p95/p99). These retain and
 //     sort the full sample — right for per-run results.
 //   - Streaming distributions: Histogram accumulates samples in
@@ -60,43 +60,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Min returns the minimum, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMin returns the index of the minimum element, ties to the smaller
-// index, or -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // ImprovementPct implements the thesis's improvement metric (Eq. 13–14):

@@ -30,28 +30,12 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestSumMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if got := Sum(xs); !almostEq(got, 9) {
+func TestSum(t *testing.T) {
+	if got := Sum([]float64{3, -1, 7}); !almostEq(got, 9) {
 		t.Errorf("Sum = %v", got)
 	}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v", got)
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("empty Min/Max should be +-Inf")
-	}
-}
-
-func TestArgMin(t *testing.T) {
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("ArgMin(nil) = %d", got)
-	}
-	if got := ArgMin([]float64{3, 1, 1, 5}); got != 1 {
-		t.Errorf("ArgMin = %d, want 1 (first of ties)", got)
+	if got := Sum(nil); got != 0 {
+		t.Errorf("Sum(nil) = %v, want 0", got)
 	}
 }
 

@@ -113,6 +113,3 @@ func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
 	n, err := w.Write(e.buf.Bytes())
 	return int64(n), err
 }
-
-// Len returns the rendered size in bytes.
-func (e *Exposition) Len() int { return e.buf.Len() }

@@ -193,8 +193,8 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 func TestHistogramNilSkipped(t *testing.T) {
 	e := &Exposition{}
 	e.Histogram("lat_ms", "help", nil)
-	if e.Len() != 0 {
-		t.Fatalf("nil histogram rendered %d bytes", e.Len())
+	if e.buf.Len() != 0 {
+		t.Fatalf("nil histogram rendered %d bytes", e.buf.Len())
 	}
 }
 

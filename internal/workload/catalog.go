@@ -98,12 +98,6 @@ func PaperCatalog() *Catalog {
 	return c
 }
 
-// Names returns the kernel names in deterministic (sorted) order.
-func (c *Catalog) Names() []string { return c.names }
-
-// Sizes returns the admissible sizes for a kernel, or nil if unknown.
-func (c *Catalog) Sizes(name string) []int64 { return c.sizes[name] }
-
 // RandomSpec draws one kernel uniformly at random and one of its admissible
 // sizes uniformly at random.
 func (c *Catalog) RandomSpec(r *rand.Rand) KernelSpec {

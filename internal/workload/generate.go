@@ -99,13 +99,6 @@ func (c *Type2Config) setDefaults() {
 	}
 }
 
-// MinType2Kernels is the smallest series BuildType2 accepts with the default
-// configuration: every block needs a top, at least one middle and a bottom.
-func MinType2Kernels(cfg Type2Config) int {
-	cfg.setDefaults()
-	return cfg.Blocks * 3
-}
-
 // BuildType2 arranges a series into a DFG Type-2 graph.
 //
 // The thesis describes Type-2 informally (Figure 4): the stream contains

@@ -9,10 +9,10 @@ import (
 
 // ScaleLayeredConfig tunes BuildScaleLayered, the bounded-fan-in layered
 // random DAG family used for large-scale (10k–100k kernel) workloads.
-// Unlike LayeredConfig's per-pair edge probability — O(width²) edges on
-// wide layers — every non-entry kernel draws at most FanIn distinct
-// predecessors from the previous layer, so edge count grows linearly in
-// kernel count and 100k-kernel graphs build in milliseconds.
+// Rather than a per-pair edge probability — O(width²) edges on wide layers
+// — every non-entry kernel draws at most FanIn distinct predecessors from
+// the previous layer, so edge count grows linearly in kernel count and
+// 100k-kernel graphs build in milliseconds.
 type ScaleLayeredConfig struct {
 	// Layers is the number of dependency levels (>= 1).
 	Layers int

@@ -11,7 +11,7 @@ import (
 
 func TestPaperCatalog(t *testing.T) {
 	c := PaperCatalog()
-	names := c.Names()
+	names := c.names
 	if len(names) != 7 {
 		t.Fatalf("catalog has %d kernels, want 7: %v", len(names), names)
 	}
@@ -20,14 +20,11 @@ func TestPaperCatalog(t *testing.T) {
 			t.Errorf("names not sorted: %v", names)
 		}
 	}
-	if got := len(c.Sizes(lut.MatMul)); got != 7 {
+	if got := len(c.sizes[lut.MatMul]); got != 7 {
 		t.Errorf("matmul sizes = %d, want 7", got)
 	}
-	if got := len(c.Sizes(lut.NW)); got != 1 {
+	if got := len(c.sizes[lut.NW]); got != 1 {
 		t.Errorf("nw sizes = %d, want 1", got)
-	}
-	if c.Sizes("nope") != nil {
-		t.Error("unknown kernel returned sizes")
 	}
 }
 
@@ -78,12 +75,8 @@ func TestBuildType1Shape(t *testing.T) {
 		t.Fatalf("kernels = %d, want 9", g.NumKernels())
 	}
 	// n-1 parallel kernels, each feeding the last one.
-	levels := g.Levels()
-	if len(levels) != 2 {
-		t.Fatalf("levels = %d, want 2", len(levels))
-	}
-	if len(levels[0]) != 8 || len(levels[1]) != 1 {
-		t.Errorf("level sizes = %d/%d, want 8/1", len(levels[0]), len(levels[1]))
+	if got := g.Entries(); len(got) != 8 {
+		t.Errorf("entries = %v, want the 8 parallel kernels", got)
 	}
 	last := dfg.KernelID(8)
 	if g.InDegree(last) != 8 {
@@ -145,12 +138,12 @@ func TestBuildType2TooSmall(t *testing.T) {
 	}
 }
 
+// TestBuildType2MinimumExact pins the smallest series BuildType2 accepts
+// with the default configuration: every one of the three blocks needs a
+// top, at least one middle and a bottom.
 func TestBuildType2MinimumExact(t *testing.T) {
+	const min = 9
 	cfg := DefaultType2Config()
-	min := MinType2Kernels(cfg)
-	if min != 9 {
-		t.Fatalf("MinType2Kernels = %d, want 9", min)
-	}
 	c := PaperCatalog()
 	series := c.RandomSeries(rand.New(rand.NewSource(4)), min)
 	g, err := BuildType2(series, cfg)
@@ -159,6 +152,9 @@ func TestBuildType2MinimumExact(t *testing.T) {
 	}
 	if g.NumKernels() != min {
 		t.Errorf("kernels = %d, want %d", g.NumKernels(), min)
+	}
+	if _, err := BuildType2(series[:min-1], cfg); err == nil {
+		t.Errorf("BuildType2 accepted %d kernels, want at least %d", min-1, min)
 	}
 }
 
@@ -240,7 +236,7 @@ func TestSuiteDeterministic(t *testing.T) {
 func TestGeneratorsValidProperty(t *testing.T) {
 	c := PaperCatalog()
 	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%150) + 9 // >= MinType2Kernels
+		n := int(nRaw%150) + 9 // BuildType2's minimum with three blocks
 		series := c.RandomSeries(rand.New(rand.NewSource(seed)), n)
 		g1, err := BuildType1(series)
 		if err != nil || g1.NumKernels() != n || g1.Validate() != nil {
@@ -250,8 +246,8 @@ func TestGeneratorsValidProperty(t *testing.T) {
 		if err != nil || g2.NumKernels() != n || g2.Validate() != nil {
 			return false
 		}
-		// Type-1: exactly two levels whenever n > 1.
-		if n > 1 && len(g1.Levels()) != 2 {
+		// Type-1: n-1 parallel kernels, each feeding the last one.
+		if g1.NumEdges() != n-1 || g1.InDegree(dfg.KernelID(n-1)) != n-1 {
 			return false
 		}
 		return true

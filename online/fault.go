@@ -327,7 +327,7 @@ func (s *Scheduler) restoreBreaker(p int, st SnapshotBreaker) {
 		b.timer = time.AfterFunc(s.brk.Cooldown, func() { s.probeReady(p) })
 	case "half-open":
 		b.state = bkHalfOpen
-	default:
+	default: // "closed"; Restore refuses any other state
 		b.state = bkClosed
 	}
 	b.mu.Unlock()

@@ -28,7 +28,7 @@
 //   - Every task is stamped at arrival, execution start and finish;
 //     Stats reports sojourn (arrival → finish) and queueing-delay
 //     percentiles from mergeable per-processor histograms, plus an
-//     optionally auto-tuned α (see AutoTuneConfig).
+//     optionally auto-tuned α (see Config.AutoTune).
 //
 // Typical use — a host process steering work between a CPU pool and
 // accelerator command queues, with per-device time estimates from past
@@ -240,8 +240,12 @@ type Config struct {
 	// releases (successors of finished tasks) are exempt — their graph was
 	// admitted as a unit.
 	QueueLimit int
-	// AutoTune, when non-nil, enables the live α adjustment loop.
-	AutoTune *AutoTuneConfig
+	// AutoTune enables the live α adjustment loop: every 128 completions,
+	// α is divided by 1.05 when the window's alternative assignments
+	// averaged more than 1.5× their best estimate, or multiplied by 1.05
+	// when they did not and tasks are waiting, within [1, 16]. Alpha is
+	// the starting value and must lie within those bounds.
+	AutoTune bool
 	// TraceDepth, when positive, keeps a ring buffer of the last
 	// TraceDepth completions for placement-trace export (see Trace). Zero
 	// disables tracing; completion recording then costs one branch.
@@ -261,7 +265,7 @@ type Config struct {
 type Scheduler struct {
 	np           int
 	qlimit       int
-	tune         *AutoTuneConfig
+	tune         bool
 	defTimeoutMs float64
 	retry        RetryPolicy
 	brk          *BreakerConfig
@@ -431,9 +435,8 @@ func NewWithConfig(cfg Config) (*Scheduler, error) {
 	if cfg.Alpha < 1 || math.IsNaN(cfg.Alpha) || math.IsInf(cfg.Alpha, 0) {
 		return nil, fmt.Errorf("online: flexibility factor must be >= 1, got %v", cfg.Alpha)
 	}
-	tune, err := cfg.AutoTune.withDefaults(cfg.Alpha)
-	if err != nil {
-		return nil, err
+	if cfg.AutoTune && (cfg.Alpha < tuneMinAlpha || cfg.Alpha > tuneMaxAlpha) {
+		return nil, fmt.Errorf("online: initial alpha %v outside AutoTune bounds [%v, %v]", cfg.Alpha, tuneMinAlpha, tuneMaxAlpha)
 	}
 	retry, err := cfg.Retry.withDefaults()
 	if err != nil {
@@ -460,7 +463,7 @@ func NewWithConfig(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		np:           cfg.Procs,
 		qlimit:       qlimit,
-		tune:         tune,
+		tune:         cfg.AutoTune,
 		defTimeoutMs: cfg.DefaultTimeoutMs,
 		retry:        retry,
 		brk:          brk,

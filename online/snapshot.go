@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // SnapshotVersion is the format version written by Snapshot.WriteJSON,
@@ -27,6 +28,9 @@ type SnapshotTask struct {
 	// capture time; a restored task resumes its retry budget from here
 	// instead of starting over.
 	Attempts int `json:"attempts,omitempty"`
+	// TimeoutMs is the task's own Task.TimeoutMs: 0 (or absent) inherits
+	// the restoring scheduler's DefaultTimeoutMs, negative is unbounded.
+	TimeoutMs float64 `json:"timeout_ms,omitempty"`
 }
 
 // SnapshotBreaker is one processor's circuit-breaker state at capture
@@ -77,12 +81,13 @@ func (sn *Snapshot) Count() int {
 // snapTask deep-copies a task's serialisable fields.
 func snapTask(t *Task, deps []int, attempts int) SnapshotTask {
 	return SnapshotTask{
-		Name:     t.Name,
-		EstMs:    append([]float64(nil), t.EstMs...),
-		XferMs:   append([]float64(nil), t.XferMs...),
-		Payload:  append(json.RawMessage(nil), t.Payload...),
-		Deps:     deps,
-		Attempts: attempts,
+		Name:      t.Name,
+		EstMs:     append([]float64(nil), t.EstMs...),
+		XferMs:    append([]float64(nil), t.XferMs...),
+		Payload:   append(json.RawMessage(nil), t.Payload...),
+		Deps:      deps,
+		Attempts:  attempts,
+		TimeoutMs: t.TimeoutMs,
 	}
 }
 
@@ -169,10 +174,18 @@ type RebuildFunc func(SnapshotTask) (func(context.Context, ProcID) error, error)
 // bound, honouring ctx) and graph frontiers as SubmitGraph admits them.
 // rebuild reconstructs each task's Run function; a nil rebuild restores
 // every task as a no-op (useful for tests and for draining a backlog
-// without side effects). Every task and graph is rebuilt and validated
-// before the first is submitted, so a bad entry restores nothing. Restore
-// returns the number of tasks submitted; if admission itself fails (ctx
-// cancelled, scheduler closing), the count covers what went in before.
+// without side effects). Every task, graph and breaker entry is rebuilt
+// and validated before the first task is submitted, so a bad entry — an
+// invalid task or graph, a negative or out-of-range attempt count, an
+// unknown breaker state, a negative breaker count or more breaker entries
+// than processors — restores nothing. Restore returns the number of tasks
+// submitted; if admission itself fails (ctx cancelled, scheduler closing),
+// the count covers what went in before.
+//
+// Submission order is the snapshot's: queued independent tasks, then
+// those waiting out a retry backoff, then graph frontiers. So a graph task
+// that waited ahead of an independent one at capture time is placed after
+// it.
 //
 // The target scheduler must be started and have the same processor count
 // as the snapshot (estimate vectors are per-processor).
@@ -183,8 +196,24 @@ func Restore(ctx context.Context, s *Scheduler, sn *Snapshot, rebuild RebuildFun
 	if sn.Procs != s.np {
 		return 0, fmt.Errorf("online: snapshot for %d processors, scheduler has %d", sn.Procs, s.np)
 	}
+	if len(sn.Breakers) > s.np {
+		return 0, fmt.Errorf("online: snapshot has %d breaker entries for %d processors", len(sn.Breakers), s.np)
+	}
+	for p, sb := range sn.Breakers {
+		switch {
+		case sb.State != "closed" && sb.State != "open" && sb.State != "half-open":
+			return 0, fmt.Errorf("online: restore breaker %d: unknown state %q", p, sb.State)
+		case sb.ConsecutiveFails < 0 || sb.Trips < 0:
+			return 0, fmt.Errorf("online: restore breaker %d: negative count (consecutive_fails %d, trips %d)",
+				p, sb.ConsecutiveFails, sb.Trips)
+		}
+	}
 	restoreTask := func(st SnapshotTask) (Task, error) {
-		t := Task{Name: st.Name, EstMs: st.EstMs, XferMs: st.XferMs, Payload: st.Payload, restoredAttempts: st.Attempts}
+		// The attempt counter is 32 bits wide.
+		if st.Attempts < 0 || st.Attempts > math.MaxInt32 {
+			return Task{}, fmt.Errorf("online: restore %q: attempts %d out of range", st.Name, st.Attempts)
+		}
+		t := Task{Name: st.Name, EstMs: st.EstMs, XferMs: st.XferMs, Payload: st.Payload, TimeoutMs: st.TimeoutMs, restoredAttempts: st.Attempts}
 		if rebuild != nil {
 			run, err := rebuild(st)
 			if err != nil {
@@ -224,9 +253,6 @@ func Restore(ctx context.Context, s *Scheduler, sn *Snapshot, rebuild RebuildFun
 	// avoids the processors that were unhealthy at capture time (no-op for
 	// breaker-less schedulers).
 	for p, sb := range sn.Breakers {
-		if p >= s.np {
-			break
-		}
 		s.restoreBreaker(p, sb)
 	}
 	n := 0

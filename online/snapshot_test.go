@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -379,4 +380,240 @@ func TestSnapshotCarriesAttemptsAndBreakers(t *testing.T) {
 	if got := atomic.LoadInt32(&calls); got != 1 {
 		t.Errorf("restored task ran %d attempts, want 1 (budget carried over)", got)
 	}
+}
+
+// TestSnapshotKeepsTaskTimeout: a task's own TimeoutMs survives a snapshot
+// file and bounds the restored task, instead of the restoring scheduler's
+// DefaultTimeoutMs. An explicitly unbounded task (-1) outlives a 10 ms
+// default; an explicit 5 ms bound still fires where there is no default.
+func TestSnapshotKeepsTaskTimeout(t *testing.T) {
+	gate := make(chan struct{})
+	s := newStarted(t, 1, 4)
+	if _, err := s.Submit(Task{Name: "blocker", EstMs: []float64{1}, Run: gateRun(gate)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []Task{
+		{Name: "unbounded", EstMs: []float64{1}, TimeoutMs: -1},
+		{Name: "bounded", EstMs: []float64{1}, TimeoutMs: 5},
+	} {
+		if _, err := s.Submit(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn, err := s.Snapshot()
+	close(gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sn.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if sn, err = ReadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(sn.Tasks) != 2 || sn.Tasks[0].TimeoutMs != -1 || sn.Tasks[1].TimeoutMs != 5 {
+		t.Fatalf("snapshot tasks = %+v, want TimeoutMs -1 and 5", sn.Tasks)
+	}
+
+	body := func(SnapshotTask) (func(context.Context, ProcID) error, error) {
+		return func(ctx context.Context, p ProcID) error {
+			select {
+			case <-time.After(50 * time.Millisecond):
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}, nil
+	}
+	for _, tc := range []struct {
+		name      string
+		defMs     float64
+		task      SnapshotTask
+		wantTimes int
+	}{
+		{"unbounded under a 10 ms default", 10, sn.Tasks[0], 0},
+		{"5 ms bound without a default", 0, sn.Tasks[1], 1},
+	} {
+		s2 := newStartedCfg(t, Config{Procs: 1, Alpha: 4, DefaultTimeoutMs: tc.defMs})
+		one := &Snapshot{Version: SnapshotVersion, Procs: 1, Alpha: 4, Tasks: []SnapshotTask{tc.task}}
+		if n, err := Restore(context.Background(), s2, one, body); err != nil || n != 1 {
+			t.Fatalf("%s: Restore = %d, %v", tc.name, n, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := s2.Quiesce(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := s2.Stats(); st.Timeouts != tc.wantTimes || st.Failed != tc.wantTimes {
+			t.Errorf("%s: %d timeouts, %d failed; want %d of each", tc.name, st.Timeouts, st.Failed, tc.wantTimes)
+		}
+	}
+}
+
+// TestRestoreRefusesMalformedEntries: entries that would otherwise restore
+// as something else — an unknown breaker state as closed, a negative count
+// delaying the next trip, breaker entries past the last processor skipped,
+// an out-of-range attempt count ignored or wrapped — fail the restore,
+// name the entry, and submit nothing.
+func TestRestoreRefusesMalformedEntries(t *testing.T) {
+	task := SnapshotTask{Name: "queued", EstMs: []float64{1, 2}}
+	for _, tc := range []struct {
+		name     string
+		breakers []SnapshotBreaker
+		attempts int
+		want     string
+	}{
+		{"unknown breaker state", []SnapshotBreaker{{State: "closed"}, {State: "ajar"}}, 0, `breaker 1: unknown state "ajar"`},
+		{"empty breaker state", []SnapshotBreaker{{}}, 0, `breaker 0: unknown state ""`},
+		{"negative consecutive fails", []SnapshotBreaker{{State: "closed", ConsecutiveFails: -3}}, 0, "breaker 0: negative count"},
+		{"negative trips", []SnapshotBreaker{{State: "closed"}, {State: "open", Trips: -1}}, 0, "breaker 1: negative count"},
+		{"breakers beyond procs", []SnapshotBreaker{{State: "closed"}, {State: "closed"}, {State: "open"}}, 0, "3 breaker entries for 2 processors"},
+		{"negative attempts", nil, -1, `"queued": attempts -1`},
+		{"attempts beyond 32 bits", nil, 1 << 40, `"queued": attempts 1099511627776`},
+	} {
+		s := newStartedCfg(t, Config{Procs: 2, Alpha: 4, Breaker: &BreakerConfig{}})
+		tk := task
+		tk.Attempts = tc.attempts
+		sn := &Snapshot{Version: SnapshotVersion, Procs: 2, Alpha: 4, Tasks: []SnapshotTask{tk}, Breakers: tc.breakers}
+		n, err := Restore(context.Background(), s, sn, nil)
+		if err == nil || n != 0 {
+			t.Errorf("%s: Restore = %d, %v; want 0 and an error", tc.name, n, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the entry (%q)", tc.name, err, tc.want)
+		}
+		if got := s.Stats().Submitted; got != 0 {
+			t.Errorf("%s: Submitted = %d after a refused restore, want 0", tc.name, got)
+		}
+	}
+}
+
+// snapshotSeed captures a real snapshot: proc 0's breaker open after two
+// failures whose retries wait out an hour's backoff (used attempts), proc
+// 1 held by a blocker, independent tasks with and without their own
+// timeout queued behind it, and a graph whose frontier is all three of its
+// tasks.
+func snapshotSeed(f *testing.F) []byte {
+	f.Helper()
+	s, err := NewWithConfig(Config{
+		Procs: 2, Alpha: 4, QueueLimit: -1,
+		Retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour},
+		Breaker: &BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	fail := func(context.Context, ProcID) error { return errors.New("injected") }
+	for i := 0; i < 2; i++ {
+		if _, err := s.Submit(Task{Name: "failing", EstMs: []float64{1, 100}, Run: fail}); err != nil {
+			f.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Stats().Retries <= i {
+			if time.Now().After(deadline) {
+				f.Fatal("retry never parked")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	block := func(ctx context.Context, p ProcID) error { <-ctx.Done(); return nil }
+	for _, task := range []Task{
+		{Name: "blocker", EstMs: []float64{1, 1}, Run: block},
+		{Name: "queued", EstMs: []float64{2, 3}, Payload: json.RawMessage(`{"k":1}`)},
+		{Name: "unbounded", EstMs: []float64{1, 4}, TimeoutMs: -1},
+		{Name: "bounded", EstMs: []float64{5, 1}, TimeoutMs: 250},
+	} {
+		if _, err := s.Submit(task); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := s.SubmitGraph([]GraphTask{
+		{Task: Task{Name: "a", EstMs: []float64{1, 2}}},
+		{Task: Task{Name: "b", EstMs: []float64{2, 1}, TimeoutMs: 40}, Deps: []int{0}},
+		{Task: Task{Name: "c", EstMs: []float64{1, 1}}, Deps: []int{0, 1}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(sn.Tasks) != 5 || len(sn.Graphs) != 1 || len(sn.Breakers) != 2 || sn.Breakers[0].State != "open" {
+		f.Fatalf("seed snapshot = %+v, want 3 queued tasks, 2 parked retries, a graph and proc 0 open", sn)
+	}
+	var buf bytes.Buffer
+	if err := sn.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzSnapshotRestore feeds arbitrary bytes through ReadSnapshot and
+// Restore into a scheduler whose processors are held busy, so every
+// restored task stays queued. Neither call may panic; a failed restore
+// submits nothing; a successful one submits exactly sn.Count() tasks, and
+// a snapshot of the target carries each back with its name, timeout and
+// used attempts.
+func FuzzSnapshotRestore(f *testing.F) {
+	seed := snapshotSeed(f)
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(bytes.Replace(seed, []byte(`"version": 2`), []byte(`"version": 1`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"procs": 2`), []byte(`"procs": 3`), 1))
+	f.Add([]byte(`{"version":2,"procs":2,"alpha":4,"tasks":[{"name":"t","est_ms":[1,2],"attempts":-1}]}`))
+	f.Add([]byte(`{"version":2,"procs":2,"alpha":4,"breakers":[{"state":"ajar"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sn, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s, err := NewWithConfig(Config{Procs: 2, Alpha: 4, QueueLimit: -1, Breaker: &BreakerConfig{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		defer s.Close()
+		block := func(ctx context.Context, p ProcID) error { <-ctx.Done(); return nil }
+		for i := 0; i < 2; i++ {
+			if _, err := s.Submit(Task{Name: "blocker", EstMs: []float64{1, 1}, Run: block}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := Restore(context.Background(), s, sn, nil)
+		if err != nil {
+			if extra := s.Stats().Submitted - 2; n != 0 || extra != 0 {
+				t.Fatalf("failed restore (%v) reported %d tasks and submitted %d beyond the blockers", err, n, extra)
+			}
+			return
+		}
+		if n != sn.Count() {
+			t.Fatalf("restore submitted %d tasks, snapshot holds %d", n, sn.Count())
+		}
+		back, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]SnapshotTask(nil), sn.Tasks...)
+		for _, g := range sn.Graphs {
+			want = append(want, g.Tasks...)
+		}
+		got := append([]SnapshotTask(nil), back.Tasks...)
+		for _, g := range back.Graphs {
+			got = append(got, g.Tasks...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("target holds %d tasks, snapshot restored %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Name != want[i].Name || got[i].TimeoutMs != want[i].TimeoutMs || got[i].Attempts != want[i].Attempts {
+				t.Fatalf("task %d restored as %q timeout %v attempts %d, snapshot had %q timeout %v attempts %d",
+					i, got[i].Name, got[i].TimeoutMs, got[i].Attempts, want[i].Name, want[i].TimeoutMs, want[i].Attempts)
+			}
+		}
+	})
 }

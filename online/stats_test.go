@@ -3,6 +3,9 @@ package online
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -135,11 +138,9 @@ func TestStatsHistogramMergeAcrossShards(t *testing.T) {
 func TestAutoTuneLoosensUnderWaiting(t *testing.T) {
 	// Two equal processors, α=1: every contended task waits for proc 0
 	// (its best) even though proc 1 idles at identical cost. The tuner
-	// must observe the waiting and raise α.
-	s, err := NewWithConfig(Config{
-		Procs: 2, Alpha: 1, QueueLimit: -1,
-		AutoTune: &AutoTuneConfig{Every: 16, Step: 1.5, MaxAlpha: 8},
-	})
+	// must observe the waiting and raise α over the three full windows of
+	// 128 completions.
+	s, err := NewWithConfig(Config{Procs: 2, Alpha: 1, QueueLimit: -1, AutoTune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +163,15 @@ func TestAutoTuneLoosensUnderWaiting(t *testing.T) {
 	for _, h := range handles {
 		<-h.Done
 	}
-	if a := s.Stats().Alpha; a <= 1 || a > 8 {
-		t.Errorf("alpha = %v after sustained waiting, want in (1, 8]", a)
+	if a := s.Stats().Alpha; a <= tuneMinAlpha || a > tuneMaxAlpha {
+		t.Errorf("alpha = %v after sustained waiting, want in (%v, %v]", a, tuneMinAlpha, tuneMaxAlpha)
 	}
 }
 
 func TestAutoTuneTightensOnRegret(t *testing.T) {
 	// α=8 admits an alternative 5× slower than the best estimate; mean
 	// window regret 5 ≫ target 1.5, so the tuner must lower α.
-	s, err := NewWithConfig(Config{
-		Procs: 2, Alpha: 8, QueueLimit: -1,
-		AutoTune: &AutoTuneConfig{Every: 16, Step: 1.5, MaxAlpha: 8},
-	})
+	s, err := NewWithConfig(Config{Procs: 2, Alpha: 8, QueueLimit: -1, AutoTune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +200,75 @@ func TestAutoTuneTightensOnRegret(t *testing.T) {
 }
 
 func TestAutoTuneConfigValidation(t *testing.T) {
-	cases := []AutoTuneConfig{
-		{TargetRegret: 0.5},
-		{Step: 0.9},
-		{MinAlpha: 2, MaxAlpha: 1},
-	}
-	for i, c := range cases {
-		c := c
-		if _, err := NewWithConfig(Config{Procs: 1, Alpha: 4, AutoTune: &c}); err == nil {
-			t.Errorf("case %d: invalid AutoTuneConfig accepted: %+v", i, c)
+	for _, alpha := range []float64{tuneMinAlpha, 4, tuneMaxAlpha} {
+		if _, err := NewWithConfig(Config{Procs: 1, Alpha: alpha, AutoTune: true}); err != nil {
+			t.Errorf("alpha %v inside the bounds refused: %v", alpha, err)
 		}
 	}
-	if _, err := NewWithConfig(Config{Procs: 1, Alpha: 32, AutoTune: &AutoTuneConfig{}}); err == nil {
-		t.Error("alpha outside default bounds accepted")
+	if _, err := NewWithConfig(Config{Procs: 1, Alpha: 32, AutoTune: true}); err == nil {
+		t.Error("alpha outside the bounds accepted")
+	}
+	if _, err := NewWithConfig(Config{Procs: 1, Alpha: 32}); err != nil {
+		t.Errorf("alpha 32 without auto-tune refused: %v", err)
+	}
+}
+
+// autoTuneTrajectory drives the tuner directly over a seeded sequence of
+// windows: each step adds a random number of completions (some short of a
+// full window), alternative assignments with a random regret, and a queue
+// depth, then runs one tuning decision and records α's bits. The phases
+// bias the draws first toward loosening, then toward tightening, so the
+// trajectory meets both bounds.
+func autoTuneTrajectory(t *testing.T, s *Scheduler) []uint64 {
+	t.Helper()
+	r := rand.New(rand.NewSource(7))
+	var out []uint64
+	for step := 0; step < 300; step++ {
+		maxRatio := 1 + 3*r.Float64()
+		switch {
+		case step < 80:
+			maxRatio = 1.4
+		case step < 200:
+			maxRatio = 2 + r.Float64()
+		}
+		s.completed.Add(int64(r.Intn(256)))
+		tl := &s.procs[r.Intn(len(s.procs))].tele
+		alt := r.Intn(8)
+		tl.mu.Lock()
+		tl.alt += alt
+		for i := 0; i < alt; i++ {
+			tl.regretSum += 1 + (maxRatio-1)*r.Float64()
+		}
+		tl.mu.Unlock()
+		s.queued.Store(int64(r.Intn(3)))
+		s.tuner.maybeTune(s)
+		out = append(out, math.Float64bits(s.Alpha()))
+	}
+	return out
+}
+
+// TestAutoTuneTrajectory pins the tuner's decisions window by window: the
+// α bits after each of 300 seeded windows hash to the value the
+// configurable tuner gave with its default AutoTuneConfig{} before its
+// five knobs became constants, and the trajectory meets both bounds.
+func TestAutoTuneTrajectory(t *testing.T) {
+	s, err := NewWithConfig(Config{Procs: 3, Alpha: 4, AutoTune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj := autoTuneTrajectory(t, s)
+	h := fnv.New64a()
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, b := range traj {
+		fmt.Fprintf(h, "%x,", b)
+		a := math.Float64frombits(b)
+		lo, hi = math.Min(lo, a), math.Max(hi, a)
+	}
+	if lo != tuneMinAlpha || hi != tuneMaxAlpha {
+		t.Errorf("trajectory spans [%v, %v], want both bounds [%v, %v]", lo, hi, tuneMinAlpha, tuneMaxAlpha)
+	}
+	if got, want := h.Sum64(), uint64(0x555a6ca85954e02a); got != want {
+		t.Errorf("trajectory hash %#x, want %#x (final α %v)", got, want, s.Alpha())
 	}
 }
 
