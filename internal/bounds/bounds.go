@@ -1,8 +1,8 @@
-// Package bounds provides makespan lower bounds and, for small
-// dependency-free workloads, the exact optimum — yardsticks the thesis
-// never reports but that put every policy's numbers in perspective
-// (scheduling even independent tasks on unrelated machines is NP-hard, so
-// the exact solver is exponential and capped).
+// Package bounds provides, for small dependency-free workloads, the exact
+// optimum makespan — a yardstick the thesis never reports but that puts
+// every policy's numbers in perspective (scheduling even independent tasks
+// on unrelated machines is NP-hard, so the solver is exponential and
+// capped).
 package bounds
 
 import (
@@ -13,54 +13,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
-
-// Lower aggregates the valid makespan lower bounds for a costed workload.
-type Lower struct {
-	// CriticalPathMs is the longest dependency chain with every kernel on
-	// its fastest processor and free transfers.
-	CriticalPathMs float64
-	// WorkMs is total best-case work divided by the processor count: even
-	// perfectly balanced, some processor carries at least this much.
-	WorkMs float64
-	// MaxKernelMs is the largest single best-case execution time; no
-	// schedule finishes before its longest kernel.
-	MaxKernelMs float64
-}
-
-// Best returns the tightest (largest) of the bounds.
-func (l Lower) Best() float64 {
-	best := l.CriticalPathMs
-	if l.WorkMs > best {
-		best = l.WorkMs
-	}
-	if l.MaxKernelMs > best {
-		best = l.MaxKernelMs
-	}
-	return best
-}
-
-// LowerBounds computes all bounds for the costed workload.
-func LowerBounds(c *sim.Costs) Lower {
-	g := c.Graph()
-	fastest := func(k dfg.Kernel) float64 {
-		_, ms := c.BestProc(k.ID)
-		return ms
-	}
-	cp, _ := g.CriticalPath(fastest)
-	var total, max float64
-	for _, k := range g.Kernels() {
-		ms := fastest(k)
-		total += ms
-		if ms > max {
-			max = ms
-		}
-	}
-	return Lower{
-		CriticalPathMs: cp,
-		WorkMs:         total / float64(c.System().NumProcs()),
-		MaxKernelMs:    max,
-	}
-}
 
 // MaxExactKernels caps the exact solver's input size; beyond it the search
 // space (np^n assignments) is impractical.

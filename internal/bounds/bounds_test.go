@@ -15,6 +15,55 @@ import (
 	"repro/internal/workload"
 )
 
+// Lower aggregates the valid makespan lower bounds for a costed workload:
+// the oracle OptimalIndependent's result must not undercut.
+type Lower struct {
+	// CriticalPathMs is the longest dependency chain with every kernel on
+	// its fastest processor and free transfers.
+	CriticalPathMs float64
+	// WorkMs is total best-case work divided by the processor count: even
+	// perfectly balanced, some processor carries at least this much.
+	WorkMs float64
+	// MaxKernelMs is the largest single best-case execution time; no
+	// schedule finishes before its longest kernel.
+	MaxKernelMs float64
+}
+
+// Best returns the tightest (largest) of the bounds.
+func (l Lower) Best() float64 {
+	best := l.CriticalPathMs
+	if l.WorkMs > best {
+		best = l.WorkMs
+	}
+	if l.MaxKernelMs > best {
+		best = l.MaxKernelMs
+	}
+	return best
+}
+
+// LowerBounds computes all bounds for the costed workload.
+func LowerBounds(c *sim.Costs) Lower {
+	g := c.Graph()
+	fastest := func(k dfg.Kernel) float64 {
+		_, ms := c.BestProc(k.ID)
+		return ms
+	}
+	cp, _ := g.CriticalPath(fastest)
+	var total, max float64
+	for _, k := range g.Kernels() {
+		ms := fastest(k)
+		total += ms
+		if ms > max {
+			max = ms
+		}
+	}
+	return Lower{
+		CriticalPathMs: cp,
+		WorkMs:         total / float64(c.System().NumProcs()),
+		MaxKernelMs:    max,
+	}
+}
+
 func tinyTable(t *testing.T) *lut.Table {
 	t.Helper()
 	tab, err := lut.New([]lut.Entry{

@@ -50,7 +50,10 @@ type APT struct {
 	ConsiderRemaining bool
 
 	c     *sim.Costs
-	stats AltStats
+	stats AltStats // ByKernel stays nil: Stats fills it from altByShape
+	// altByShape counts alternative placements per shape row of c, which
+	// Stats folds into counts per kernel name.
+	altByShape []int32
 
 	// admitted holds one bitset row per kernel, as long as free: pmin plus
 	// every processor rule.Alt admits as its alternative. A ready kernel's
@@ -141,26 +144,38 @@ func (a *APT) Prepare(c *sim.Costs) error {
 	for p := range a.waiting {
 		a.waiting[p] = waitList{pos: a.backing[p*per : p*per : (p+1)*per]}
 	}
-	// Reuse the per-kernel map across Prepare calls so re-running a pooled
-	// policy instance does not allocate; Stats() hands out copies.
-	byKernel := a.stats.ByKernel
-	if byKernel == nil {
-		byKernel = map[string]int{}
-	} else {
-		clear(byKernel)
-	}
-	a.stats = AltStats{ByKernel: byKernel}
+	a.altByShape = resize(a.altByShape, c.NumShapes())
+	a.stats = AltStats{}
 	return nil
 }
 
 // Stats returns the allocation statistics accumulated since Prepare.
 func (a *APT) Stats() AltStats {
 	out := a.stats
-	out.ByKernel = make(map[string]int, len(a.stats.ByKernel))
-	for k, v := range a.stats.ByKernel { //lint:ordered — per-key map copy; writes are independent
-		out.ByKernel[k] = v
+	out.ByKernel = map[string]int{}
+	if a.c == nil {
+		return out
+	}
+	// Shape rows are numbered in order of their first kernel, so a kernel
+	// whose row is the next number is that row's first.
+	kernels := a.c.Graph().Kernels()
+	next := 0
+	for k := 0; k < len(kernels) && next < len(a.altByShape); k++ {
+		if a.c.Shape(dfg.KernelID(k)) != next {
+			continue
+		}
+		if n := a.altByShape[next]; n > 0 {
+			out.ByKernel[kernels[k].Name] += int(n)
+		}
+		next++
 	}
 	return out
+}
+
+// countAlt records that kernel k was placed on an alternative processor.
+func (a *APT) countAlt(k dfg.KernelID) {
+	a.stats.AltAssignments++
+	a.altByShape[a.c.Shape(k)]++
 }
 
 // Select implements sim.Policy, following Algorithm 1: every ready kernel,
@@ -235,8 +250,7 @@ func (a *APT) visit(st *sim.State, log []dfg.KernelID, i int32) bool {
 			return false // APT-R: pmin will be free soon enough; wait
 		}
 		p = palt
-		a.stats.AltAssignments++
-		a.stats.ByKernel[st.Graph().Kernels()[k].Name]++
+		a.countAlt(k)
 	}
 	clear(row)
 	a.free[p>>6] &^= 1 << (p & 63)

@@ -59,8 +59,7 @@ func (r *referenceAPT) Select(st *sim.State) []sim.Assignment {
 				continue
 			}
 			p = platform.ProcID(palt)
-			r.stats.AltAssignments++
-			r.stats.ByKernel[st.Graph().Kernel(k).Name]++
+			r.countAlt(k)
 		}
 		avail[p] = false
 		nAvail--

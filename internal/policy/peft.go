@@ -41,7 +41,6 @@ type PEFT struct {
 	indeg   []int32
 	visit   []dfg.KernelID
 	heapKs  []dfg.KernelID
-	cbar    meanXfer
 
 	// OCT, exposed after Prepare, is the optimistic cost table
 	// [kernel][processor]. Rows alias one flat backing array.
@@ -88,10 +87,9 @@ func (pf *PEFT) Prepare(c *sim.Costs) error {
 	}
 	order := g.AppendTopoOrder(pf.order[:0])
 	pf.order = order
-	clear(pf.cbar)
 	for i := n - 1; i >= 0; i-- {
 		ti := order[i]
-		cMean := pf.cbar.of(c, ti)
+		cMean := c.MeanTransfer(ti)
 		octRow := pf.OCT[ti]
 		for pk := 0; pk < np; pk++ {
 			best := 0.0

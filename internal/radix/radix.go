@@ -8,7 +8,9 @@
 // patterns, by byte-wide counting passes yields the one ascending order a
 // comparison sort gives. A NaN, −0 or negative value breaks that
 // correspondence; Key reports it, and callers then run their comparison
-// sort instead. Below MinLen elements callers run the comparison sort too.
+// sort instead. Below MinLen elements callers run the comparison sort too,
+// except that Float64s leaves one ascending run as it is and merges a few
+// at any length.
 package radix
 
 import (
@@ -35,34 +37,52 @@ func Key(x float64) (uint64, bool) {
 	return b, b <= inf
 }
 
+// maxRuns is the most ascending runs Float64s merges: pairwise merging
+// costs ⌈log₂ runs⌉ passes, which stays below the radix passes' fixed cost
+// up to about this many. A simulation's queue waits arrive as one
+// ascending run per processor.
+const maxRuns = 64
+
 // Float64s sorts xs ascending with the same result, bit for bit, as
 // sort.Float64s, and returns buf, grown to len(xs) when it was used.
 //
-// Below MinLen, or when any value is NaN, −0 or negative, it is
-// sort.Float64s. Otherwise an input already ascending costs one linear
-// check; any other is radix-sorted, the passes alternating between xs and
-// buf and a pass whose byte every key shares skipped.
+// When any value is NaN, −0 or negative it is sort.Float64s. Otherwise one
+// pass counts the ascending runs: one run is left as it is, up to maxRuns
+// runs are merged pairwise, and more are radix-sorted from MinLen values
+// up (sort.Float64s below). Merges and radix passes alternate between xs
+// and buf; a radix pass whose byte every key shares is skipped. Equal
+// keys have equal bits, so no order among them can differ from
+// sort.Float64s'.
 func Float64s(xs []float64, buf []uint64) []uint64 {
 	n := len(xs)
-	if n < MinLen {
-		sort.Float64s(xs)
-		return buf
-	}
-	sorted := true
+	// bounds[:runs] are where the runs start; bounds[runs] will be n.
+	var bounds [maxRuns + 1]int
+	runs, many := 0, false
 	prev := uint64(0)
-	for _, x := range xs {
+	for i, x := range xs {
 		b, ok := Key(x)
 		if !ok {
 			sort.Float64s(xs)
 			return buf
 		}
-		if b < prev {
-			sorted = false
-			break
+		if i == 0 || b < prev {
+			if runs == maxRuns {
+				many = true // the keys left are checked by the sort below
+				break
+			}
+			bounds[runs] = i
+			runs++
 		}
 		prev = b
 	}
-	if sorted {
+	switch {
+	case !many && runs <= 1:
+		return buf
+	case !many:
+		bounds[runs] = n
+		return merge(xs, buf, bounds[:runs+1])
+	case n < MinLen:
+		sort.Float64s(xs)
 		return buf
 	}
 	var counts [8][256]int32
@@ -111,6 +131,66 @@ func Float64s(xs []float64, buf []uint64) []uint64 {
 		}
 	}
 	return buf
+}
+
+// merge merges the ascending runs of xs that start at bounds[:len−1]
+// (bounds ends with len(xs)) pairwise, each pass writing the other of xs
+// and buf, and returns buf grown to len(xs). Each pass halves the runs,
+// rewriting bounds in place, until one is left; it ends in xs.
+func merge(xs []float64, buf []uint64, bounds []int) []uint64 {
+	n := len(xs)
+	buf = grow(buf, n)
+	inBuf := false // whether the keys sit in buf, not xs
+	for r := len(bounds) - 1; r > 1; r = (r + 1) / 2 {
+		for j := 0; j < r; j += 2 {
+			lo, mid, hi := bounds[j], bounds[j+1], bounds[min(j+2, r)]
+			if inBuf {
+				mergeBits(xs[lo:hi], buf[lo:mid], buf[mid:hi])
+			} else {
+				mergeFloats(buf[lo:hi], xs[lo:mid], xs[mid:hi])
+			}
+			bounds[j/2] = lo
+		}
+		bounds[(r+1)/2] = n
+		inBuf = !inBuf
+	}
+	if inBuf {
+		for i, b := range buf {
+			xs[i] = math.Float64frombits(b)
+		}
+	}
+	return buf
+}
+
+// mergeFloats merges the ascending runs a and b into dst as bit patterns.
+// Their values all key exactly, so comparing values orders as the patterns
+// do.
+func mergeFloats(dst []uint64, a, b []float64) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || i < len(a) && a[i] <= b[j] {
+			dst[k] = math.Float64bits(a[i])
+			i++
+		} else {
+			dst[k] = math.Float64bits(b[j])
+			j++
+		}
+	}
+}
+
+// mergeBits merges the ascending bit-pattern runs a and b into dst as
+// values.
+func mergeBits(dst []float64, a, b []uint64) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || i < len(a) && a[i] <= b[j] {
+			dst[k] = math.Float64frombits(a[i])
+			i++
+		} else {
+			dst[k] = math.Float64frombits(b[j])
+			j++
+		}
+	}
 }
 
 // Order is the reusable scratch of a stable radix order of the indices

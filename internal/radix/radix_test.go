@@ -3,6 +3,7 @@ package radix
 import (
 	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -84,19 +85,59 @@ func TestFloat64sMatchesSort(t *testing.T) {
 }
 
 // TestFloat64sSortedLeavesBuffer pins the one-check path: an ascending
-// input of MinLen or more values is returned untouched without growing the
-// scratch.
+// input, of MinLen or more values or fewer, is returned untouched without
+// growing the scratch.
 func TestFloat64sSortedLeavesBuffer(t *testing.T) {
-	xs := make([]float64, 2*MinLen)
+	for _, n := range []int{2 * MinLen, 157} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i / 3) // ties, +0 first
+		}
+		xs[len(xs)-1] = math.Inf(1)
+		if buf := Float64s(xs, nil); buf != nil {
+			t.Fatalf("n=%d: ascending input grew the scratch to %d", n, len(buf))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Float64s(xs, nil) }); allocs != 0 {
+			t.Fatalf("n=%d: ascending input allocated %v times", n, allocs)
+		}
+	}
+}
+
+// ascendingRuns sorts each of k contiguous, near-equal chunks of xs
+// ascending, so xs holds at most k ascending runs.
+func ascendingRuns(xs []float64, k int) {
+	for i := 0; i < k; i++ {
+		sort.Float64s(xs[i*len(xs)/k : (i+1)*len(xs)/k])
+	}
+}
+
+// TestFloat64sMergesRuns pins the merge path: inputs of k ascending runs,
+// k from 1 to past maxRuns, below and above MinLen, sort to sort.Float64s'
+// bits, and with scratch of len(xs) already grown a merge allocates
+// nothing.
+func TestFloat64sMergesRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	buf := make([]uint64, 3*MinLen)
+	for _, n := range []int{157, MinLen + 300} {
+		for k := 1; k <= maxRuns+6; k++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw(r)
+			}
+			ascendingRuns(xs, k)
+			buf = checkFloat64s(t, fmt.Sprintf("%d runs", k), xs, buf)
+		}
+	}
+	xs := make([]float64, MinLen)
 	for i := range xs {
-		xs[i] = float64(i / 3) // ties, +0 first
+		xs[i] = draw(r)
 	}
-	xs[len(xs)-1] = math.Inf(1)
-	if buf := Float64s(xs, nil); buf != nil {
-		t.Fatalf("ascending input grew the scratch to %d", len(buf))
-	}
-	if allocs := testing.AllocsPerRun(10, func() { Float64s(xs, nil) }); allocs != 0 {
-		t.Fatalf("ascending input allocated %v times", allocs)
+	ascendingRuns(xs, maxRuns)
+	if allocs := testing.AllocsPerRun(10, func() {
+		ys := slices.Clone(xs)
+		Float64s(ys, buf)
+	}); allocs != 1 { // the clone
+		t.Fatalf("merging %d runs allocated %v times, want only the clone", maxRuns, allocs-1)
 	}
 }
 
@@ -161,7 +202,11 @@ func TestPermMatchesStableSort(t *testing.T) {
 // the seed draws the input from the palette, so long inputs carry heavy
 // ties, with every fourth value a fresh random pattern when mix is odd.
 // Perm must equal a stable index sort on the patterns, and Float64s on the
-// patterns read as floats must leave sort.Float64s' bits.
+// patterns read as floats must leave sort.Float64s' bits. Bit 1 of mix
+// sorts the floats first (the one-run path); bit 2 makes them 1 + 3·(mix>>3)
+// ascending runs, 1 to 94, across maxRuns, and with bit 1 also set puts
+// the palette's first pattern last, a late NaN, −0 or negative when the
+// palette starts with one.
 func FuzzRadixOrder(f *testing.F) {
 	bits := func(xs ...float64) []byte {
 		var out []byte
@@ -175,6 +220,12 @@ func FuzzRadixOrder(f *testing.F) {
 	f.Add(bits(2, math.NaN(), 3), uint16(MinLen+1), int64(3), uint8(0))
 	f.Add(bits(4, math.Copysign(0, -1), 0), uint16(2*MinLen), int64(4), uint8(1))
 	f.Add(bits(-1, 1), uint16(100), int64(5), uint8(1))
+	f.Add(bits(0, 1, 2.5, math.Inf(1)), uint16(MinLen+300), int64(6), uint8(4|21<<3)) // 64 runs
+	f.Add(bits(0, 7, 7.5, math.Inf(1)), uint16(500), int64(7), uint8(4|5<<3))         // 16 runs, short
+	f.Add(bits(3, 0.5, 9, 1e300), uint16(3*MinLen), int64(8), uint8(5|22<<3))         // 67 runs
+	f.Add(bits(math.NaN(), 1, 2, 0), uint16(3000), int64(9), uint8(6|30<<3))          // late NaN
+	f.Add(bits(math.Copysign(0, -1), 3, 0), uint16(100), int64(10), uint8(6|1<<3))    // late −0, short
+	f.Add(bits(-2, 5, 0, math.Inf(1)), uint16(2*MinLen), int64(11), uint8(6))         // one run, late negative
 	f.Fuzz(func(t *testing.T, palette []byte, length uint16, seed int64, mix uint8) {
 		var pal []uint64
 		for len(palette) > 0 && len(pal) < 8 {
@@ -200,7 +251,13 @@ func FuzzRadixOrder(f *testing.F) {
 		for i, k := range keys {
 			xs[i] = math.Float64frombits(k)
 		}
-		if mix%4 >= 2 {
+		switch {
+		case mix&4 != 0:
+			ascendingRuns(xs, 1+3*int(mix>>3))
+			if mix&2 != 0 && n > 0 {
+				xs[n-1] = math.Float64frombits(pal[0])
+			}
+		case mix&2 != 0:
 			sort.Float64s(xs) // exercise the one-check path
 		}
 		checkFloat64s(t, "fuzz", xs, nil)

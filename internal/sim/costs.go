@@ -19,6 +19,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/dfg"
 	"repro/internal/lut"
@@ -102,14 +103,38 @@ type Costs struct {
 	exec []float64
 	best []platform.ProcID // per shape: the processor BestProc returns
 	mean []float64         // per shape: mean exec across procs, for HEFT ranks
+	// out[k] is kernel k's output-size number, or -1 past MaxMemoKeys
+	// sizes. Sizes are numbered in order of their first kernel.
+	out []int32
+	// xfer is the transfer table of the first xferRows sizes:
+	// xfer[(s*np+from)*np+to] = TransferMs(size s, from, to). Other sizes
+	// are priced link by link.
+	xfer     []float64
+	xferRows int
+	// means[s] holds size s's MeanTransfer as float64 bits once asked for,
+	// and unpriced before: only HEFT and PEFT ask, and a size past the
+	// transfer table costs np² links to average. Concurrent runs sharing
+	// the Costs may both price a size; they store the same bits.
+	means []atomic.Uint64
 }
 
+// unpriced marks a means entry not yet priced. It is a NaN, which no mean
+// of non-negative transfer times is, and were one to be, it would only be
+// priced again.
+const unpriced = 0x7FF8_0000_0000_0bad
+
 // MaxMemoKeys caps the distinct keys a per-graph memo table takes:
-// PrepareCosts' map of shapes, and HEFT's and PEFT's map of mean transfer
-// cost per output size. Past the cap a new key is priced every time it
-// occurs, so a graph whose kernels are all distinct pays one map lookup
-// per kernel, not one insert.
+// PrepareCosts' maps of shapes and of output sizes, and so the shape rows
+// and the memoised mean transfer costs. Past the cap a new key is priced
+// every time it occurs, so a graph whose kernels are all distinct pays one
+// map lookup per kernel, not one insert.
 const MaxMemoKeys = 256
+
+// maxXferEntries caps the transfer table at 2¹⁶ entries (512 KiB): an
+// output size takes np² of them, so up to 16 processors table every
+// numbered size and 130 processors the first 3. The sizes past the cap,
+// and every size on more than 256 processors, are priced link by link.
+const maxXferEntries = 1 << 16
 
 // shapeKey is what the lookup table prices a kernel by, apart from the
 // processor kind.
@@ -146,17 +171,24 @@ func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostCo
 	}
 	kernels := g.Kernels()
 	np := sys.NumProcs()
-	c := &Costs{g: g, sys: sys, cfg: cfg, np: np, shape: make([]int32, len(kernels))}
+	c := &Costs{g: g, sys: sys, cfg: cfg, np: np,
+		shape: make([]int32, len(kernels)), out: make([]int32, len(kernels))}
 
 	// Number the shapes in order of their first kernel, their
 	// representative. Shape order is then representative order, so the
 	// lowest-numbered failing shape names the first kernel that fails.
+	// Output sizes are numbered the same way. A shape's kernels usually
+	// share an output size, so a memoised shape remembers its first
+	// kernel's, and only a kernel whose size differs looks it up.
 	rows := 0
 	ids := make(map[shapeKey]int32)
+	sizeIDs := make(map[int64]int32)
+	sizes := make([]int64, 0, MaxMemoKeys)
+	var shapeSize [MaxMemoKeys]int32 // by memoised shape: its first kernel's size number
 	for id := range kernels {
 		key := shapeKey{kernels[id].Name, kernels[id].DataElems}
-		s, ok := ids[key]
-		if !ok {
+		s, seen := ids[key]
+		if !seen {
 			s = int32(rows)
 			rows++
 			if len(ids) < MaxMemoKeys {
@@ -164,7 +196,23 @@ func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostCo
 			}
 		}
 		c.shape[id] = s
+		elems := kernels[id].OutElems
+		o := int32(-1)
+		if seen && shapeSize[s] >= 0 && sizes[shapeSize[s]] == elems {
+			o = shapeSize[s]
+		} else if v, ok := sizeIDs[elems]; ok {
+			o = v
+		} else if len(sizes) < MaxMemoKeys {
+			o = int32(len(sizes))
+			sizeIDs[elems] = o
+			sizes = append(sizes, elems)
+		}
+		if !seen && s < MaxMemoKeys {
+			shapeSize[s] = o
+		}
+		c.out[id] = o
 	}
+	c.fillTransfers(sizes)
 	// A kernel starts a new shape exactly where its index exceeds every
 	// earlier kernel's, so a second pass collects the representatives
 	// into one exactly sized slice.
@@ -236,6 +284,61 @@ func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostCo
 	return c, nil
 }
 
+// fillTransfers marks every numbered size's mean unpriced and fills the
+// transfer table for as many of the sizes as maxXferEntries holds, with
+// TransferMs itself, so a table read is bit for bit the direct price.
+func (c *Costs) fillTransfers(sizes []int64) {
+	np := c.np
+	c.means = make([]atomic.Uint64, len(sizes))
+	for s := range c.means {
+		c.means[s].Store(unpriced)
+	}
+	c.xferRows = min(len(sizes), maxXferEntries/max(1, np*np))
+	c.xfer = make([]float64, c.xferRows*np*np)
+	for s, elems := range sizes[:c.xferRows] {
+		tab := c.xfer[s*np*np : (s+1)*np*np]
+		for from := range np {
+			for to := range np {
+				tab[from*np+to] = c.TransferMs(elems, platform.ProcID(from), platform.ProcID(to))
+			}
+		}
+	}
+}
+
+// xferAt returns where the transfer table's row for kernel u's output sent
+// from processor from starts, or -1 when u's size has no table rows.
+func (c *Costs) xferAt(u dfg.KernelID, from platform.ProcID) int {
+	s := c.out[u]
+	if uint32(s) >= uint32(c.xferRows) { // -1 too
+		return -1
+	}
+	return (int(s)*c.np + int(from)) * c.np
+}
+
+// meanOf is MeanTransfer for a size: the sum over ordered pairs of
+// distinct processors, in row-major order, over np². tab is the size's
+// transfer table, or nil to price each link.
+func (c *Costs) meanOf(elems int64, tab []float64) float64 {
+	np := c.np
+	if np <= 1 {
+		return 0
+	}
+	var sum float64
+	for i := 0; i < np; i++ {
+		for j := 0; j < np; j++ {
+			if i == j {
+				continue
+			}
+			if tab != nil {
+				sum += tab[i*np+j]
+			} else {
+				sum += c.TransferMs(elems, platform.ProcID(i), platform.ProcID(j))
+			}
+		}
+	}
+	return sum / float64(np*np)
+}
+
 // Graph returns the bound graph.
 func (c *Costs) Graph() *dfg.Graph { return c.g }
 
@@ -264,6 +367,14 @@ func (c *Costs) ExecRow(k dfg.KernelID) []float64 {
 // processors (the w̄ᵢ of HEFT's upward rank).
 func (c *Costs) MeanExec(k dfg.KernelID) float64 { return c.mean[c.shape[k]] }
 
+// Shape returns kernel k's shape row: kernels of one (Name, DataElems)
+// shape share it, except past MaxMemoKeys shapes, where a repeat may get a
+// row of its own. Rows are numbered from 0 in order of their first kernel.
+func (c *Costs) Shape(k dfg.KernelID) int { return int(c.shape[k]) }
+
+// NumShapes returns the number of shape rows.
+func (c *Costs) NumShapes() int { return len(c.best) }
+
 // BestProc returns the processor with the minimum execution time for k
 // (the paper's pmin) and that minimum time. Ties break to the lower ID.
 //
@@ -278,7 +389,8 @@ func (c *Costs) BestProc(k dfg.KernelID) (platform.ProcID, float64) {
 // link from -> to. Same-processor transfers are free; a zero-rate link
 // between distinct processors is unusable and returns +Inf-like large cost
 // — it is reported as an error at engine level, but policies pricing such a
-// link see the huge cost and avoid it.
+// link see the huge cost and avoid it. Prices of a graph's kernels come
+// from the tables PrepareCosts builds with it (TransferOut).
 func (c *Costs) TransferMs(elems int64, from, to platform.ProcID) float64 {
 	if from == to {
 		return 0
@@ -295,17 +407,24 @@ func (c *Costs) TransferMs(elems int64, from, to platform.ProcID) float64 {
 // enough that any schedule using it loses, finite so arithmetic stays sane.
 const unusableLinkMs = 365 * 24 * 3600 * 1000.0
 
+// TransferOut returns the time to move kernel u's output across the
+// directed link from -> to: TransferMs of u's OutElems, read from the
+// transfer table when u's size has a row.
+func (c *Costs) TransferOut(u dfg.KernelID, from, to platform.ProcID) float64 {
+	if at := c.xferAt(u, from); at >= 0 {
+		return c.xfer[at+int(to)]
+	}
+	return c.TransferMs(c.g.Kernels()[u].OutElems, from, to)
+}
+
 // TransferIn returns the incoming-transfer time kernel k would pay if
 // executed on processor p, given placement: a function reporting the
 // processor of each finished predecessor. Predecessors on p contribute
 // zero. Combination follows the configured TransferMode.
 func (c *Costs) TransferIn(k dfg.KernelID, p platform.ProcID, placement func(dfg.KernelID) platform.ProcID) float64 {
-	// Read OutElems in place: Graph.Kernel is too large to inline, so it
-	// would copy a whole Kernel per edge.
-	kernels := c.g.Kernels()
 	var in float64
 	for _, pred := range c.g.Preds(k) {
-		in = c.combine(in, c.TransferMs(kernels[pred].OutElems, placement(pred), p))
+		in = c.combine(in, c.TransferOut(pred, placement(pred), p))
 	}
 	return in
 }
@@ -317,10 +436,26 @@ func (c *Costs) TransferRow(k dfg.KernelID, placement func(dfg.KernelID) platfor
 	dst = dst[:c.np]
 	clear(dst)
 	kernels := c.g.Kernels()
+	sum := c.cfg.Mode == TransferSum
 	for _, pred := range c.g.Preds(k) {
-		from, elems := placement(pred), kernels[pred].OutElems
+		from := placement(pred)
+		if at := c.xferAt(pred, from); at >= 0 {
+			row := c.xfer[at : at+c.np]
+			if sum {
+				for p, ms := range row {
+					dst[p] += ms
+				}
+			} else {
+				for p, ms := range row {
+					if ms > dst[p] {
+						dst[p] = ms
+					}
+				}
+			}
+			continue
+		}
 		for p := range dst {
-			dst[p] = c.combine(dst[p], c.TransferMs(elems, from, platform.ProcID(p)))
+			dst[p] = c.combine(dst[p], c.TransferMs(kernels[pred].OutElems, from, platform.ProcID(p)))
 		}
 	}
 }
@@ -341,21 +476,23 @@ func (c *Costs) combine(in, ms float64) float64 {
 // MeanTransfer returns the average transfer cost of edge u->v across all
 // ordered processor pairs (used by HEFT/PEFT mean communication costs c̄ᵢⱼ;
 // pairs on the same processor contribute zero, matching the standard
-// formulation of averaging over all processor pairs).
+// formulation of averaging over all processor pairs). It depends only on
+// u's output size, so each numbered size is averaged once, from the
+// transfer table when the size has rows there.
 func (c *Costs) MeanTransfer(u dfg.KernelID) float64 {
-	np := c.sys.NumProcs()
-	if np <= 1 {
-		return 0
+	elems := c.g.Kernels()[u].OutElems
+	s := c.out[u]
+	if s < 0 {
+		return c.meanOf(elems, nil)
 	}
-	elems := c.g.Kernel(u).OutElems
-	var sum float64
-	for i := 0; i < np; i++ {
-		for j := 0; j < np; j++ {
-			if i == j {
-				continue
-			}
-			sum += c.TransferMs(elems, platform.ProcID(i), platform.ProcID(j))
-		}
+	if b := c.means[s].Load(); b != unpriced {
+		return math.Float64frombits(b)
 	}
-	return sum / float64(np*np)
+	var tab []float64
+	if int(s) < c.xferRows {
+		tab = c.xfer[int(s)*c.np*c.np : (int(s)+1)*c.np*c.np]
+	}
+	v := c.meanOf(elems, tab)
+	c.means[s].Store(math.Float64bits(v))
+	return v
 }

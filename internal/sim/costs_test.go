@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/dfg"
@@ -179,6 +180,104 @@ func TestMeanTransfer(t *testing.T) {
 	want := 6.0 / 9.0
 	if got := c.MeanTransfer(u); math.Abs(got-want) > 1e-9 {
 		t.Errorf("MeanTransfer = %v, want %v", got, want)
+	}
+}
+
+// directMean is MeanTransfer priced link by link: the sum of TransferMs
+// over ordered pairs of distinct processors, in row-major order, over np².
+func directMean(c *Costs, elems int64) float64 {
+	np := c.System().NumProcs()
+	if np <= 1 {
+		return 0
+	}
+	var sum float64
+	for i := 0; i < np; i++ {
+		for j := 0; j < np; j++ {
+			if i != j {
+				sum += c.TransferMs(elems, platform.ProcID(i), platform.ProcID(j))
+			}
+		}
+	}
+	return sum / float64(np*np)
+}
+
+// directTransferIn is TransferIn priced link by link with TransferMs,
+// combining predecessors in order as the configured mode says.
+func directTransferIn(c *Costs, k dfg.KernelID, p platform.ProcID, place func(dfg.KernelID) platform.ProcID) float64 {
+	var in float64
+	for _, pred := range c.Graph().Preds(k) {
+		ms := c.TransferMs(c.Graph().Kernel(pred).OutElems, place(pred), p)
+		if c.Config().Mode == TransferSum {
+			in += ms
+		} else if ms > in {
+			in = ms
+		}
+	}
+	return in
+}
+
+// TestMeanTransferTable pins MeanTransfer's memo: it equals the direct sum
+// bit for bit for every kernel, the second time a size is asked for too,
+// whether the size has transfer-table rows, is numbered but past the
+// table's 2¹⁶-entry budget (130 processors keep 3 sizes), or lies past
+// MaxMemoKeys sizes and is priced on every call. Four goroutines then ask
+// a fresh Costs for every mean at once; under -race this is the memo's
+// concurrency check.
+func TestMeanTransferTable(t *testing.T) {
+	env := tiny(t, 4)
+	wide := platform.NewBuilder()
+	for p := 0; p < 130; p++ {
+		wide.AddProcessor([]platform.Kind{platform.CPU, platform.GPU, platform.FPGA}[p%3], "")
+	}
+	const sizes = MaxMemoKeys + 20
+	b := dfg.NewBuilder()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < sizes; i++ {
+			b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000, OutElems: int64(1 + 997*i)})
+		}
+	}
+	g := b.MustBuild()
+	for _, tc := range []struct {
+		sys  *platform.System
+		rows int
+	}{
+		{env.sys, MaxMemoKeys},
+		{wide.SetUniformRate(4).MustBuild(), 3},
+	} {
+		c, err := PrepareCosts(g, tc.sys, env.tab, CostConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.xferRows != tc.rows {
+			t.Errorf("%d procs: transfer table holds %d sizes, want %d", tc.sys.NumProcs(), c.xferRows, tc.rows)
+		}
+		want := make([]float64, g.NumKernels())
+		for k := range want {
+			id := dfg.KernelID(k)
+			want[k] = directMean(c, g.Kernel(id).OutElems)
+			if got := c.MeanTransfer(id); !sameBits(got, want[k]) {
+				t.Fatalf("%d procs, kernel %d (size %d): MeanTransfer %v, direct sum %v",
+					tc.sys.NumProcs(), k, c.out[k], got, want[k])
+			}
+		}
+		fresh, err := PrepareCosts(g, tc.sys, env.tab, CostConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range want {
+					if got := fresh.MeanTransfer(dfg.KernelID(k)); !sameBits(got, want[k]) {
+						t.Errorf("%d procs, concurrent: MeanTransfer(%d) = %v, direct sum %v", tc.sys.NumProcs(), k, got, want[k])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -132,7 +132,7 @@ func (e *engine) transferFinish(k dfg.KernelID, p platform.ProcID, at float64) (
 		if from == p {
 			continue // same-processor transfers are free, degraded or not
 		}
-		nominal := e.actual.TransferMs(g.Kernel(pred).OutElems, from, p)
+		nominal := e.actual.TransferOut(pred, from, p)
 		start := at
 		if mode == TransferSum {
 			start = serial

@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"repro/internal/dfg"
@@ -173,6 +172,10 @@ type Result struct {
 	// kernels (== number of kernels).
 	SelectCalls int
 	Assignments int
+
+	// starts lists the kernels in the order the engine started them, which
+	// Validate checks occupancy along.
+	starts []dfg.KernelID
 }
 
 // eventKind distinguishes the engine's event types. 32 bits keep the event
@@ -390,18 +393,29 @@ type engine struct {
 	busyUntil []float64
 	history   [][]float64
 
-	placements  []Placement // escapes into Result: fresh per run
-	events      []event     // min-heap ordered by event.before
+	placements []Placement // escapes into Result: fresh per run
+	// starts appends each kernel as it starts; it escapes into the Result
+	// too, so each run gets a fresh one.
+	starts []dfg.KernelID
+	// wake has one bit per processor whose queue head may have become
+	// startable since startQueued last looked: set when a kernel is
+	// committed to it, when it finishes a kernel, and when a kernel
+	// committed to it turns ready. startQueued visits and clears only these.
+	wake        []uint64
+	events      []event // min-heap ordered by event.before
 	lambdas     []float64
 	sojourns    []float64 // appended in completion order, reused per run
 	qwaits      []float64
+	procAt      []int32  // result's per-processor write cursors into qwaits
 	sortBuf     []uint64 // radix.Float64s' scratch, reused per run
 	nFinished   int
 	selectCalls int
 	assignments int
 
-	// arena slab-allocates the escaping placement blocks; see slab.go.
-	arena placementArena
+	// The arenas slab-allocate the escaping placement and start-log
+	// blocks; see slab.go.
+	placeArena arena[Placement]
+	startArena arena[dfg.KernelID]
 
 	// placeFn resolves a predecessor's processor for transfer pricing. It is
 	// built once per engine (not per start call) so the hot path does not
@@ -587,6 +601,8 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 		e.procOf[i] = -1
 	}
 
+	e.wake = grow(e.wake, (np+63)/64)
+	clear(e.wake)
 	e.queues = grow(e.queues, np)
 	e.running = grow(e.running, np)
 	e.busyUntil = grow(e.busyUntil, np)
@@ -604,10 +620,12 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 		e.placeFn = func(pred dfg.KernelID) platform.ProcID { return e.procOf[pred] }
 	}
 
-	// Placements escape into the Result, so each run gets a block no other
-	// run will ever touch — slab-carved rather than allocated, so repeated
-	// small runs share one arena allocation (see slab.go).
-	e.placements = e.arena.alloc(n)
+	// Placements and the start log escape into the Result, so each run gets
+	// blocks no other run will ever touch — slab-carved rather than
+	// allocated, so repeated small runs share one arena allocation of each
+	// (see slab.go). A kernel starts once, so the log never outgrows n.
+	e.placements = e.placeArena.alloc(n)
+	e.starts = e.startArena.alloc(n)[:0]
 }
 
 // runnerPool recycles Runners across package-level Run calls. Results never
@@ -647,13 +665,29 @@ func (r *Runner) release() {
 func (e *engine) arrive(k dfg.KernelID) {
 	e.arrived[k] = true
 	if e.predsLeft[k] == 0 {
-		e.readyAt[k] = e.now
-		e.placements[k].Ready = e.now
-		if !e.assigned[k] {
-			e.pushReady(k)
-		}
+		e.becameReady(k)
 	}
 }
+
+// becameReady records that kernel k's dependencies have finished and it has
+// arrived: a committed kernel wakes its processor, which may be waiting on
+// it at its queue head; any other joins the ready list.
+//
+//apt:hotpath
+func (e *engine) becameReady(k dfg.KernelID) {
+	e.readyAt[k] = e.now
+	e.placements[k].Ready = e.now
+	if e.assigned[k] {
+		e.wakeProc(e.procOf[k])
+	} else {
+		e.pushReady(k)
+	}
+}
+
+// wakeProc marks processor p for startQueued's next look.
+//
+//apt:hotpath
+func (e *engine) wakeProc(p platform.ProcID) { e.wake[p>>6] |= 1 << (p & 63) }
 
 //apt:hotpath
 func (e *engine) invokePolicy(st *State) {
@@ -683,6 +717,7 @@ func (e *engine) commit(a Assignment) {
 	_, best := e.actual.BestProc(a.Kernel)
 	e.placements[a.Kernel].BestExecMs = best
 	e.queues[a.Proc].push(a.Kernel)
+	e.wakeProc(a.Proc)
 	// Drop from the ready list if present (static policies may assign
 	// kernels that are not ready yet, in any order).
 	e.removeReady(a.Kernel)
@@ -704,21 +739,28 @@ func (e *engine) badAssignment(a Assignment) {
 }
 
 // startQueued starts the head of every idle processor's queue whose
-// dependencies have completed.
+// dependencies have completed. Only a commit, a completion or a committed
+// kernel turning ready changes whether a processor can start, and each
+// wakes that processor, so visiting the woken ones in ascending ID starts
+// what a scan of every processor would, in the same order.
 //
 //apt:hotpath
 func (e *engine) startQueued() error {
-	for p := range e.queues {
-		if e.running[p] >= 0 || e.queues[p].len() == 0 {
-			continue
-		}
-		k := e.queues[p].peek()
-		if e.predsLeft[k] > 0 || !e.arrived[k] {
-			continue // head blocked on dependencies or not yet arrived
-		}
-		e.queues[p].pop()
-		if err := e.start(k, platform.ProcID(p)); err != nil {
-			return err
+	for w, word := range e.wake {
+		e.wake[w] = 0 // start wakes no processor
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			if e.running[p] >= 0 || e.queues[p].len() == 0 {
+				continue
+			}
+			k := e.queues[p].peek()
+			if e.predsLeft[k] > 0 || !e.arrived[k] {
+				continue // head blocked on dependencies or not yet arrived
+			}
+			e.queues[p].pop()
+			if err := e.start(k, platform.ProcID(p)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -739,6 +781,7 @@ func (e *engine) start(k dfg.KernelID, p platform.ProcID) error {
 	}
 	e.running[p] = k
 	e.busyUntil[p] = pl.Finish
+	e.starts = append(e.starts, k)
 	e.pushEvent(event{at: pl.Finish, kernel: k, proc: p})
 	return nil
 }
@@ -769,6 +812,7 @@ func (e *engine) complete(ev event) {
 	k, p := ev.kernel, ev.proc
 	e.nFinished++
 	e.running[p] = -1
+	e.wakeProc(p)
 	// Finish events pop in nondecreasing time, so under the closed model
 	// (sojourn = Finish) the sojourns arrive ascending and result's sort
 	// is one linear check.
@@ -785,11 +829,7 @@ func (e *engine) complete(ev event) {
 	for _, s := range e.costs.g.Succs(k) {
 		e.predsLeft[s]--
 		if e.predsLeft[s] == 0 && e.arrived[s] {
-			e.readyAt[s] = e.now
-			e.placements[s].Ready = e.now
-			if !e.assigned[s] {
-				e.pushReady(s)
-			}
+			e.becameReady(s)
 		}
 	}
 }
@@ -806,7 +846,6 @@ func (e *engine) result() *Result {
 	for p := 0; p < np; p++ {
 		res.ProcStats[p].Proc = platform.ProcID(p)
 	}
-	qwaits := grow(e.qwaits, len(e.placements))
 	var makespan float64
 	lambdas := e.lambdas[:0]
 	for i := range e.placements {
@@ -821,15 +860,32 @@ func (e *engine) result() *Result {
 		if l := pl.Lambda(); l > 0 {
 			lambdas = append(lambdas, l)
 		}
-		qwaits[i] = pl.QueueWait()
 	}
-	e.lambdas, e.qwaits = lambdas, qwaits
+	// Queue waits go one processor at a time, in start order. A processor
+	// runs its kernels one after another, so its ExecStarts ascend, and
+	// under the closed model (queue wait = ExecStart) the array is at most
+	// np ascending runs, which radix.Float64s merges.
+	at := grow(e.procAt, np)
+	var sum int32
+	for p := range at {
+		at[p] = sum
+		sum += int32(res.ProcStats[p].Kernels)
+	}
+	qwaits := grow(e.qwaits, len(e.placements))
+	for _, k := range e.starts {
+		pl := &e.placements[k]
+		qwaits[at[pl.Proc]] = pl.QueueWait()
+		at[pl.Proc]++
+	}
+	e.lambdas, e.qwaits, e.procAt = lambdas, qwaits, at
+	res.starts, e.starts = e.starts, nil
 	// Only the scalar summaries escape into the Result; the sorted arrays
 	// stay engine scratch, so warm runs stay allocation-lean. A sorted
 	// array depends only on the values, not their input order, except
 	// where values compare equal with different bits (−0 beside +0, NaNs
 	// of different payloads), which run times do not mix. So summarising
-	// sojourns in completion order changes no bit.
+	// sojourns in completion order, and queue waits in start order per
+	// processor, changes no bit.
 	e.sortBuf = radix.Float64s(e.sojourns, e.sortBuf)
 	res.Sojourn = stats.SummarizeSorted(e.sojourns)
 	e.sortBuf = radix.Float64s(qwaits, e.sortBuf)
@@ -859,21 +915,28 @@ func (e *engine) result() *Result {
 // starts its transfer before being assigned nor executes before all its
 // dependencies finish; λ is non-negative; and the reported makespan equals
 // the latest finish. It exists for tests and for downstream users embedding
-// custom policies.
+// custom policies. Occupancy is checked along the order the engine started
+// the kernels in, which Run records in the Result, so only a Result
+// returned by Run passes.
 //
 // From a few thousand kernels up the per-kernel lifecycle checks shard
-// across autoLanes kernel-index chunks and the per-processor occupancy scans
-// across processors; both report the same first error the serial walk
-// would, for any lane count (see lanes.go).
+// across autoLanes kernel-index chunks; they report the same first error
+// the serial walk would, for any lane count (see lanes.go).
 func (r *Result) Validate(g *dfg.Graph, sys *platform.System) error {
 	return r.validate(g, sys, autoLanes(g.NumKernels()))
 }
 
-// validate is Validate over an explicit lane count. The occupancy index is
-// a counting sort into one int32 slice — 4 bytes per kernel, no Placement
-// copies — because this index is the pass's dominant allocation at 100k+
-// kernels.
+// validate is Validate over an explicit lane count.
 func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
+	if err := r.checkLifecycles(g, sys, lanes); err != nil || len(r.Placements) == 0 {
+		return err
+	}
+	return r.checkOccupancy(sys.NumProcs())
+}
+
+// checkLifecycles checks every placement on its own, in lanes, and the
+// makespan against the latest finish.
+func (r *Result) checkLifecycles(g *dfg.Graph, sys *platform.System, lanes int) error {
 	n := g.NumKernels()
 	if len(r.Placements) != n {
 		return fmt.Errorf("sim: %d placements for %d kernels", len(r.Placements), n)
@@ -882,22 +945,10 @@ func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
 		return nil
 	}
 	np := sys.NumProcs()
-	// Tolerances scale with the magnitudes involved: at 100k-kernel scale
-	// simulated times reach 1e7–1e8 ms, where one double-precision ulp
-	// already exceeds a fixed 1e-9 (e.g. λ on the best processor computes
-	// (ready+exec)−ready−exec, which rounds to ±ulp(finish), not ±1e-9).
-	eps := func(at float64) float64 { return 1e-9 * (1 + math.Abs(at)) }
-
 	nl := clampLanes(lanes, n)
 	errs := make([]laneError, nl)
 	laneMax := make([]float64, nl)
-	// perLane[lane*np+p] counts lane-local kernels on processor p; the
-	// prefix pass below turns the columns into per-lane write cursors so
-	// every lane can fill its slice of the occupancy index without locks —
-	// each lane holds a private reservation of every processor's bucket.
-	perLane := make([]int32, nl*np)
 	parallelChunks(n, lanes, func(c laneChunk) {
-		counts := perLane[c.lane*np : (c.lane+1)*np]
 		var maxFinish float64
 		for i := c.lo; i < c.hi; i++ {
 			pl := &r.Placements[i]
@@ -930,7 +981,6 @@ func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
 					return
 				}
 			}
-			counts[pl.Proc]++
 			if pl.Finish > maxFinish {
 				maxFinish = pl.Finish
 			}
@@ -949,64 +999,45 @@ func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
 	if math.Abs(maxFinish-r.MakespanMs) > math.Max(1e-6, eps(maxFinish)) {
 		return fmt.Errorf("sim: makespan %v != latest finish %v", r.MakespanMs, maxFinish)
 	}
+	return nil
+}
 
-	// Turn the per-lane counts into write cursors: cursor(lane, p) =
-	// bucket start of p + kernels earlier lanes put on p. Filling through
-	// these cursors is a stable counting sort — bucket entries come out in
-	// ascending kernel index for any lane count.
-	starts := make([]int32, np+1)
-	for p := 0; p < np; p++ {
-		var total int32
-		for l := 0; l < nl; l++ {
-			c := perLane[l*np+p]
-			perLane[l*np+p] = starts[p] + total
-			total += c
-		}
-		starts[p+1] = starts[p] + total
+// eps is the tolerance of a comparison against time at. Tolerances scale
+// with the magnitudes involved: at 100k-kernel scale simulated times reach
+// 1e7–1e8 ms, where one double-precision ulp already exceeds a fixed 1e-9
+// (e.g. λ on the best processor computes (ready+exec)−ready−exec, which
+// rounds to ±ulp(finish), not ±1e-9).
+func eps(at float64) float64 { return 1e-9 * (1 + math.Abs(at)) }
+
+// checkOccupancy walks the start log once. The log must list every kernel
+// exactly once, and along it each processor's next transfer start must not
+// precede its previous kernel's finish. With the lifecycle checks (transfer
+// start ≤ exec start ≤ finish) that chain orders every processor's
+// intervals end to start, so no two of them overlap.
+func (r *Result) checkOccupancy(np int) error {
+	n := len(r.Placements)
+	if len(r.starts) != n {
+		return fmt.Errorf("sim: start log lists %d kernels for %d", len(r.starts), n)
 	}
-	byProc := make([]int32, n) // occupancy index: kernel indices bucketed by processor
-	parallelChunks(n, lanes, func(c laneChunk) {
-		cursors := perLane[c.lane*np : (c.lane+1)*np]
-		for i := c.lo; i < c.hi; i++ {
-			p := r.Placements[i].Proc
-			byProc[cursors[p]] = int32(i)
-			cursors[p]++
+	seen := make([]uint64, (n+63)/64)
+	last := make([]int32, np) // the kernel last started on each processor, plus one
+	for _, k := range r.starts {
+		if k < 0 || int(k) >= n {
+			return fmt.Errorf("sim: start log lists unknown kernel %d", k)
 		}
-	})
-
-	// Per-processor occupancy: order each bucket by transfer start and scan
-	// for overlap. Buckets are independent, so they shard across lanes; the
-	// first error is deterministic because buckets are walked by (processor,
-	// position) stamp. Ties on TransferStart order by kernel index so the
-	// sort — and any reported overlap pair — is a total order.
-	// Sized by this scan's own chunk count: lanes clamp against the
-	// processor count here, not the kernel count, and np may exceed n.
-	procErrs := make([]laneError, clampLanes(lanes, np))
-	parallelChunks(np, lanes, func(c laneChunk) {
-		for p := c.lo; p < c.hi; p++ {
-			if procErrs[c.lane].err != nil {
-				return
-			}
-			bucket := byProc[starts[p]:starts[p+1]]
-			slices.SortFunc(bucket, func(a, b int32) int {
-				ta, tb := r.Placements[a].TransferStart, r.Placements[b].TransferStart
-				if ta < tb {
-					return -1
-				}
-				if tb < ta {
-					return 1
-				}
-				return cmp.Compare(a, b)
-			})
-			for i := 1; i < len(bucket); i++ {
-				prev, cur := &r.Placements[bucket[i-1]], &r.Placements[bucket[i]]
-				if cur.TransferStart < prev.Finish-eps(prev.Finish) {
-					procErrs[c.lane] = laneError{at: p, err: fmt.Errorf("sim: processor %d overlap: kernel %d (start %v) before kernel %d finished (%v)",
-						p, cur.Kernel, cur.TransferStart, prev.Kernel, prev.Finish)}
-					return
-				}
+		if seen[k>>6]&(1<<(k&63)) != 0 {
+			return fmt.Errorf("sim: start log lists kernel %d twice", k)
+		}
+		seen[k>>6] |= 1 << (k & 63)
+		cur := &r.Placements[k]
+		if j := last[cur.Proc] - 1; j >= 0 {
+			prev := &r.Placements[j]
+			if cur.TransferStart < prev.Finish-eps(prev.Finish) {
+				return fmt.Errorf("sim: processor %d overlap: kernel %d (start %v) before kernel %d finished (%v)",
+					cur.Proc, cur.Kernel, cur.TransferStart, prev.Kernel, prev.Finish)
 			}
 		}
-	})
-	return firstLaneError(procErrs)
+		last[cur.Proc] = int32(k) + 1
+	}
+	return nil
 }

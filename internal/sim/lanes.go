@@ -13,8 +13,9 @@ import (
 // at every decision point, so any reordering would change the schedule
 // itself. What lanes do parallelise are the trajectory-independent phases
 // that measurably win from it: cost-table preparation (per-shape rows are
-// independent), schedule validation (per-kernel lifecycle checks and
-// per-processor occupancy scans) and the public result conversion in apt.
+// independent), schedule validation's per-kernel lifecycle checks (its
+// occupancy check is one serial walk of the start log) and the public
+// result conversion in apt.
 // The lane count is not a knob: autoLanes derives it from the number of
 // items a phase covers (shape rows or kernels) and GOMAXPROCS, so small
 // graphs stay on the serial, goroutine-free path.

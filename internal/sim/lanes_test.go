@@ -79,19 +79,69 @@ func fuzzTable(f *testing.F) *lut.Table {
 
 // fuzzMachines are the systems the lanes oracle runs on: the paper's three
 // kinds; repeated kinds in mixed order, whose duplicate processors tie on
-// execution time; and the same with a kind the table lacks.
+// execution time, with asymmetric and missing links; and the same with a
+// kind the table lacks.
 func fuzzMachines() []*platform.System {
-	build := func(kinds ...platform.Kind) *platform.System {
-		b := platform.NewBuilder()
-		for _, k := range kinds {
-			b.AddProcessor(k, "")
-		}
-		return b.SetUniformRate(4).MustBuild()
-	}
 	return []*platform.System{
 		platform.PaperSystem(4),
-		build(platform.GPU, platform.CPU, platform.GPU, platform.FPGA, platform.CPU, platform.FPGA, platform.GPU),
-		build(platform.CPU, platform.GPU, platform.CPU, "DSP", platform.FPGA, "DSP"),
+		fuzzBuild(platform.GPU, platform.CPU, platform.GPU, platform.FPGA, platform.CPU, platform.FPGA, platform.GPU).
+			SetRate(0, 3, 16).SetRate(3, 0, 0.5).SetRate(5, 1, 0).MustBuild(),
+		fuzzBuild(platform.CPU, platform.GPU, platform.CPU, "DSP", platform.FPGA, "DSP").MustBuild(),
+	}
+}
+
+// fuzzWideMachine has 130 processors of the paper's kinds with
+// asymmetric links: its transfer table holds only 3 of fuzzDAG's up to 8
+// output sizes, so the rest are priced link by link.
+func fuzzWideMachine() *platform.System {
+	wide := make([]platform.Kind, 130)
+	for p := range wide {
+		wide[p] = []platform.Kind{platform.CPU, platform.GPU, platform.FPGA}[p*7%3]
+	}
+	return fuzzBuild(wide...).SetRate(0, 129, 32).SetRate(129, 0, 1).SetRate(64, 2, 0.25).MustBuild()
+}
+
+// fuzzBuild starts a system of the given kinds with 4 GB/s links.
+func fuzzBuild(kinds ...platform.Kind) *platform.Builder {
+	b := platform.NewBuilder()
+	for _, k := range kinds {
+		b.AddProcessor(k, "")
+	}
+	return b.SetUniformRate(4)
+}
+
+// checkTransfers compares TransferIn, TransferRow and MeanTransfer with
+// pricing every link on its own (directTransferIn, directMean), bit for
+// bit, on every kernel and processor, under a placement that spreads the
+// predecessors over the processors.
+func checkTransfers(t *testing.T, what string, c *Costs) {
+	t.Helper()
+	g, np := c.Graph(), c.System().NumProcs()
+	place := func(pred dfg.KernelID) platform.ProcID { return platform.ProcID(int(pred) * 7 % np) }
+	row := make([]float64, np)
+	means := map[int64]float64{} // directMean by output size: np² links each
+	for k := range g.NumKernels() {
+		id := dfg.KernelID(k)
+		elems := g.Kernel(id).OutElems
+		want, ok := means[elems]
+		if !ok {
+			want = directMean(c, elems)
+			means[elems] = want
+		}
+		if got := c.MeanTransfer(id); !sameBits(got, want) {
+			t.Fatalf("%s: MeanTransfer(%d) = %v, direct %v", what, k, got, want)
+		}
+		c.TransferRow(id, place, row)
+		for p := range np {
+			pid := platform.ProcID(p)
+			want := directTransferIn(c, id, pid, place)
+			if got := c.TransferIn(id, pid, place); !sameBits(got, want) {
+				t.Fatalf("%s: TransferIn(%d, %d) = %v, direct %v", what, k, p, got, want)
+			}
+			if !sameBits(row[p], want) {
+				t.Fatalf("%s: TransferRow(%d)[%d] = %v, direct %v", what, k, p, row[p], want)
+			}
+		}
 	}
 }
 
@@ -133,21 +183,28 @@ func fixedLanes(lanes int) func(rows int) int { return func(int) int { return la
 // sameBits reports whether two float64s are the same value bit for bit.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// FuzzLanesOracle is the shape-table and partition-vs-serial oracle: for
-// arbitrary DAGs on every fuzz machine, cost tables prepared at 1, 2, 4 and
-// one-per-CPU lanes must return exactly what per-(kernel, processor)
-// pricing does — Exec, ExecRow, BestProc and MeanExec bit for bit, or the
-// same error string — runs over them must serialise to the same bytes as
-// the serial run, and the lane-parallel validator must accept every
-// schedule the serial one accepts.
+// FuzzLanesOracle is the shape-table, transfer-table and
+// partition-vs-serial oracle: for arbitrary DAGs on every fuzz machine,
+// cost tables prepared at 1, 2, 4 and one-per-CPU lanes must return
+// exactly what per-(kernel, processor) pricing does — Exec, ExecRow,
+// BestProc and MeanExec bit for bit, or the same error string — and
+// exactly what per-link pricing does for TransferIn, TransferRow and
+// MeanTransfer under both transfer modes; runs over them must serialise
+// to the same bytes as the serial run, and the lane-parallel validator
+// must accept every schedule the serial one accepts. When bits 4 and 5 of
+// the second byte are set, the transfer checks also run on
+// fuzzWideMachine, whose table overflows; a 2¹⁶-entry table per input
+// would otherwise slow every input about tenfold.
 func FuzzLanesOracle(f *testing.F) {
 	f.Add([]byte{5, 0})
 	f.Add([]byte{11, 1, 0, 1, 1, 2, 0, 2, 5, 9})
 	f.Add([]byte{39, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200, 100})
 	f.Add([]byte{20, 0x93, 0, 5, 5, 9})
 	f.Add([]byte{33, 0x47, 3, 4, 4, 30, 1, 2})
+	f.Add([]byte{39, 0x31, 0, 1, 1, 2, 2, 38, 5, 9, 9, 20})
 	tab := fuzzTable(f)
 	machines := fuzzMachines()
+	wide := fuzzWideMachine()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzDAG(data)
 		if g == nil {
@@ -191,7 +248,25 @@ func FuzzLanesOracle(f *testing.F) {
 			if wantErr != nil {
 				continue
 			}
+			// The transfer tables are filled serially, so one cost table
+			// per transfer mode covers every lane count.
+			sum, err := PrepareCosts(g, sys, tab, CostConfig{Mode: TransferSum})
+			if err != nil {
+				t.Fatalf("machine %d: TransferSum costs: %v", mi, err)
+			}
+			checkTransfers(t, fmt.Sprintf("machine %d", mi), serial)
+			checkTransfers(t, fmt.Sprintf("machine %d, TransferSum", mi), sum)
 			checkLaneRuns(t, g, sys, tab, serial)
+		}
+		if data[1]&0x30 != 0x30 {
+			return
+		}
+		for _, mode := range []TransferMode{TransferMax, TransferSum} {
+			c, err := PrepareCosts(g, wide, tab, CostConfig{Mode: mode})
+			if err != nil {
+				continue // "zz" is missing from the table
+			}
+			checkTransfers(t, fmt.Sprintf("wide machine, %v", mode), c)
 		}
 	})
 }
@@ -313,12 +388,16 @@ func mallocsPerRun(runs int, fn func()) uint64 {
 // for a second lane, PrepareCosts and Validate must start no goroutines and
 // build no chunk slices, even with several procs available. The counts are
 // the serial path's own allocations: PrepareCosts the Costs header, the
-// per-kernel shape index, the exec/best/mean shape tables, the shape
-// representatives, each processor's first processor of its kind, the
-// one-entry error slot and the row-fill closure (the small shape and kind
-// maps stay on the stack); Validate its per-lane scratch
-// (error slot, finish max, per-proc counts), the occupancy index, the
-// bucket starts, the proc error slot and two closures.
+// per-kernel shape and output-size indexes, the exec/best/mean shape
+// tables, the transfer table and its means, the shape representatives,
+// each processor's first processor of its kind, the one-entry error slot
+// and the row-fill closure (the small shape, size and kind maps and the
+// size list stay on the stack); Validate its per-lane scratch (error slot,
+// finish max), the lifecycle closure, the start log's n-bit set and each
+// processor's last-started kernel. Validate went from 9 to 5 when
+// occupancy moved onto the start log: the per-lane processor counts, the
+// occupancy index, its bucket starts, the processor error slot and two
+// closures went, and the bit set and last-started slots came.
 func TestSerialPhasesAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	env := tiny(t, 4)
@@ -334,16 +413,16 @@ func TestSerialPhasesAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if prep != 9 {
-		t.Errorf("PrepareCosts at %d kernels allocates %d objects, want the serial path's 9", n, prep)
+	if prep != 12 {
+		t.Errorf("PrepareCosts at %d kernels allocates %d objects, want the serial path's 12", n, prep)
 	}
 	val := mallocsPerRun(20, func() {
 		if err := res.Validate(g, env.sys); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if val != 9 {
-		t.Errorf("Validate at %d kernels allocates %d objects, want the serial path's 9", n, val)
+	if val != 5 {
+		t.Errorf("Validate at %d kernels allocates %d objects, want the serial path's 5", n, val)
 	}
 }
 
@@ -399,7 +478,7 @@ func TestParallelOverDisjointWrites(t *testing.T) {
 // TestPlacementArenaBlocks exercises the slab allocator directly: blocks
 // are zeroed, disjoint, and appending to one cannot clobber its neighbour.
 func TestPlacementArenaBlocks(t *testing.T) {
-	var a placementArena
+	var a arena[Placement]
 	b1 := a.alloc(10)
 	b2 := a.alloc(20)
 	if len(b1) != 10 || len(b2) != 20 {
@@ -433,7 +512,7 @@ func TestPlacementArenaBlocks(t *testing.T) {
 // first slab is exactly the requested block (one-shot runs pay no slab tax),
 // refills double the previous capacity, and growth caps at arenaMaxSlab.
 func TestPlacementArenaAdaptiveSizing(t *testing.T) {
-	var a placementArena
+	var a arena[Placement]
 	a.alloc(100)
 	if c := cap(a.slab); c != 100 {
 		t.Fatalf("cold slab cap = %d, want exactly 100", c)
@@ -442,7 +521,7 @@ func TestPlacementArenaAdaptiveSizing(t *testing.T) {
 	if c := cap(a.slab); c != 200 {
 		t.Fatalf("second slab cap = %d, want 200", c)
 	}
-	var b placementArena
+	var b arena[Placement]
 	for i := 0; i < 40; i++ {
 		b.alloc(arenaMaxSlab / 4)
 	}

@@ -115,28 +115,6 @@ func (c *Catalog) RandomSeries(r *rand.Rand, n int) []KernelSpec {
 	return out
 }
 
-// Validate checks that every spec names a catalog kernel with an admissible
-// size.
-func (c *Catalog) Validate(series []KernelSpec) error {
-	for i, s := range series {
-		sizes, ok := c.sizes[s.Name]
-		if !ok {
-			return fmt.Errorf("workload: spec %d names unknown kernel %q", i, s.Name)
-		}
-		found := false
-		for _, sz := range sizes {
-			if sz == s.DataElems {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("workload: spec %d size %d not admissible for kernel %q", i, s.DataElems, s.Name)
-		}
-	}
-	return nil
-}
-
 // addSpec appends a series element to a graph builder, filling in the dwarf.
 func addSpec(b *dfg.Builder, s KernelSpec, app int) dfg.KernelID {
 	return b.AddKernel(dfg.Kernel{

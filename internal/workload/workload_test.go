@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,28 @@ func TestNewCatalogErrors(t *testing.T) {
 	if _, err := NewCatalog(map[string][]int64{"k": {0}}); err == nil {
 		t.Error("non-positive size: want error")
 	}
+}
+
+// Validate checks that every spec names a catalog kernel with an admissible
+// size: the oracle RandomSeries' draws must pass.
+func (c *Catalog) Validate(series []KernelSpec) error {
+	for i, s := range series {
+		sizes, ok := c.sizes[s.Name]
+		if !ok {
+			return fmt.Errorf("workload: spec %d names unknown kernel %q", i, s.Name)
+		}
+		found := false
+		for _, sz := range sizes {
+			if sz == s.DataElems {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return fmt.Errorf("workload: spec %d size %d not admissible for kernel %q", i, s.DataElems, s.Name)
+		}
+	}
+	return nil
 }
 
 func TestRandomSeriesDeterministic(t *testing.T) {
