@@ -145,6 +145,22 @@ func GenerateWorkload(t GraphType, n int, seed int64) (*Workload, error) {
 	return &Workload{g: g}, nil
 }
 
+// GenerateSuite builds the thesis's ten-experiment suite for a graph type:
+// one workload per experiment of its Appendix B (46, 58, 50, 73, 69, 81,
+// 125, 93, 132 and 157 kernels), experiment i drawn from seed +
+// i·1 000 003. The evaluation's tables use seed 20170301.
+func GenerateSuite(t GraphType, seed int64) ([]*Workload, error) {
+	graphs, err := workload.Suite(t, seed)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Workload, len(graphs))
+	for i, g := range graphs {
+		out[i] = &Workload{g: g}
+	}
+	return out, nil
+}
+
 // GenerateApplicationStream builds a workload of n whole applications from
 // the paper's Table 1 catalogue (Needleman Wunsch, Matrix Inverse, GEM,
 // Cholesky, BFS, MatMul, SRAD, LavaMD, HotSpot, Backpropagation, FFT),

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/apt"
 	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Artifact is one regenerated paper table or figure. Exactly one of Table,
@@ -35,10 +34,6 @@ func (a *Artifact) Render(buf *bytes.Buffer) error {
 		return err
 	}
 }
-
-// paperRate is the transfer rate (PCIe 2.0 x8) used by the paper's
-// non-sweep tables.
-const paperRate = platform.GBps(4)
 
 // Table7 regenerates paper Table 7: measured execution times of the
 // Figure-5 example kernels per processor.
@@ -72,51 +67,50 @@ func (r *Runner) Table7() (*Artifact, error) {
 }
 
 // Figure5 regenerates the paper's worked MET-vs-APT schedule comparison as
-// two event logs plus end times.
+// two event logs plus end times. The workload is the thesis's example: one
+// nw, three bfs and one cd kernel, all independent.
 func (r *Runner) Figure5() (*Artifact, error) {
-	b := newFigure5Graph()
-	sys := platform.PaperSystem(paperRate)
+	wb := apt.NewWorkload()
+	wb.AddKernel(lut.NW, 16777216)
+	for i := 0; i < 3; i++ {
+		wb.AddKernel(lut.BFS, 2034736)
+	}
+	wb.AddKernel(lut.CD, 250000)
+	w, err := wb.Build()
+	if err != nil {
+		return nil, err
+	}
+	m := apt.PaperMachine(paperRate)
 	var buf bytes.Buffer
-	for _, spec := range []PolicySpec{{Name: "MET"}, {Name: "APT", Alpha: 8}} {
-		costs, err := sim.PrepareCosts(b, sys, lut.Paper(), sim.CostConfig{})
+	for _, p := range []apt.Policy{apt.MET(metSeed), apt.APT(8)} {
+		res, err := apt.Run(w, m, p, nil)
 		if err != nil {
 			return nil, err
 		}
-		pol, err := r.newPolicy(spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(costs, pol, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := report.Gantt(&buf, res, b, sys); err != nil {
-			return nil, err
-		}
+		buf.WriteString(res.Gantt())
 		fmt.Fprintf(&buf, "End time: %.3f\n\n", res.MakespanMs)
 	}
 	return &Artifact{ID: "figure5", Caption: "MET and APT schedule example (α=8)", Text: buf.String()}, nil
 }
 
-// MakespanTable builds the Tables 8/9/10 shape: total computation time in
-// milliseconds per experiment for every policy, with APT at the given α.
-func (r *Runner) MakespanTable(typ workload.GraphType, alpha float64, title string) (*report.Table, error) {
-	t := &report.Table{
-		Title:   title,
-		Headers: append([]string{"Graph"}, AllPolicies...),
-	}
-	cols := make(map[string][]*Outcome, len(AllPolicies))
-	for _, name := range AllPolicies {
-		outs, err := r.Suite(typ, paperRate, PolicySpec{Name: name, Alpha: alpha})
+// PolicyTable builds the Tables 8–12 shape: one row per experiment of a
+// suite at the paper's link rate, one column per policy, each cell the
+// metric in milliseconds.
+func (r *Runner) PolicyTable(typ apt.GraphType, pols []apt.Policy, m metric, title string) (*report.Table, error) {
+	t := &report.Table{Title: title, Headers: []string{"Graph"}}
+	cols := make([][]*apt.Result, len(pols))
+	for j, p := range pols {
+		outs, err := r.Suite(typ, paperRate, p)
 		if err != nil {
 			return nil, err
 		}
-		cols[name] = outs
+		cols[j] = outs
+		t.Headers = append(t.Headers, p.Name())
 	}
-	for i := range r.Graphs(typ) {
+	for i := range cols[0] {
 		cells := []string{fmt.Sprintf("%d", i+1)}
-		for _, name := range AllPolicies {
-			cells = append(cells, report.Ms(cols[name][i].MakespanMs))
+		for _, outs := range cols {
+			cells = append(cells, report.Ms(m(outs[i])))
 		}
 		t.MustAddRow(cells...)
 	}
@@ -125,8 +119,8 @@ func (r *Runner) MakespanTable(typ workload.GraphType, alpha float64, title stri
 
 // Table8 regenerates paper Table 8 (Type-1 makespans, α=1.5).
 func (r *Runner) Table8() (*Artifact, error) {
-	t, err := r.MakespanTable(workload.Type1,
-		1.5, "Table 8. Total computation time in milliseconds for DFG Type-1 by all policies (α=1.5 for APT).")
+	t, err := r.PolicyTable(apt.Type1, AllPolicies(1.5), makespan,
+		"Table 8. Total computation time in milliseconds for DFG Type-1 by all policies (α=1.5 for APT).")
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +129,8 @@ func (r *Runner) Table8() (*Artifact, error) {
 
 // Table9 regenerates paper Table 9 (Type-2 makespans, α=1.5).
 func (r *Runner) Table9() (*Artifact, error) {
-	t, err := r.MakespanTable(workload.Type2,
-		1.5, "Table 9. Total computation time in milliseconds for DFG Type-2 by all policies (α=1.5 for APT).")
+	t, err := r.PolicyTable(apt.Type2, AllPolicies(1.5), makespan,
+		"Table 9. Total computation time in milliseconds for DFG Type-2 by all policies (α=1.5 for APT).")
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +139,8 @@ func (r *Runner) Table9() (*Artifact, error) {
 
 // Table10 regenerates paper Table 10 (Type-2 makespans, α=4).
 func (r *Runner) Table10() (*Artifact, error) {
-	t, err := r.MakespanTable(workload.Type2,
-		4, "Table 10. Total computation time in milliseconds for DFG Type-2 by all policies (α=4 for APT).")
+	t, err := r.PolicyTable(apt.Type2, AllPolicies(4), makespan,
+		"Table 10. Total computation time in milliseconds for DFG Type-2 by all policies (α=4 for APT).")
 	if err != nil {
 		return nil, err
 	}
@@ -154,25 +148,25 @@ func (r *Runner) Table10() (*Artifact, error) {
 }
 
 // topPolicies are the four best performers the paper charts in Figures 6
-// and 8(b).
-var topPolicies = []string{"APT", "MET", "HEFT", "PEFT"}
+// and 8(b), APT at α=1.5.
+var topPolicies = []apt.Policy{apt.APT(1.5), apt.MET(metSeed), apt.HEFT(), apt.PEFT()}
 
 // TopPoliciesFigure builds the Figures 6/8(b) shape: average makespan of
 // the top four policies with APT at α=1.5.
-func (r *Runner) TopPoliciesFigure(typ workload.GraphType, title string) (*report.Figure, error) {
+func (r *Runner) TopPoliciesFigure(typ apt.GraphType, title string) (*report.Figure, error) {
 	f := &report.Figure{
 		Title:  title,
 		XLabel: "Scheduling policy",
 		YLabel: "avg execution time (s)",
-		X:      topPolicies,
 	}
 	y := make([]float64, len(topPolicies))
-	for i, name := range topPolicies {
-		outs, err := r.Suite(typ, paperRate, PolicySpec{Name: name, Alpha: 1.5})
+	for i, p := range topPolicies {
+		outs, err := r.Suite(typ, paperRate, p)
 		if err != nil {
 			return nil, err
 		}
-		y[i] = avgMakespan(outs) / 1000 // seconds, as the paper charts
+		f.X = append(f.X, p.Name())
+		y[i] = mean(outs, makespan) / 1000 // seconds, as the paper charts
 	}
 	f.MustAddSeries("avg execution time", y)
 	return f, nil
@@ -180,7 +174,7 @@ func (r *Runner) TopPoliciesFigure(typ workload.GraphType, title string) (*repor
 
 // Figure6 regenerates paper Figure 6 (Type-1 top-4 averages, α=1.5).
 func (r *Runner) Figure6() (*Artifact, error) {
-	f, err := r.TopPoliciesFigure(workload.Type1,
+	f, err := r.TopPoliciesFigure(apt.Type1,
 		"Figure 6. Avg. execution time in seconds for top 4 policies of DFG Type-1 (α=1.5).")
 	if err != nil {
 		return nil, err
@@ -190,7 +184,7 @@ func (r *Runner) Figure6() (*Artifact, error) {
 
 // Figure8b regenerates the second Figure 8 (p. 58): Type-2 top-4 averages.
 func (r *Runner) Figure8b() (*Artifact, error) {
-	f, err := r.TopPoliciesFigure(workload.Type2,
+	f, err := r.TopPoliciesFigure(apt.Type2,
 		"Figure 8(b). Avg. execution time in seconds for top 4 policies of DFG Type-2 (α=1.5).")
 	if err != nil {
 		return nil, err
@@ -198,17 +192,9 @@ func (r *Runner) Figure8b() (*Artifact, error) {
 	return &Artifact{ID: "figure8b", Caption: "Type-2 top-4 policy averages", Figure: f}, nil
 }
 
-// metric selects what an α-sweep figure charts.
-type metric int
-
-const (
-	metricMakespan metric = iota
-	metricLambda
-)
-
 // AlphaSweepFigure builds the Figures 7/9/11/12 shape: APT's suite average
 // (makespan or total λ) per α, one series per transfer rate.
-func (r *Runner) AlphaSweepFigure(typ workload.GraphType, m metric, title string) (*report.Figure, error) {
+func (r *Runner) AlphaSweepFigure(typ apt.GraphType, m metric, title string) (*report.Figure, error) {
 	f := &report.Figure{
 		Title:  title,
 		XLabel: "α values",
@@ -221,25 +207,20 @@ func (r *Runner) AlphaSweepFigure(typ workload.GraphType, m metric, title string
 	for _, rate := range Rates {
 		y := make([]float64, len(Alphas))
 		for i, a := range Alphas {
-			outs, err := r.Suite(typ, rate, PolicySpec{Name: "APT", Alpha: a})
+			outs, err := r.Suite(typ, rate, apt.APT(a))
 			if err != nil {
 				return nil, err
 			}
-			switch m {
-			case metricMakespan:
-				y[i] = avgMakespan(outs) / 1000
-			case metricLambda:
-				y[i] = avgLambda(outs) / 1000
-			}
+			y[i] = mean(outs, m) / 1000
 		}
-		f.MustAddSeries(fmt.Sprintf("%g GBps", float64(rate)), y)
+		f.MustAddSeries(fmt.Sprintf("%g GBps", rate), y)
 	}
 	return f, nil
 }
 
 // Figure7 regenerates paper Figure 7 (Type-1 α×rate makespan sweep).
 func (r *Runner) Figure7() (*Artifact, error) {
-	f, err := r.AlphaSweepFigure(workload.Type1, metricMakespan,
+	f, err := r.AlphaSweepFigure(apt.Type1, makespan,
 		"Figure 7. Avg. performance of APT for DFG Type-1 on varying α and transfer rate.")
 	if err != nil {
 		return nil, err
@@ -249,7 +230,7 @@ func (r *Runner) Figure7() (*Artifact, error) {
 
 // Figure9 regenerates paper Figure 9 (Type-2 α×rate makespan sweep).
 func (r *Runner) Figure9() (*Artifact, error) {
-	f, err := r.AlphaSweepFigure(workload.Type2, metricMakespan,
+	f, err := r.AlphaSweepFigure(apt.Type2, makespan,
 		"Figure 9. Avg. performance of APT for DFG Type-2 on varying α and transfer rate.")
 	if err != nil {
 		return nil, err
@@ -259,7 +240,7 @@ func (r *Runner) Figure9() (*Artifact, error) {
 
 // Figure11 regenerates paper Figure 11 (Type-1 α×rate λ sweep).
 func (r *Runner) Figure11() (*Artifact, error) {
-	f, err := r.AlphaSweepFigure(workload.Type1, metricLambda,
+	f, err := r.AlphaSweepFigure(apt.Type1, lambdaTotal,
 		"Figure 11. Avg. λ delay times in seconds of APT for DFG Type-1 on varying α and transfer rate.")
 	if err != nil {
 		return nil, err
@@ -269,7 +250,7 @@ func (r *Runner) Figure11() (*Artifact, error) {
 
 // Figure12 regenerates paper Figure 12 (Type-2 α×rate λ sweep).
 func (r *Runner) Figure12() (*Artifact, error) {
-	f, err := r.AlphaSweepFigure(workload.Type2, metricLambda,
+	f, err := r.AlphaSweepFigure(apt.Type2, lambdaTotal,
 		"Figure 12. Avg. λ delay times of APT for DFG Type-2 on varying α and transfer rate.")
 	if err != nil {
 		return nil, err
@@ -279,27 +260,27 @@ func (r *Runner) Figure12() (*Artifact, error) {
 
 // PerExperimentFigure builds the Figures 8(a)/10 shape: per-experiment
 // makespans of MET vs APT(α=4).
-func (r *Runner) PerExperimentFigure(typ workload.GraphType, title string) (*report.Figure, error) {
-	n := len(r.Graphs(typ))
+func (r *Runner) PerExperimentFigure(typ apt.GraphType, title string) (*report.Figure, error) {
 	f := &report.Figure{
 		Title:  title,
 		XLabel: "Experiment number",
 		YLabel: "execution time (s)",
-		X:      make([]string, n),
 	}
-	for i := range f.X {
-		f.X[i] = fmt.Sprintf("%d", i+1)
-	}
-	for _, spec := range []PolicySpec{{Name: "APT", Alpha: 4}, {Name: "MET"}} {
-		outs, err := r.Suite(typ, paperRate, spec)
+	for _, p := range []apt.Policy{apt.APT(4), apt.MET(metSeed)} {
+		outs, err := r.Suite(typ, paperRate, p)
 		if err != nil {
 			return nil, err
 		}
-		y := make([]float64, n)
+		y := make([]float64, len(outs))
 		for i, o := range outs {
 			y[i] = o.MakespanMs / 1000
 		}
-		f.MustAddSeries(spec.Name, y)
+		if f.X == nil {
+			for i := range outs {
+				f.X = append(f.X, fmt.Sprintf("%d", i+1))
+			}
+		}
+		f.MustAddSeries(p.Name(), y)
 	}
 	return f, nil
 }
@@ -307,7 +288,7 @@ func (r *Runner) PerExperimentFigure(typ workload.GraphType, title string) (*rep
 // Figure8a regenerates the first Figure 8 (p. 56): per-experiment Type-1
 // makespans, MET vs APT(α=4).
 func (r *Runner) Figure8a() (*Artifact, error) {
-	f, err := r.PerExperimentFigure(workload.Type1,
+	f, err := r.PerExperimentFigure(apt.Type1,
 		"Figure 8(a). Execution time of experiments of DFG Type-1 for MET and APT (α=4).")
 	if err != nil {
 		return nil, err
@@ -317,7 +298,7 @@ func (r *Runner) Figure8a() (*Artifact, error) {
 
 // Figure10 regenerates paper Figure 10: per-experiment Type-2 makespans.
 func (r *Runner) Figure10() (*Artifact, error) {
-	f, err := r.PerExperimentFigure(workload.Type2,
+	f, err := r.PerExperimentFigure(apt.Type2,
 		"Figure 10. Execution time of experiments of DFG Type-2 for MET and APT (α=4).")
 	if err != nil {
 		return nil, err
@@ -325,34 +306,9 @@ func (r *Runner) Figure10() (*Artifact, error) {
 	return &Artifact{ID: "figure10", Caption: "Type-2 per-experiment, MET vs APT(α=4)", Figure: f}, nil
 }
 
-// LambdaTable builds the Tables 11/12 shape: total λ delay per experiment
-// for every policy, APT at α=4.
-func (r *Runner) LambdaTable(typ workload.GraphType, title string) (*report.Table, error) {
-	t := &report.Table{
-		Title:   title,
-		Headers: append([]string{"Graph"}, AllPolicies...),
-	}
-	cols := make(map[string][]*Outcome, len(AllPolicies))
-	for _, name := range AllPolicies {
-		outs, err := r.Suite(typ, paperRate, PolicySpec{Name: name, Alpha: 4})
-		if err != nil {
-			return nil, err
-		}
-		cols[name] = outs
-	}
-	for i := range r.Graphs(typ) {
-		cells := []string{fmt.Sprintf("%d", i+1)}
-		for _, name := range AllPolicies {
-			cells = append(cells, report.Ms(cols[name][i].LambdaTotalMs))
-		}
-		t.MustAddRow(cells...)
-	}
-	return t, nil
-}
-
 // Table11 regenerates paper Table 11 (Type-1 λ delays, α=4).
 func (r *Runner) Table11() (*Artifact, error) {
-	t, err := r.LambdaTable(workload.Type1,
+	t, err := r.PolicyTable(apt.Type1, AllPolicies(4), lambdaTotal,
 		"Table 11. Total λ delay in milliseconds for DFG Type-1 by all policies (α=4 for APT).")
 	if err != nil {
 		return nil, err
@@ -362,7 +318,7 @@ func (r *Runner) Table11() (*Artifact, error) {
 
 // Table12 regenerates paper Table 12 (Type-2 λ delays, α=4).
 func (r *Runner) Table12() (*Artifact, error) {
-	t, err := r.LambdaTable(workload.Type2,
+	t, err := r.PolicyTable(apt.Type2, AllPolicies(4), lambdaTotal,
 		"Table 12. Total λ delay in milliseconds for DFG Type-2 by all policies (α=4 for APT).")
 	if err != nil {
 		return nil, err
@@ -383,8 +339,8 @@ func (r *Runner) Table13() (*Artifact, error) {
 	}
 	for _, a := range Alphas {
 		cells := []string{fmt.Sprintf("%g", a)}
-		for _, typ := range []workload.GraphType{workload.Type1, workload.Type2} {
-			aptOuts, err := r.Suite(typ, paperRate, PolicySpec{Name: "APT", Alpha: a})
+		for _, typ := range []apt.GraphType{apt.Type1, apt.Type2} {
+			aptOuts, err := r.Suite(typ, paperRate, apt.APT(a))
 			if err != nil {
 				return nil, err
 			}
@@ -393,8 +349,8 @@ func (r *Runner) Table13() (*Artifact, error) {
 				return nil, err
 			}
 			cells = append(cells,
-				report.Pct(stats.ImprovementPct(bestExec, avgMakespan(aptOuts))),
-				report.Pct(stats.ImprovementPct(bestLambda, avgLambda(aptOuts))))
+				report.Pct(stats.ImprovementPct(bestExec, mean(aptOuts, makespan))),
+				report.Pct(stats.ImprovementPct(bestLambda, mean(aptOuts, lambdaTotal))))
 		}
 		t.MustAddRow(cells...)
 	}
@@ -406,15 +362,15 @@ func (r *Runner) Table13() (*Artifact, error) {
 // makespan ("for better understanding of comparison, the second best
 // policy can only be a dynamic policy", paper §4.4 — in practice MET).
 // Both improvement metrics are computed against this one policy.
-func (r *Runner) secondBestDynamic(typ workload.GraphType) (execMs, lambdaMs float64, err error) {
+func (r *Runner) secondBestDynamic(typ apt.GraphType) (execMs, lambdaMs float64, err error) {
 	first := true
-	for _, name := range DynamicPolicies {
-		outs, err := r.Suite(typ, paperRate, PolicySpec{Name: name})
+	for _, p := range DynamicPolicies {
+		outs, err := r.Suite(typ, paperRate, p)
 		if err != nil {
 			return 0, 0, err
 		}
-		if e := avgMakespan(outs); first || e < execMs {
-			execMs, lambdaMs, first = e, avgLambda(outs), false
+		if e := mean(outs, makespan); first || e < execMs {
+			execMs, lambdaMs, first = e, mean(outs, lambdaTotal), false
 		}
 	}
 	return execMs, lambdaMs, nil
@@ -441,13 +397,13 @@ func (r *Runner) Table14() (*Artifact, error) {
 // AllocationTable builds the Tables 15/16 shape: per α and per experiment,
 // how many kernels APT sent to an alternative processor and which kernels
 // they were.
-func (r *Runner) AllocationTable(typ workload.GraphType, title string) (*report.Table, error) {
+func (r *Runner) AllocationTable(typ apt.GraphType, title string) (*report.Table, error) {
 	t := &report.Table{
 		Title:   title,
 		Headers: []string{"α", "Experiment", "Total kernels", "Total different assignments", "Kernel specific"},
 	}
 	for _, a := range Alphas {
-		outs, err := r.Suite(typ, paperRate, PolicySpec{Name: "APT", Alpha: a})
+		outs, err := r.Suite(typ, paperRate, apt.APT(a))
 		if err != nil {
 			return nil, err
 		}
@@ -455,7 +411,7 @@ func (r *Runner) AllocationTable(typ workload.GraphType, title string) (*report.
 			t.MustAddRow(
 				fmt.Sprintf("%g", a),
 				fmt.Sprintf("%d", i+1),
-				fmt.Sprintf("%d", r.Graphs(typ)[i].NumKernels()),
+				fmt.Sprintf("%d", len(o.Kernels)),
 				fmt.Sprintf("%d", o.Alt.AltAssignments),
 				formatByKernel(o.Alt.ByKernel),
 			)
@@ -469,7 +425,7 @@ func formatByKernel(m map[string]int) string {
 		return "0"
 	}
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { //lint:ordered — collected then sorted just below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -485,7 +441,7 @@ func formatByKernel(m map[string]int) string {
 
 // Table15 regenerates paper Table 15 (Type-1 allocation analyses).
 func (r *Runner) Table15() (*Artifact, error) {
-	t, err := r.AllocationTable(workload.Type1, "Table 15. APT kernel allocation analyses for DFG Type-1 graphs.")
+	t, err := r.AllocationTable(apt.Type1, "Table 15. APT kernel allocation analyses for DFG Type-1 graphs.")
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +450,7 @@ func (r *Runner) Table15() (*Artifact, error) {
 
 // Table16 regenerates paper Table 16 (Type-2 allocation analyses).
 func (r *Runner) Table16() (*Artifact, error) {
-	t, err := r.AllocationTable(workload.Type2, "Table 16. APT kernel allocation analyses for DFG Type-2 graphs.")
+	t, err := r.AllocationTable(apt.Type2, "Table 16. APT kernel allocation analyses for DFG Type-2 graphs.")
 	if err != nil {
 		return nil, err
 	}

@@ -6,16 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/apt"
 )
 
 func TestRunMemoises(t *testing.T) {
 	r := NewRunner(Config{})
-	a, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "MET"})
+	a, err := r.Suite(apt.Type1, 4, apt.MET(metSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "MET"})
+	b, err := r.Suite(apt.Type1, 4, apt.MET(metSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +28,14 @@ func TestRunMemoises(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	r := NewRunner(Config{})
-	if _, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "BOGUS"}); err == nil {
-		t.Error("unknown policy accepted")
+	if _, err := r.Suite(apt.Type1, 4, apt.APT(0.5)); err == nil {
+		t.Error("APT with α < 1 accepted")
 	}
 }
 
 func TestSuiteShape(t *testing.T) {
 	r := NewRunner(Config{})
-	outs, err := r.Suite(workload.Type2, 4, PolicySpec{Name: "APT", Alpha: 4})
+	outs, err := r.Suite(apt.Type2, 4, apt.APT(4))
 	if err != nil {
 		t.Fatal(err)
 	}

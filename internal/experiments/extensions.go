@@ -1,84 +1,32 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 
+	"repro/apt"
 	"repro/internal/bounds"
-	"repro/internal/dfg"
 	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // Extension artifacts go beyond the thesis: they exercise the same code
 // paths on questions the thesis raises but does not evaluate. IDs are
-// prefixed "ext-" and are excluded from IDs()/All(); cmd/experiments
-// exposes them behind -ext.
-
-// extArtifactOrder lists the extension artifacts.
-var extArtifactOrder = []string{
-	"ext-policies", "ext-stream", "ext-latency", "ext-noise", "ext-bounds",
-	"ext-robustness", "ext-robust-p99", "ext-degrade",
-}
-
-// ExtIDs returns the extension artifact IDs.
-func ExtIDs() []string {
-	out := make([]string, len(extArtifactOrder))
-	copy(out, extArtifactOrder)
-	return out
-}
-
-// extArtifact dispatches extension artifacts; Artifact falls back to it.
-func (r *Runner) extArtifact(id string) (*Artifact, error) {
-	switch id {
-	case "ext-policies":
-		return r.ExtPolicies()
-	case "ext-stream":
-		return r.ExtStream()
-	case "ext-latency":
-		return r.ExtLatency()
-	case "ext-noise":
-		return r.ExtNoise()
-	case "ext-bounds":
-		return r.ExtBounds()
-	case "ext-robustness":
-		return r.ExtRobustness()
-	case "ext-robust-p99":
-		return r.ExtRobustP99()
-	case "ext-degrade":
-		return r.ExtDegrade()
-	default:
-		return nil, fmt.Errorf("experiments: unknown artifact %q (known: %v, extensions: %v)",
-			id, IDs(), ExtIDs())
-	}
-}
+// prefixed "ext-" and are excluded from IDs(); cmd/experiments exposes
+// them behind -ext.
 
 // ExtPolicies extends Table 10 with the two related-work baselines the
 // thesis discusses but does not tabulate: OLB (Braun et al.) and Adaptive
 // Random (Wu et al.).
 func (r *Runner) ExtPolicies() (*Artifact, error) {
-	cols := append(append([]string{}, AllPolicies...), "OLB", "AR")
-	t := &report.Table{
-		Title:   "Extension. Type-2 makespans including OLB and Adaptive Random (α=4 for APT).",
-		Headers: append([]string{"Graph"}, cols...),
-	}
-	outs := map[string][]*Outcome{}
-	for _, name := range cols {
-		o, err := r.Suite(workload.Type2, paperRate, PolicySpec{Name: name, Alpha: 4})
-		if err != nil {
-			return nil, err
-		}
-		outs[name] = o
-	}
-	for i := range r.Graphs(workload.Type2) {
-		cells := []string{fmt.Sprintf("%d", i+1)}
-		for _, name := range cols {
-			cells = append(cells, report.Ms(outs[name][i].MakespanMs))
-		}
-		t.MustAddRow(cells...)
+	t, err := r.PolicyTable(apt.Type2, append(AllPolicies(4), apt.OLB(), apt.AR(metSeed)), makespan,
+		"Extension. Type-2 makespans including OLB and Adaptive Random (α=4 for APT).")
+	if err != nil {
+		return nil, err
 	}
 	return &Artifact{ID: "ext-policies", Caption: "Type-2 makespans incl. OLB and AR", Table: t}, nil
 }
@@ -100,32 +48,30 @@ func (r *Runner) ExtStream() (*Artifact, error) {
 		Headers: []string{"Graph", "APT λ", "MET λ", "APT makespan", "MET makespan"},
 		Notes:   []string{"Streaming arrivals are this repository's extension; the thesis submits whole streams at t=0."},
 	}
-	sys := platform.PaperSystem(paperRate)
-	for i, g := range r.Graphs(workload.Type2) {
-		arrivals, err := workload.PoissonArrivals(g, extStreamMeanGapMs, int64(1000+i))
+	wls, err := r.workloads(apt.Type2)
+	if err != nil {
+		return nil, err
+	}
+	m := apt.PaperMachine(paperRate)
+	var configs []apt.RunConfig
+	for i, w := range wls {
+		arrivals, err := apt.PoissonArrivals(w, extStreamMeanGapMs, int64(1000+i))
 		if err != nil {
 			return nil, err
 		}
-		row := []string{fmt.Sprintf("%d", i+1)}
-		var lams, mks []float64
-		for _, spec := range []PolicySpec{{Name: "APT", Alpha: 4}, {Name: "MET"}} {
-			costs, err := sim.PrepareCosts(g, sys, lut.Paper(), sim.CostConfig{})
-			if err != nil {
-				return nil, err
-			}
-			pol, err := r.newPolicy(spec)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(costs, pol, sim.Options{ArrivalTimes: arrivals})
-			if err != nil {
-				return nil, err
-			}
-			lams = append(lams, res.Lambda.TotalMs)
-			mks = append(mks, res.MakespanMs)
-		}
-		row = append(row, report.Ms(lams[0]), report.Ms(lams[1]), report.Ms(mks[0]), report.Ms(mks[1]))
-		t.MustAddRow(row...)
+		opts := &apt.Options{Arrivals: arrivals}
+		configs = append(configs,
+			apt.RunConfig{Workload: w, Machine: m, Policy: apt.APT(4), Options: opts},
+			apt.RunConfig{Workload: w, Machine: m, Policy: apt.MET(metSeed), Options: opts})
+	}
+	res, err := apt.RunBatch(context.Background(), configs, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i := range wls {
+		a, met := res[2*i], res[2*i+1]
+		t.MustAddRow(fmt.Sprintf("%d", i+1),
+			report.Ms(a.LambdaTotalMs), report.Ms(met.LambdaTotalMs), report.Ms(a.MakespanMs), report.Ms(met.MakespanMs))
 	}
 	return &Artifact{ID: "ext-stream", Caption: "λ under streaming arrivals", Table: t}, nil
 }
@@ -139,39 +85,37 @@ const (
 )
 
 // extLatencyPolicies are the per-row policies of ExtLatency.
-var extLatencyPolicies = []PolicySpec{
-	{Name: "APT", Alpha: 4}, {Name: "MET"}, {Name: "SPN"}, {Name: "OLB"}, {Name: "HEFT"},
-}
+var extLatencyPolicies = []apt.Policy{apt.APT(4), apt.MET(metSeed), apt.SPN(), apt.OLB(), apt.HEFT()}
 
 // ExtLatency reports open-system sojourn latency percentiles (arrival →
 // finish) per policy over a Poisson-paced stream of independent catalog
 // kernels — the per-request view a production scheduler is judged on,
 // which the thesis's closed makespan and λ tables cannot show.
 func (r *Runner) ExtLatency() (*Artifact, error) {
-	g, err := workload.Independent(extLatencyKernels, workload.DefaultSuiteSeed)
+	w, err := apt.GenerateKernelStream(extLatencyKernels, workload.DefaultSuiteSeed)
 	if err != nil {
 		return nil, err
 	}
-	arrivals, err := workload.PoissonArrivals(g, extLatencyGapMs, workload.DefaultSuiteSeed)
+	arrivals, err := apt.PoissonArrivals(w, extLatencyGapMs, workload.DefaultSuiteSeed)
 	if err != nil {
 		return nil, err
 	}
-	sys := platform.PaperSystem(paperRate)
-	var rows []report.LatencyRow
-	for _, spec := range extLatencyPolicies {
-		costs, err := sim.PrepareCosts(g, sys, lut.Paper(), sim.CostConfig{})
-		if err != nil {
-			return nil, err
+	m := apt.PaperMachine(paperRate)
+	configs := make([]apt.RunConfig, len(extLatencyPolicies))
+	for i, p := range extLatencyPolicies {
+		configs[i] = apt.RunConfig{Workload: w, Machine: m, Policy: p, Options: &apt.Options{Arrivals: arrivals}}
+	}
+	results, err := apt.RunBatch(context.Background(), configs, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]report.LatencyRow, len(results))
+	for i, res := range results {
+		sojourns := make([]float64, len(res.Kernels))
+		for k := range res.Kernels {
+			sojourns[k] = res.Kernels[k].SojournMs
 		}
-		pol, err := r.newPolicy(spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(costs, pol, sim.Options{ArrivalTimes: arrivals})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, report.LatencyRow{Label: spec.Label(), S: res.Sojourn})
+		rows[i] = report.LatencyRow{Label: extLatencyPolicies[i].Name(), S: stats.SummarizeInPlace(sojourns)}
 	}
 	t := report.LatencyTable(fmt.Sprintf(
 		"Extension. Sojourn latency (ms) over a %d-kernel Poisson stream (mean gap %d ms, α=4 for APT).",
@@ -195,41 +139,33 @@ func (r *Runner) ExtNoise() (*Artifact, error) {
 		Headers: []string{"noise", "APT", "MET", "HEFT", "PEFT"},
 		Notes:   []string{"Policies decide on the clean Table 14; execution follows a perturbed copy."},
 	}
-	specs := []PolicySpec{{Name: "APT", Alpha: 4}, {Name: "MET"}, {Name: "HEFT"}, {Name: "PEFT"}}
-	sys := platform.PaperSystem(paperRate)
-	graphs := r.Graphs(workload.Type2)
+	pols := []apt.Policy{apt.APT(4), apt.MET(metSeed), apt.HEFT(), apt.PEFT()}
+	wls, err := r.workloads(apt.Type2)
+	if err != nil {
+		return nil, err
+	}
+	m := apt.PaperMachine(paperRate)
+	var configs []apt.RunConfig
 	for _, frac := range extNoiseFracs {
-		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
-		for _, spec := range specs {
-			var total float64
-			for gi, g := range graphs {
-				est, err := sim.PrepareCosts(g, sys, lut.Paper(), sim.CostConfig{})
-				if err != nil {
-					return nil, err
-				}
-				opts := sim.Options{}
+		for _, p := range pols {
+			for gi, w := range wls {
+				var opts *apt.Options
 				if frac > 0 {
-					noisy, err := lut.Perturbed(lut.Paper(), frac, int64(40+gi))
-					if err != nil {
-						return nil, err
-					}
-					actual, err := sim.PrepareCosts(g, sys, noisy, sim.CostConfig{})
-					if err != nil {
-						return nil, err
-					}
-					opts.ActualCosts = actual
+					opts = &apt.Options{Perturb: &apt.Perturbation{Noise: apt.Noise{Frac: frac, Seed: int64(40 + gi)}}}
 				}
-				pol, err := r.newPolicy(spec)
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(est, pol, opts)
-				if err != nil {
-					return nil, err
-				}
-				total += res.MakespanMs
+				configs = append(configs, apt.RunConfig{Workload: w, Machine: m, Policy: p, Options: opts})
 			}
-			row = append(row, report.Ms(total/float64(len(graphs))))
+		}
+	}
+	results, err := apt.RunBatch(context.Background(), configs, nil)
+	if err != nil {
+		return nil, err
+	}
+	for fi, frac := range extNoiseFracs {
+		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
+		for pi := range pols {
+			cell := (fi*len(pols) + pi) * len(wls)
+			row = append(row, report.Ms(mean(results[cell:cell+len(wls)], makespan)))
 		}
 		t.MustAddRow(row...)
 	}
@@ -246,17 +182,18 @@ func (r *Runner) ExtBounds() (*Artifact, error) {
 		Title:   "Extension. Makespan vs exact optimum on 14-kernel independent workloads (gap %, α=4 for APT).",
 		Headers: []string{"Workload", "Optimal ms", "APT gap%", "MET gap%", "SPN gap%", "HEFT gap%"},
 	}
-	cat := workload.PaperCatalog()
-	sys := platform.PaperSystem(paperRate)
-	specs := []PolicySpec{{Name: "APT", Alpha: 4}, {Name: "MET"}, {Name: "SPN"}, {Name: "HEFT"}}
+	pols := []apt.Policy{apt.APT(4), apt.MET(metSeed), apt.SPN(), apt.HEFT()}
+	m := apt.PaperMachine(paperRate)
 	for trial := 0; trial < 10; trial++ {
-		series := cat.RandomSeries(randFor(int64(trial)), 14)
-		b := dfgBuilderFromSeries(series)
-		g, err := b.Build()
+		// The exact solver reads the cost oracle, which the facade does not
+		// expose, so the same seeded set is built twice: as a graph for the
+		// optimum and as a workload for the policies.
+		seed := int64(7_000_000 + trial)
+		g, err := workload.Independent(14, seed)
 		if err != nil {
 			return nil, err
 		}
-		costs, err := sim.PrepareCosts(g, sys, lut.Paper(), sim.CostConfig{})
+		costs, err := sim.PrepareCosts(g, platform.PaperSystem(paperRate), lut.Paper(), sim.CostConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -264,16 +201,16 @@ func (r *Runner) ExtBounds() (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
+		w, err := apt.GenerateKernelStream(14, seed)
+		if err != nil {
+			return nil, err
+		}
+		results, err := apt.Compare(w, m, pols, nil)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{fmt.Sprintf("%d", trial+1), report.Ms(opt)}
-		for _, spec := range specs {
-			pol, err := r.newPolicy(spec)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(costs, pol, sim.Options{})
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range results {
 			gap := 0.0
 			if opt > 0 {
 				gap = (res.MakespanMs - opt) / opt * 100
@@ -283,14 +220,4 @@ func (r *Runner) ExtBounds() (*Artifact, error) {
 		t.MustAddRow(row...)
 	}
 	return &Artifact{ID: "ext-bounds", Caption: "Optimality gaps on small independent workloads", Table: t}, nil
-}
-
-func randFor(seed int64) *rand.Rand { return rand.New(rand.NewSource(7_000_000 + seed)) }
-
-func dfgBuilderFromSeries(series []workload.KernelSpec) *dfg.Builder {
-	b := dfg.NewBuilder()
-	for _, s := range series {
-		b.AddKernel(dfg.Kernel{Name: s.Name, Dwarf: lut.Dwarf(s.Name), DataElems: s.DataElems})
-	}
-	return b
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/apt"
 )
 
 func TestExtIDsDispatch(t *testing.T) {
@@ -133,13 +133,13 @@ func TestExtNoiseMonotoneDegradation(t *testing.T) {
 	// The zero row must match the clean Table-10 average regime: first
 	// cell equals APT's unperturbed average.
 	zeroAPT, _ := strconv.ParseFloat(a.Table.Rows[0][1], 64)
-	outs, err := r.Suite(workload.Type2, paperRate, PolicySpec{Name: "APT", Alpha: 4})
+	outs, err := r.Suite(apt.Type2, paperRate, apt.APT(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cells are printed with three decimals, so allow formatting slack.
-	if diff := zeroAPT - avgMakespan(outs); diff > 0.01 || diff < -0.01 {
-		t.Errorf("zero-noise APT %v != clean average %v", zeroAPT, avgMakespan(outs))
+	if diff := zeroAPT - mean(outs, makespan); diff > 0.01 || diff < -0.01 {
+		t.Errorf("zero-noise APT %v != clean average %v", zeroAPT, mean(outs, makespan))
 	}
 }
 

@@ -1,86 +1,61 @@
 package experiments
 
-import (
-	"repro/internal/dfg"
-	"repro/internal/lut"
-)
+import "fmt"
 
-// newFigure5Graph builds the workload of the thesis's Figure 5 example:
-// one nw, three bfs, one cd (250000 elements), all independent.
-func newFigure5Graph() *dfg.Graph {
-	b := dfg.NewBuilder()
-	b.AddKernel(dfg.Kernel{Name: lut.NW, DataElems: 16777216})
-	b.AddKernel(dfg.Kernel{Name: lut.BFS, DataElems: 2034736})
-	b.AddKernel(dfg.Kernel{Name: lut.BFS, DataElems: 2034736})
-	b.AddKernel(dfg.Kernel{Name: lut.BFS, DataElems: 2034736})
-	b.AddKernel(dfg.Kernel{Name: lut.CD, DataElems: 250000})
-	return b.MustBuild()
+// driver regenerates one artifact on a Runner.
+type driver struct {
+	id    string
+	build func(*Runner) (*Artifact, error)
 }
 
-// artifactDrivers maps artifact IDs to their drivers in the paper's order.
-var artifactOrder = []string{
-	"table1", "table5",
-	"table7", "figure5",
-	"table8", "figure6", "figure7", "figure8a",
-	"table9", "figure8b", "table10", "figure9", "figure10",
-	"table11", "figure11", "table12", "figure12",
-	"table13", "table14", "table15", "table16",
+// paperDrivers lists the thesis's artifacts in the paper's order.
+var paperDrivers = []driver{
+	{"table1", (*Runner).Table1}, {"table5", (*Runner).Table5},
+	{"table7", (*Runner).Table7}, {"figure5", (*Runner).Figure5},
+	{"table8", (*Runner).Table8}, {"figure6", (*Runner).Figure6},
+	{"figure7", (*Runner).Figure7}, {"figure8a", (*Runner).Figure8a},
+	{"table9", (*Runner).Table9}, {"figure8b", (*Runner).Figure8b},
+	{"table10", (*Runner).Table10}, {"figure9", (*Runner).Figure9},
+	{"figure10", (*Runner).Figure10}, {"table11", (*Runner).Table11},
+	{"figure11", (*Runner).Figure11}, {"table12", (*Runner).Table12},
+	{"figure12", (*Runner).Figure12}, {"table13", (*Runner).Table13},
+	{"table14", (*Runner).Table14}, {"table15", (*Runner).Table15},
+	{"table16", (*Runner).Table16},
 }
 
-// Artifact regenerates one paper artifact by ID (e.g. "table8",
-// "figure11"). Use IDs for the catalogue.
+// extDrivers lists the extension artifacts (extensions.go, robustness.go).
+// They go beyond the thesis, so IDs excludes them; cmd/experiments
+// regenerates them behind -ext.
+var extDrivers = []driver{
+	{"ext-policies", (*Runner).ExtPolicies}, {"ext-stream", (*Runner).ExtStream},
+	{"ext-latency", (*Runner).ExtLatency}, {"ext-noise", (*Runner).ExtNoise},
+	{"ext-bounds", (*Runner).ExtBounds}, {"ext-robustness", (*Runner).ExtRobustness},
+	{"ext-robust-p99", (*Runner).ExtRobustP99}, {"ext-degrade", (*Runner).ExtDegrade},
+}
+
+// Artifact regenerates one artifact by ID (e.g. "table8", "figure11",
+// "ext-stream"). IDs and ExtIDs list the catalogue.
 func (r *Runner) Artifact(id string) (*Artifact, error) {
-	switch id {
-	case "table1":
-		return r.Table1()
-	case "table5":
-		return r.Table5()
-	case "table7":
-		return r.Table7()
-	case "figure5":
-		return r.Figure5()
-	case "table8":
-		return r.Table8()
-	case "figure6":
-		return r.Figure6()
-	case "figure7":
-		return r.Figure7()
-	case "figure8a":
-		return r.Figure8a()
-	case "table9":
-		return r.Table9()
-	case "figure8b":
-		return r.Figure8b()
-	case "table10":
-		return r.Table10()
-	case "figure9":
-		return r.Figure9()
-	case "figure10":
-		return r.Figure10()
-	case "table11":
-		return r.Table11()
-	case "figure11":
-		return r.Figure11()
-	case "table12":
-		return r.Table12()
-	case "figure12":
-		return r.Figure12()
-	case "table13":
-		return r.Table13()
-	case "table14":
-		return r.Table14()
-	case "table15":
-		return r.Table15()
-	case "table16":
-		return r.Table16()
-	default:
-		return r.extArtifact(id)
+	for _, drivers := range [][]driver{paperDrivers, extDrivers} {
+		for _, d := range drivers {
+			if d.id == id {
+				return d.build(r)
+			}
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown artifact %q (known: %v, extensions: %v)", id, IDs(), ExtIDs())
 }
 
-// IDs returns every artifact ID in the paper's order.
-func IDs() []string {
-	out := make([]string, len(artifactOrder))
-	copy(out, artifactOrder)
+// IDs returns every paper artifact ID in the paper's order.
+func IDs() []string { return driverIDs(paperDrivers) }
+
+// ExtIDs returns the extension artifact IDs.
+func ExtIDs() []string { return driverIDs(extDrivers) }
+
+func driverIDs(drivers []driver) []string {
+	out := make([]string, len(drivers))
+	for i, d := range drivers {
+		out[i] = d.id
+	}
 	return out
 }

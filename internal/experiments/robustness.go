@@ -5,13 +5,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/lut"
-	"repro/internal/perturb"
-	"repro/internal/platform"
+	"repro/apt"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Robustness extension artifacts: how each policy behaves when its
@@ -23,15 +19,13 @@ import (
 var extRobustFracs = []float64{0, 0.1, 0.3, 0.5}
 
 // extRobustPolicies are the compared policies.
-var extRobustPolicies = []PolicySpec{
-	{Name: "APT", Alpha: 4}, {Name: "MET"}, {Name: "HEFT"}, {Name: "PEFT"},
-}
+var extRobustPolicies = []apt.Policy{apt.APT(4), apt.MET(metSeed), apt.HEFT(), apt.PEFT()}
 
 // extRobustSeedBase offsets the per-graph noise seeds so every experiment
 // of the suite sees its own noise realisation.
 const extRobustSeedBase = 7_040
 
-// robustCell is one (policy, frac) aggregate over the Type-2 suite.
+// robustCell is one (frac, policy) aggregate over the Type-2 suite.
 type robustCell struct {
 	makespanMs float64 // suite mean, clean estimates vs perturbed reality
 	oracleMs   float64 // suite mean, perfect information
@@ -39,140 +33,89 @@ type robustCell struct {
 	p99Ms      float64 // exact p99 sojourn over every kernel of the suite
 }
 
-// robustSweep runs the noise sweep: for every (frac, policy, graph) two
-// simulations — noisy estimates and the perfect-information oracle on the
-// same perturbed table — fanned through the engine's worker pool. Arrivals
-// are Poisson (mean gap extStreamMeanGapMs) so the p99 sojourn is an
-// open-system tail, not a makespan echo. The sweep is memoised on the
-// Runner; both robustness artifacts share one execution.
+// robustSweep runs the noise sweep and returns one cell per (frac, policy),
+// frac-major. For every (frac, policy, graph) it runs two simulations —
+// noisy estimates and the perfect-information oracle on the same perturbed
+// table — in one apt.RunBatch. Arrivals are Poisson (mean gap
+// extStreamMeanGapMs) so the p99 sojourn is an open-system tail, not a
+// makespan echo. Graph g draws its noise from seed extRobustSeedBase+g and
+// its arrivals from seed 1000+g, which apt.RunRobustness's derived seeds
+// would not reproduce, so the twins are built here. The sweep is memoised
+// on the Runner; both robustness artifacts share one execution.
 //
 // The memo lock brackets only the cache reads and writes — never the
-// sweep itself: the worker pool's WaitGroup.Wait would otherwise park
-// with robustMu held. If two goroutines race past the empty-cache check
-// they both run the sweep (deterministic, so the results are identical)
-// and the first store wins.
-func (r *Runner) robustSweep() (map[string]map[float64]robustCell, error) {
+// sweep itself: the batch's worker pool would otherwise park with
+// robustMu held. If two goroutines race past the empty-cache check they
+// both run the sweep (deterministic, so the results are identical) and the
+// first store wins.
+func (r *Runner) robustSweep() ([]robustCell, error) {
 	r.robustMu.Lock()
 	cells := r.robustCells
 	r.robustMu.Unlock()
 	if cells != nil {
 		return cells, nil
 	}
-	out, err := r.computeRobustCells()
+	wls, err := r.workloads(apt.Type2)
 	if err != nil {
 		return nil, err
 	}
+	arrivals := make([][]float64, len(wls))
+	for gi, w := range wls {
+		if arrivals[gi], err = apt.PoissonArrivals(w, extStreamMeanGapMs, int64(1000+gi)); err != nil {
+			return nil, err
+		}
+	}
+	m := apt.PaperMachine(paperRate)
+	var configs []apt.RunConfig
+	for _, frac := range extRobustFracs {
+		for _, p := range extRobustPolicies {
+			for gi, w := range wls {
+				noisy := apt.Perturbation{Noise: apt.Noise{Frac: frac, Seed: extRobustSeedBase + int64(gi)}}
+				oracle := noisy
+				oracle.Oracle = true
+				configs = append(configs,
+					apt.RunConfig{Workload: w, Machine: m, Policy: p, Options: &apt.Options{Arrivals: arrivals[gi], Perturb: &noisy}},
+					apt.RunConfig{Workload: w, Machine: m, Policy: p, Options: &apt.Options{Arrivals: arrivals[gi], Perturb: &oracle}})
+			}
+		}
+	}
+	results, err := apt.RunBatch(context.Background(), configs, nil)
+	if err != nil {
+		return nil, err
+	}
+
+	cells = make([]robustCell, 0, len(extRobustFracs)*len(extRobustPolicies))
+	var sojourns []float64
+	for len(results) > 0 {
+		var cell robustCell
+		sojourns = sojourns[:0]
+		for range wls {
+			noisy, oracle := results[0], results[1]
+			results = results[2:]
+			cell.makespanMs += noisy.MakespanMs
+			cell.oracleMs += oracle.MakespanMs
+			for i := range noisy.Kernels {
+				sojourns = append(sojourns, noisy.Kernels[i].SojournMs)
+			}
+		}
+		n := float64(len(wls))
+		cell.makespanMs /= n
+		cell.oracleMs /= n
+		if cell.oracleMs > 0 {
+			cell.regretPct = (cell.makespanMs - cell.oracleMs) / cell.oracleMs * 100
+		}
+		sort.Float64s(sojourns)
+		cell.p99Ms = stats.Quantile(sojourns, 0.99)
+		cells = append(cells, cell)
+	}
+
 	r.robustMu.Lock()
 	if r.robustCells == nil {
-		r.robustCells = out
+		r.robustCells = cells
 	}
-	out = r.robustCells
+	cells = r.robustCells
 	r.robustMu.Unlock()
-	return out, nil
-}
-
-// computeRobustCells runs the full noise sweep through the worker pool.
-func (r *Runner) computeRobustCells() (map[string]map[float64]robustCell, error) {
-	graphs := r.Graphs(workload.Type2)
-	sys := platform.PaperSystem(paperRate)
-
-	type job struct {
-		spec   PolicySpec
-		frac   float64
-		graph  int
-		oracle bool
-	}
-	var jobs []job
-	for _, frac := range extRobustFracs {
-		for _, spec := range extRobustPolicies {
-			for gi := range graphs {
-				jobs = append(jobs, job{spec, frac, gi, false}, job{spec, frac, gi, true})
-			}
-		}
-	}
-
-	arrivals := make([][]float64, len(graphs))
-	for gi, g := range graphs {
-		a, err := workload.PoissonArrivals(g, extStreamMeanGapMs, int64(1000+gi))
-		if err != nil {
-			return nil, err
-		}
-		arrivals[gi] = a
-	}
-
-	results := make([]*sim.Result, len(jobs))
-	errs := sim.RunPool(context.Background(), len(jobs), 0, func(i int, w *sim.Worker) error {
-		runner := w.Runner()
-		j := jobs[i]
-		g := graphs[j.graph]
-		noise := perturb.Noise{Frac: j.frac, Seed: extRobustSeedBase + int64(j.graph)}
-		actualTab, err := noise.Apply(lut.Paper())
-		if err != nil {
-			return err
-		}
-		estTab := lut.Paper()
-		if j.oracle {
-			estTab = actualTab
-		}
-		est, err := sim.PrepareCosts(g, sys, estTab, sim.CostConfig{})
-		if err != nil {
-			return err
-		}
-		opt := sim.Options{ArrivalTimes: arrivals[j.graph]}
-		if !j.oracle && actualTab != estTab {
-			actual, err := sim.PrepareCosts(g, sys, actualTab, sim.CostConfig{})
-			if err != nil {
-				return err
-			}
-			opt.ActualCosts = actual
-		}
-		pol, err := r.newPolicy(j.spec)
-		if err != nil {
-			return err
-		}
-		res, err := runner.Run(est, pol, opt)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := map[string]map[float64]robustCell{}
-	idx := 0
-	for _, frac := range extRobustFracs {
-		for _, spec := range extRobustPolicies {
-			var cell robustCell
-			var sojourns []float64
-			for range graphs {
-				noisy, oracle := results[idx], results[idx+1]
-				idx += 2
-				cell.makespanMs += noisy.MakespanMs
-				cell.oracleMs += oracle.MakespanMs
-				for i := range noisy.Placements {
-					sojourns = append(sojourns, noisy.Placements[i].Sojourn())
-				}
-			}
-			n := float64(len(graphs))
-			cell.makespanMs /= n
-			cell.oracleMs /= n
-			if cell.oracleMs > 0 {
-				cell.regretPct = (cell.makespanMs - cell.oracleMs) / cell.oracleMs * 100
-			}
-			sort.Float64s(sojourns)
-			cell.p99Ms = stats.Quantile(sojourns, 0.99)
-			if out[spec.Name] == nil {
-				out[spec.Name] = map[float64]robustCell{}
-			}
-			out[spec.Name][frac] = cell
-		}
-	}
-	return out, nil
+	return cells, nil
 }
 
 // ExtRobustness reports per-policy regret against the perfect-information
@@ -185,11 +128,11 @@ func (r *Runner) ExtRobustness() (*Artifact, error) {
 		return nil, err
 	}
 	var rows []report.RegretRow
-	for _, frac := range extRobustFracs {
-		for _, spec := range extRobustPolicies {
-			c := cells[spec.Name][frac]
+	for fi, frac := range extRobustFracs {
+		for pi, p := range extRobustPolicies {
+			c := cells[fi*len(extRobustPolicies)+pi]
 			rows = append(rows, report.RegretRow{
-				Label:        fmt.Sprintf("%s @ ±%.0f%%", spec.Label(), frac*100),
+				Label:        fmt.Sprintf("%s @ ±%.0f%%", p.Name(), frac*100),
 				MakespanMs:   c.makespanMs,
 				OracleMs:     c.oracleMs,
 				RegretPct:    c.regretPct,
@@ -211,16 +154,15 @@ func (r *Runner) ExtRobustP99() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var x []string
+	var x, order []string
 	ys := map[string][]float64{}
-	var order []string
-	for _, spec := range extRobustPolicies {
-		order = append(order, spec.Label())
+	for _, p := range extRobustPolicies {
+		order = append(order, p.Name())
 	}
-	for _, frac := range extRobustFracs {
+	for fi, frac := range extRobustFracs {
 		x = append(x, fmt.Sprintf("%.0f%%", frac*100))
-		for _, spec := range extRobustPolicies {
-			ys[spec.Label()] = append(ys[spec.Label()], cells[spec.Name][frac].p99Ms)
+		for pi, p := range extRobustPolicies {
+			ys[p.Name()] = append(ys[p.Name()], cells[fi*len(extRobustPolicies)+pi].p99Ms)
 		}
 	}
 	fig, err := report.LatencyFigure(
@@ -232,20 +174,23 @@ func (r *Runner) ExtRobustP99() (*Artifact, error) {
 	return &Artifact{ID: "ext-robust-p99", Caption: "p99 sojourn vs estimate error", Figure: fig}, nil
 }
 
+// degradeScenario is one platform-degradation episode of ExtDegrade.
+type degradeScenario struct {
+	label  string
+	events []apt.DegradeEvent
+}
+
 // extDegradeScenarios are the platform-degradation episodes of ExtDegrade.
 // Windows are sized against the Type-2 suite's ~40 s makespans.
-var extDegradeScenarios = []struct {
-	label  string
-	events []perturb.Event
-}{
-	{"GPU 2× slower, whole run", []perturb.Event{
-		{Kind: perturb.ProcSlowdown, Proc: 1, Factor: 2, StartMs: 0, EndMs: 1e9}}},
-	{"GPU offline 10–30 s", []perturb.Event{
-		{Kind: perturb.ProcOffline, Proc: 1, StartMs: 10_000, EndMs: 30_000}}},
-	{"all links 4× slower, whole run", []perturb.Event{
-		{Kind: perturb.LinkSlowdown, From: 0, To: 1, Factor: 4, StartMs: 0, EndMs: 1e9},
-		{Kind: perturb.LinkSlowdown, From: 0, To: 2, Factor: 4, StartMs: 0, EndMs: 1e9},
-		{Kind: perturb.LinkSlowdown, From: 1, To: 2, Factor: 4, StartMs: 0, EndMs: 1e9}}},
+var extDegradeScenarios = []degradeScenario{
+	{"GPU 2× slower, whole run", []apt.DegradeEvent{
+		{Kind: apt.ProcSlowdown, Proc: 1, Factor: 2, StartMs: 0, EndMs: 1e9}}},
+	{"GPU offline 10–30 s", []apt.DegradeEvent{
+		{Kind: apt.ProcOffline, Proc: 1, StartMs: 10_000, EndMs: 30_000}}},
+	{"all links 4× slower, whole run", []apt.DegradeEvent{
+		{Kind: apt.LinkSlowdown, From: 0, To: 1, Factor: 4, StartMs: 0, EndMs: 1e9},
+		{Kind: apt.LinkSlowdown, From: 0, To: 2, Factor: 4, StartMs: 0, EndMs: 1e9},
+		{Kind: apt.LinkSlowdown, From: 1, To: 2, Factor: 4, StartMs: 0, EndMs: 1e9}}},
 }
 
 // ExtDegrade reports suite-average makespans when the platform degrades
@@ -254,112 +199,62 @@ var extDegradeScenarios = []struct {
 // window, and the interconnect losing bandwidth. Cells show the absolute
 // makespan and the relative slowdown vs the steady platform.
 func (r *Runner) ExtDegrade() (*Artifact, error) {
-	graphs := r.Graphs(workload.Type2)
-	sys := platform.PaperSystem(paperRate)
-	specs := extRobustPolicies
+	wls, err := r.workloads(apt.Type2)
+	if err != nil {
+		return nil, err
+	}
+	pols := extRobustPolicies
 	t := &report.Table{
 		Title:   "Extension. Type-2 avg makespan under platform degradation (α=4 for APT). Policies keep trusting their static estimates.",
-		Headers: append([]string{"Scenario"}, policyLabels(specs)...),
+		Headers: []string{"Scenario"},
 		Notes: []string{
 			"Cells: avg makespan ms (+slowdown vs steady platform).",
 			"Proc 1 is the paper system's GPU.",
 		},
 	}
-
-	rows := append([]struct {
-		label  string
-		events []perturb.Event
-	}{{label: "steady platform"}}, extDegradeScenarios...)
-	scheds := make([]*perturb.Schedule, len(rows))
-	for i, sc := range rows {
-		if len(sc.events) == 0 {
-			continue
-		}
-		var err error
-		scheds[i], err = perturb.NewSchedule(sc.events)
-		if err != nil {
-			return nil, err
-		}
+	for _, p := range pols {
+		t.Headers = append(t.Headers, p.Name())
 	}
 
-	// Costs depend only on the graph: prepare once per graph, then fan the
-	// scenario × policy × graph grid through the engine's worker pool.
-	costs := make([]*sim.Costs, len(graphs))
-	for gi, g := range graphs {
-		c, err := sim.PrepareCosts(g, sys, lut.Paper(), sim.CostConfig{})
-		if err != nil {
-			return nil, err
+	// One batch over the scenario × policy × graph grid; the first
+	// scenario is the steady platform every other row is compared with.
+	rows := append([]degradeScenario{{label: "steady platform"}}, extDegradeScenarios...)
+	m := apt.PaperMachine(paperRate)
+	var configs []apt.RunConfig
+	for _, sc := range rows {
+		var opts *apt.Options
+		if len(sc.events) > 0 {
+			opts = &apt.Options{Perturb: &apt.Perturbation{Events: sc.events}}
 		}
-		costs[gi] = c
-	}
-	type job struct {
-		row, spec, graph int
-	}
-	var jobs []job
-	for ri := range rows {
-		for si := range specs {
-			for gi := range graphs {
-				jobs = append(jobs, job{ri, si, gi})
+		for _, p := range pols {
+			for _, w := range wls {
+				configs = append(configs, apt.RunConfig{Workload: w, Machine: m, Policy: p, Options: opts})
 			}
 		}
 	}
-	makespans := make([]float64, len(jobs))
-	errs := sim.RunPool(context.Background(), len(jobs), 0, func(i int, w *sim.Worker) error {
-		runner := w.Runner()
-		j := jobs[i]
-		pol, err := r.newPolicy(specs[j.spec])
-		if err != nil {
-			return err
-		}
-		opt := sim.Options{}
-		if scheds[j.row] != nil {
-			opt.Degrade = scheds[j.row]
-		}
-		res, err := runner.Run(costs[j.graph], pol, opt)
-		if err != nil {
-			return fmt.Errorf("%s scenario %q graph %d: %w", specs[j.spec].Name, rows[j.row].label, j.graph+1, err)
-		}
-		makespans[i] = res.MakespanMs
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results, err := apt.RunBatch(context.Background(), configs, nil)
+	if err != nil {
+		return nil, err
 	}
 
-	baseline := map[string]float64{}
-	idx := 0
+	baseline := make([]float64, len(pols))
 	for ri, sc := range rows {
 		cells := []string{sc.label}
-		for _, spec := range specs {
-			var total float64
-			for range graphs {
-				total += makespans[idx]
-				idx++
-			}
-			avg := total / float64(len(graphs))
+		for pi := range pols {
+			cell := (ri*len(pols) + pi) * len(wls)
+			avg := mean(results[cell:cell+len(wls)], makespan)
 			if ri == 0 {
-				baseline[spec.Name] = avg
+				baseline[pi] = avg
 				cells = append(cells, report.Ms(avg))
-			} else {
-				slow := 0.0
-				if b := baseline[spec.Name]; b > 0 {
-					slow = (avg - b) / b * 100
-				}
-				cells = append(cells, fmt.Sprintf("%s (%+.1f%%)", report.Ms(avg), slow))
+				continue
 			}
+			slow := 0.0
+			if b := baseline[pi]; b > 0 {
+				slow = (avg - b) / b * 100
+			}
+			cells = append(cells, fmt.Sprintf("%s (%+.1f%%)", report.Ms(avg), slow))
 		}
 		t.MustAddRow(cells...)
 	}
 	return &Artifact{ID: "ext-degrade", Caption: "Makespan under platform degradation", Table: t}, nil
-}
-
-// policyLabels renders spec labels for table headers.
-func policyLabels(specs []PolicySpec) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Label()
-	}
-	return out
 }
