@@ -1,13 +1,14 @@
 package apt
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/report"
@@ -281,49 +282,66 @@ type PowerModel struct {
 // TuneResult is one evaluated candidate of TuneAlpha.
 type TuneResult struct {
 	Alpha      float64
-	MakespanMs float64
+	MakespanMs float64 // mean across the calibration workloads
 }
+
+// defaultTuneAlphas is the candidate grid TuneAlpha uses when none is
+// given: the paper's sweep plus intermediate points.
+var defaultTuneAlphas = []float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 
 // TuneAlpha sweeps candidate flexibility factors over calibration
 // workloads on the machine and returns the α with the lowest mean
-// makespan, plus every evaluated point. Nil candidates selects a default
-// grid spanning 1–32. This operationalises the thesis's conclusion that
-// the threshold must be tuned to the degree of heterogeneity of the
-// system.
+// makespan, plus every evaluated point in candidate order. An exact tie
+// goes to the smaller α, the stricter threshold. Nil candidates selects a
+// default grid spanning 1–32. The candidate × workload grid runs as one
+// RunBatch. opts tunes the cost model and the scheduler overhead; the
+// calibration is closed and exact, so its Arrivals and Perturb must be
+// nil. This operationalises the thesis's conclusion that the threshold
+// must be tuned to the degree of heterogeneity of the system.
 func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64, opts *Options) (float64, []TuneResult, error) {
 	if m == nil {
 		return 0, nil, fmt.Errorf("apt: TuneAlpha requires a machine")
 	}
-	if opts == nil {
-		opts = &Options{}
+	if len(calibration) == 0 {
+		return 0, nil, fmt.Errorf("apt: TuneAlpha needs at least one calibration workload")
 	}
-	mode := sim.TransferMax
-	if opts.SerialTransfers {
-		mode = sim.TransferSum
+	if opts != nil && (opts.Arrivals != nil || opts.Perturb != nil) {
+		return 0, nil, fmt.Errorf("apt: TuneAlpha options must not set Arrivals or Perturb")
 	}
-	var costs []*sim.Costs
 	for i, w := range calibration {
 		if w == nil {
 			return 0, nil, fmt.Errorf("apt: calibration workload %d is nil", i)
 		}
-		c, err := sim.PrepareCosts(w.g, m.sys, lut.Paper(), sim.CostConfig{
-			ElemBytes: opts.ElemBytes,
-			Mode:      mode,
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		costs = append(costs, c)
 	}
-	best, points, err := core.TuneAlpha(costs, candidates, sim.Options{SchedOverheadMs: opts.SchedOverheadMs})
+	if len(candidates) == 0 {
+		candidates = defaultTuneAlphas
+	}
+	configs := make([]RunConfig, 0, len(candidates)*len(calibration))
+	for _, a := range candidates {
+		if !(a >= 1) {
+			return 0, nil, fmt.Errorf("apt: candidate α %v < 1", a)
+		}
+		for _, w := range calibration {
+			configs = append(configs, RunConfig{Workload: w, Machine: m, Policy: APT(a), Options: opts})
+		}
+	}
+	results, err := RunBatch(context.Background(), configs, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	out := make([]TuneResult, len(points))
-	for i, p := range points {
-		out[i] = TuneResult{Alpha: p.Alpha, MakespanMs: p.MakespanMs}
+	points := make([]TuneResult, len(candidates))
+	best := 0
+	for i, a := range candidates {
+		var total float64
+		for _, res := range results[i*len(calibration) : (i+1)*len(calibration)] {
+			total += res.MakespanMs
+		}
+		points[i] = TuneResult{Alpha: a, MakespanMs: total / float64(len(calibration))}
+		if c := cmp.Compare(points[i].MakespanMs, points[best].MakespanMs); c < 0 || c == 0 && a < points[best].Alpha {
+			best = i
+		}
 	}
-	return best, out, nil
+	return points[best].Alpha, points, nil
 }
 
 // Replay returns a policy that re-applies a previous result's placement

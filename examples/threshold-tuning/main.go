@@ -18,55 +18,32 @@ import (
 
 var alphas = []float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16, 32}
 
-func sweep(wls []*apt.Workload, machine *apt.Machine) ([]float64, float64) {
-	avg := make([]float64, len(alphas))
-	for i, a := range alphas {
-		var sum float64
-		for _, wl := range wls {
-			res, err := apt.Run(wl, machine, apt.APT(a), nil)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sum += res.MakespanMs
-		}
-		avg[i] = sum / float64(len(wls))
-	}
-	best := 0
-	for i := range avg {
-		if avg[i] < avg[best] {
-			best = i
-		}
-	}
-	return avg, alphas[best]
-}
-
-func chart(avg []float64) {
+func chart(points []apt.TuneResult) {
 	max := 0.0
-	for _, v := range avg {
-		if v > max {
-			max = v
+	for _, p := range points {
+		if p.MakespanMs > max {
+			max = p.MakespanMs
 		}
 	}
-	for i, v := range avg {
-		bar := strings.Repeat("#", int(v/max*50))
-		fmt.Printf("  α=%-5g %-50s %.0f ms\n", alphas[i], bar, v)
+	for _, p := range points {
+		bar := strings.Repeat("#", int(p.MakespanMs/max*50))
+		fmt.Printf("  α=%-5g %-50s %.0f ms\n", p.Alpha, bar, p.MakespanMs)
 	}
 }
 
 func main() {
-	// Ten Type-1 workloads of mixed sizes.
-	var wls []*apt.Workload
-	for i, n := range []int{46, 58, 50, 73, 69, 81, 125, 93, 132, 157} {
-		wl, err := apt.GenerateWorkload(apt.Type1, n, int64(20170301+i*1000003))
-		if err != nil {
-			log.Fatal(err)
-		}
-		wls = append(wls, wl)
+	// The thesis's ten Type-1 experiments, 46 to 157 kernels each.
+	wls, err := apt.GenerateSuite(apt.Type1, 20170301)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("paper machine (4 GB/s links):")
-	avg, brk := sweep(wls, apt.PaperMachine(4))
-	chart(avg)
+	brk, points, err := apt.TuneAlpha(wls, apt.PaperMachine(4), alphas, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	chart(points)
 	fmt.Printf("  thresholdbrk ≈ α=%g\n\n", brk)
 
 	fmt.Println("slow interconnect (0.4 GB/s links):")
@@ -74,8 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	avgSlow, brkSlow := sweep(wls, slow)
-	chart(avgSlow)
+	brkSlow, pointsSlow, err := apt.TuneAlpha(wls, slow, alphas, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	chart(pointsSlow)
 	fmt.Printf("  thresholdbrk ≈ α=%g\n", brkSlow)
 	fmt.Println("\nSlower links make alternative processors more expensive to feed,")
 	fmt.Println("shifting the optimum flexibility — α must be tuned per system, as the")
