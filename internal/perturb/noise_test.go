@@ -86,13 +86,18 @@ func TestNoiseUniformBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := tab.Entries()
+	changed := false
 	for i, e := range got.Entries() {
 		for k, v := range e.TimeMs {
 			ratio := v / orig[i].TimeMs[k]
 			if ratio < 1-frac-1e-12 || ratio > 1+frac+1e-12 {
 				t.Errorf("uniform factor %v for %s/%s outside [%v, %v]", ratio, e.Kernel, k, 1-frac, 1+frac)
 			}
+			changed = changed || ratio != 1
 		}
+	}
+	if !changed {
+		t.Error("uniform noise changed nothing")
 	}
 }
 
@@ -179,5 +184,31 @@ func TestNoiseBiasUnknownKindRejected(t *testing.T) {
 	n := Noise{Bias: map[platform.Kind]float64{platform.Kind("GPUX"): 1.3}}
 	if _, err := n.Apply(testTable(t)); err == nil {
 		t.Error("bias for a kind absent from the table accepted")
+	}
+}
+
+// Apply must copy: the estimate table (often the shared lut.Paper
+// singleton) stays what every policy decides with.
+func TestNoiseDoesNotMutateInput(t *testing.T) {
+	for _, tab := range []*lut.Table{testTable(t), lut.Paper()} {
+		before := tab.Entries()
+		for _, n := range []Noise{
+			{Model: NoiseUniform, Frac: 0.5, Seed: 9},
+			{Model: NoiseLogNormal, Frac: 0.5, Seed: 9},
+			{Model: NoiseDrift, Frac: 0.5, Seed: 9},
+			{Bias: map[platform.Kind]float64{platform.GPU: 1.3}},
+		} {
+			if _, err := n.Apply(tab); err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range tab.Entries() {
+				for k, v := range e.TimeMs {
+					if v != before[i].TimeMs[k] {
+						t.Fatalf("%+v mutated the input table at %s/%d/%s: %v -> %v",
+							n, e.Kernel, e.DataElems, k, before[i].TimeMs[k], v)
+					}
+				}
+			}
+		}
 	}
 }
