@@ -29,12 +29,12 @@ var determinism = &Analyzer{
 
 // determinismSeeds lists the packages whose outputs CI diffs
 // byte-for-byte across reruns — the taint sources of the determinism
-// scope. Today that is the sweep binary: the CI determinism job reruns
-// `cmd/sweep` in batch, stream, scale and robust modes and cmp's stdout.
-// A test pins each seed to an actual `cmd.*sweep` invocation in
-// .github/workflows/ci.yml, so the seed list cannot silently outlive the
-// job that justifies it.
-var determinismSeeds = []string{"repro/cmd/sweep"}
+// scope. The CI determinism job reruns `cmd/sweep` in batch, stream,
+// scale and robust modes and `cmd/experiments -ext` (every thesis and
+// extension artifact), and cmp's stdout. A test pins each seed to an
+// actual invocation in .github/workflows/ci.yml, so the seed list cannot
+// silently outlive the job that justifies it.
+var determinismSeeds = []string{"repro/cmd/sweep", "repro/cmd/experiments"}
 
 // deriveDeterminismScope computes the transitive closure of the seeds
 // over the module's reference graph, restricted to loaded packages. The
