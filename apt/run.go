@@ -325,7 +325,7 @@ func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64, opts *
 			configs = append(configs, RunConfig{Workload: w, Machine: m, Policy: APT(a), Options: opts})
 		}
 	}
-	results, err := RunBatch(context.Background(), configs, nil)
+	results, err := RunBatch(context.TODO(), configs, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,10 +1,14 @@
 // Command experiments regenerates the thesis's evaluation: every table and
-// figure of Chapter 4 and the appendices, from the same code paths the
-// library's benchmarks use.
+// figure of Chapter 4 and the appendices, plus the repository's extension
+// artifacts. Every simulation runs through the public library's
+// apt.RunBatch, the pipeline the paper-sweep benchmark measures. The whole
+// run takes a fraction of a second, and its output is byte-identical
+// across reruns and GOMAXPROCS values (CI cmp's it).
 //
 // Usage:
 //
 //	experiments                  # everything, as text, to stdout
+//	experiments -ext             # also the ext-* artifacts
 //	experiments -only table8     # a single artifact
 //	experiments -list            # artifact catalogue
 //	experiments -dir results/    # also write per-artifact .txt and .csv

@@ -64,7 +64,7 @@ func (r *Runner) ExtStream() (*Artifact, error) {
 			apt.RunConfig{Workload: w, Machine: m, Policy: apt.APT(4), Options: opts},
 			apt.RunConfig{Workload: w, Machine: m, Policy: apt.MET(metSeed), Options: opts})
 	}
-	res, err := apt.RunBatch(context.Background(), configs, nil)
+	res, err := apt.RunBatch(context.TODO(), configs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func (r *Runner) ExtLatency() (*Artifact, error) {
 	for i, p := range extLatencyPolicies {
 		configs[i] = apt.RunConfig{Workload: w, Machine: m, Policy: p, Options: &apt.Options{Arrivals: arrivals}}
 	}
-	results, err := apt.RunBatch(context.Background(), configs, nil)
+	results, err := apt.RunBatch(context.TODO(), configs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (r *Runner) ExtNoise() (*Artifact, error) {
 			}
 		}
 	}
-	results, err := apt.RunBatch(context.Background(), configs, nil)
+	results, err := apt.RunBatch(context.TODO(), configs, nil)
 	if err != nil {
 		return nil, err
 	}

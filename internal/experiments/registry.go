@@ -38,9 +38,14 @@ var extDrivers = []driver{
 func (r *Runner) Artifact(id string) (*Artifact, error) {
 	for _, drivers := range [][]driver{paperDrivers, extDrivers} {
 		for _, d := range drivers {
-			if d.id == id {
-				return d.build(r)
+			if d.id != id {
+				continue
 			}
+			a, err := d.build(r)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", id, err)
+			}
+			return a, nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown artifact %q (known: %v, extensions: %v)", id, IDs(), ExtIDs())

@@ -79,7 +79,7 @@ func (r *Runner) robustSweep() ([]robustCell, error) {
 			}
 		}
 	}
-	results, err := apt.RunBatch(context.Background(), configs, nil)
+	results, err := apt.RunBatch(context.TODO(), configs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func (r *Runner) ExtDegrade() (*Artifact, error) {
 			}
 		}
 	}
-	results, err := apt.RunBatch(context.Background(), configs, nil)
+	results, err := apt.RunBatch(context.TODO(), configs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -124,9 +124,9 @@ func (r *Runner) Suite(typ apt.GraphType, rate float64, pol apt.Policy) ([]*apt.
 	for i, w := range wls {
 		configs[i] = apt.RunConfig{Workload: w, Machine: m, Policy: pol}
 	}
-	out, err = apt.RunBatch(context.Background(), configs, nil)
+	out, err = apt.RunBatch(context.TODO(), configs, nil)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on the %v suite: %w", pol.Name(), typ, err)
+		return nil, fmt.Errorf("%s on the %v suite: %w", pol.Name(), typ, err)
 	}
 	r.mu.Lock()
 	r.cache[key] = out
