@@ -129,8 +129,8 @@ func TestRunFigure5(t *testing.T) {
 	if res.Alt.AltAssignments != 1 || res.Alt.ByKernel["bfs"] != 1 {
 		t.Errorf("alt stats = %+v", res.Alt)
 	}
-	if len(res.Kernels) != 5 || len(res.Procs) != 3 {
-		t.Errorf("result shape = %d kernels %d procs", len(res.Kernels), len(res.Procs))
+	if kernels := res.Kernels(); len(kernels) != 5 || len(res.Procs) != 3 {
+		t.Errorf("result shape = %d kernels %d procs", len(kernels), len(res.Procs))
 	}
 	if !strings.Contains(res.Gantt(), "start 0-nw") {
 		t.Error("Gantt missing events")

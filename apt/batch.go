@@ -283,10 +283,9 @@ func memoPolicy(w *sim.Worker, p Policy) (sim.Policy, error) {
 	return v.(sim.Policy), nil
 }
 
-// assemble converts an engine result into the public Result.
-// The per-kernel rows are filled into an exact-size preallocation, sharded
-// across lanes on large runs (disjoint index ranges, so the output is
-// byte-identical for every lane count — see sim.ParallelOver).
+// assemble converts an engine result into the public Result: the
+// summaries, one row per processor and APT's allocation counts. The
+// per-kernel rows are built on demand by Result.Kernels.
 func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result {
 	out := &Result{
 		Policy:        res.Policy,
@@ -300,27 +299,7 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result 
 		sys:           m.sys,
 		wl:            w,
 	}
-	out.Kernels = make([]KernelRun, len(res.Placements))
-	kernels, procs := w.g.Kernels(), m.sys.Procs()
-	sim.ParallelOver(len(res.Placements), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pl := &res.Placements[i]
-			out.Kernels[i] = KernelRun{
-				Kernel:      int32(pl.Kernel),
-				Name:        kernels[pl.Kernel].Name,
-				Proc:        int32(pl.Proc),
-				ProcName:    procs[pl.Proc].Name,
-				ArrivalMs:   pl.Arrival,
-				ReadyMs:     pl.Ready,
-				ExecStartMs: pl.ExecStart,
-				FinishMs:    pl.Finish,
-				LambdaMs:    pl.Lambda(),
-				TransferMs:  pl.ExecStart - pl.TransferStart,
-				SojournMs:   pl.Sojourn(),
-				QueueWaitMs: pl.QueueWait(),
-			}
-		}
-	})
+	procs := m.sys.Procs()
 	out.Procs = make([]ProcUse, 0, len(res.ProcStats))
 	for _, st := range res.ProcStats {
 		out.Procs = append(out.Procs, ProcUse{

@@ -10,7 +10,7 @@ import (
 // row of res, one per line.
 func kernelRowsHash(res *Result) string {
 	h := fnv.New64a()
-	for _, k := range res.Kernels {
+	for _, k := range res.Kernels() {
 		fmt.Fprintf(h, "%v\n", k)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -46,7 +46,7 @@ func TestKernelRowsPinned(t *testing.T) {
 		Events: []DegradeEvent{{Kind: LinkSlowdown, From: 0, To: 2, Factor: 4, StartMs: 0, EndMs: 1e6}},
 	}}
 	anyRow := func(res *Result, f func(KernelRun) bool) bool {
-		for _, k := range res.Kernels {
+		for _, k := range res.Kernels() {
 			if f(k) {
 				return true
 			}
@@ -72,7 +72,7 @@ func TestKernelRowsPinned(t *testing.T) {
 			func(r *Result) bool { return r.Alt.AltAssignments > 0 },
 			"9a3a8404be03bda6"},
 		{"10k layered", layered, scale, APT(4), nil,
-			func(r *Result) bool { return len(r.Kernels) == 10_000 },
+			func(r *Result) bool { return len(r.Kernels()) == 10_000 },
 			"cad0a1b778e0404e"},
 	} {
 		res, err := Run(tc.w, tc.m, tc.p, tc.opts)

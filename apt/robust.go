@@ -301,8 +301,8 @@ func RunRobustness(ctx context.Context, cfg RobustnessConfig) ([]RobustnessPoint
 			mkSum += noisy.MakespanMs
 			orSum += oracle.MakespanMs
 			lamSum += noisy.LambdaTotalMs
-			for _, k := range noisy.Kernels {
-				sojourns = append(sojourns, k.SojournMs)
+			for i := range noisy.res.Placements {
+				sojourns = append(sojourns, noisy.res.Placements[i].Sojourn())
 			}
 		}
 		points[pi].MakespanMs = mkSum / float64(nw)

@@ -41,10 +41,11 @@ func TestPerturbNoiseChangesReality(t *testing.T) {
 	if noisy.MakespanMs == clean.MakespanMs {
 		t.Error("40% log-normal noise left the makespan bit-identical to the clean run")
 	}
-	for i := range clean.Kernels {
-		if clean.Kernels[i].Proc != noisy.Kernels[i].Proc {
+	cleanRows, noisyRows := clean.Kernels(), noisy.Kernels()
+	for i := range cleanRows {
+		if cleanRows[i].Proc != noisyRows[i].Proc {
 			t.Fatalf("kernel %d placed on %d under noise vs %d clean — noise leaked into HEFT's decisions",
-				i, noisy.Kernels[i].Proc, clean.Kernels[i].Proc)
+				i, noisyRows[i].Proc, cleanRows[i].Proc)
 		}
 	}
 	// Deterministic: same options, same result.

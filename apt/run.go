@@ -203,7 +203,6 @@ type Result struct {
 	// run (under the closed model, arrival is 0 for every kernel).
 	Sojourn   LatencyStats
 	QueueWait LatencyStats
-	Kernels   []KernelRun
 	Procs     []ProcUse
 	Alt       AltStats
 
@@ -219,6 +218,32 @@ func Run(w *Workload, m *Machine, p Policy, opts *Options) (*Result, error) {
 		return nil, fmt.Errorf("apt: Run requires a workload and a machine")
 	}
 	return runOne(nil, RunConfig{Workload: w, Machine: m, Policy: p, Options: opts})
+}
+
+// Kernels returns one row per kernel, indexed by kernel ID, describing its
+// lifecycle in the run. It builds the rows on each call from the
+// schedule the Result holds, so call it once and keep the slice.
+func (r *Result) Kernels() []KernelRun {
+	kernels, procs := r.wl.g.Kernels(), r.sys.Procs()
+	rows := make([]KernelRun, len(r.res.Placements))
+	for i := range r.res.Placements {
+		pl := &r.res.Placements[i]
+		rows[i] = KernelRun{
+			Kernel:      int32(pl.Kernel),
+			Name:        kernels[pl.Kernel].Name,
+			Proc:        int32(pl.Proc),
+			ProcName:    procs[pl.Proc].Name,
+			ArrivalMs:   pl.Arrival,
+			ReadyMs:     pl.Ready,
+			ExecStartMs: pl.ExecStart,
+			FinishMs:    pl.Finish,
+			LambdaMs:    pl.Lambda(),
+			TransferMs:  pl.ExecStart - pl.TransferStart,
+			SojournMs:   pl.Sojourn(),
+			QueueWaitMs: pl.QueueWait(),
+		}
+	}
+	return rows
 }
 
 // Gantt renders the schedule as a time-ordered event log.

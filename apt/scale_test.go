@@ -39,8 +39,8 @@ func TestScaleSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Kernels) != 1000 {
-				t.Fatalf("kernels = %d", len(res.Kernels))
+			if kernels := res.Kernels(); len(kernels) != 1000 {
+				t.Fatalf("kernels = %d", len(kernels))
 			}
 			if res.MakespanMs <= 0 {
 				t.Fatalf("makespan = %v", res.MakespanMs)
@@ -84,11 +84,14 @@ func TestScaleGeneratorShapes(t *testing.T) {
 	}
 }
 
-// resultFingerprint serialises the exported surface of a result for exact
-// comparison across runs.
+// resultFingerprint serialises the exported surface of a result, its
+// per-kernel rows included, for exact comparison across runs.
 func resultFingerprint(t *testing.T, res *Result) string {
 	t.Helper()
-	b, err := json.Marshal(res)
+	b, err := json.Marshal(struct {
+		Result  *Result
+		Kernels []KernelRun
+	}{res, res.Kernels()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +147,21 @@ func TestScaleBatchDeterminism(t *testing.T) {
 }
 
 // withProcs runs fn under GOMAXPROCS=procs and restores the previous
-// value. The lane-parallel phases (cost preparation, validation, result
-// assembly) size themselves as min(kernels/2048, GOMAXPROCS) lanes, so this
-// is how a test selects the lane count of a public Run.
+// value.
 func withProcs(procs int, fn func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	fn()
 }
 
-// TestScaleLaneDeterminism is the lane-count matrix: a 10k-kernel run must
-// be byte-identical under 1, 2, 4 and one-per-CPU lanes (10k kernels allow
-// up to four), under both a dynamic and a static policy, with the schedule
-// re-validated through the lane-parallel validator each time.
+// TestScaleLaneDeterminism guards against in-run parallelism coming back:
+// one run is sequential, so a 10k-kernel run must be byte-identical under
+// GOMAXPROCS 1, 2, 4 and one per CPU, under both a dynamic and a static
+// policy. Cost preparation, validation and the per-kernel rows once split
+// their loops across up to GOMAXPROCS goroutines, and this test compared
+// those lane counts.
 func TestScaleLaneDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("10k-kernel lane matrix in -short mode")
+		t.Skip("10k-kernel GOMAXPROCS matrix in -short mode")
 	}
 	w, err := GenerateLayeredWorkload(10_000, 0, 0, 11)
 	if err != nil {
@@ -182,18 +185,18 @@ func TestScaleLaneDeterminism(t *testing.T) {
 				continue
 			}
 			if fp != baseline {
-				t.Fatalf("%v GOMAXPROCS=%d: result differs from serial baseline", pol, procs)
+				t.Fatalf("%v GOMAXPROCS=%d: result differs from the GOMAXPROCS=1 run", pol, procs)
 			}
 		}
 	}
 }
 
 // TestScale1MDeterminism drives the engine at the million-kernel design
-// point: one 1M-kernel layered DAG scheduled serially (GOMAXPROCS=1) and
-// with one lane per CPU must agree byte for byte. Skipped under -short and
-// under -race — the two runs move gigabytes of cost table and placement
-// state (the race-instrumented lane interactions are covered at 10k by the
-// lane matrix above, which CI does run with -race).
+// point: one 1M-kernel layered DAG scheduled under GOMAXPROCS=1 and under
+// one proc per CPU must agree byte for byte, which guards against in-run
+// parallelism coming back (see TestScaleLaneDeterminism). Skipped under
+// -short and under -race — the two runs move gigabytes of cost table and
+// placement state (the 10k matrix above runs under -race in CI).
 func TestScale1MDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-kernel run in -short mode")
@@ -214,8 +217,9 @@ func TestScale1MDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Kernels) != 1_000_000 {
-		t.Fatalf("kernels = %d", len(serial.Kernels))
+	serialRows := serial.Kernels()
+	if len(serialRows) != 1_000_000 {
+		t.Fatalf("kernels = %d", len(serialRows))
 	}
 	var parallel *Result
 	withProcs(runtime.NumCPU(), func() { parallel, err = Run(w, m, HEFT(), nil) })
@@ -224,12 +228,13 @@ func TestScale1MDeterminism(t *testing.T) {
 	}
 	// Field-by-field comparison instead of a JSON fingerprint: marshalling
 	// two million KernelRuns would cost more memory than the runs themselves.
-	if len(parallel.Kernels) != len(serial.Kernels) {
-		t.Fatalf("kernel rows %d vs %d", len(parallel.Kernels), len(serial.Kernels))
+	parallelRows := parallel.Kernels()
+	if len(parallelRows) != len(serialRows) {
+		t.Fatalf("kernel rows %d vs %d", len(parallelRows), len(serialRows))
 	}
-	for i := range serial.Kernels {
-		if serial.Kernels[i] != parallel.Kernels[i] {
-			t.Fatalf("kernel row %d differs between serial and per-CPU lanes", i)
+	for i := range serialRows {
+		if serialRows[i] != parallelRows[i] {
+			t.Fatalf("kernel row %d differs between GOMAXPROCS 1 and one per CPU", i)
 		}
 	}
 	if len(parallel.Procs) != len(serial.Procs) {
@@ -237,13 +242,13 @@ func TestScale1MDeterminism(t *testing.T) {
 	}
 	for i := range serial.Procs {
 		if serial.Procs[i] != parallel.Procs[i] {
-			t.Fatalf("proc row %d differs between serial and per-CPU lanes", i)
+			t.Fatalf("proc row %d differs between GOMAXPROCS 1 and one per CPU", i)
 		}
 	}
 	if serial.MakespanMs != parallel.MakespanMs ||
 		serial.LambdaTotalMs != parallel.LambdaTotalMs ||
 		serial.Sojourn != parallel.Sojourn ||
 		serial.QueueWait != parallel.QueueWait {
-		t.Fatal("headline metrics differ between serial and per-CPU lanes")
+		t.Fatal("headline metrics differ between GOMAXPROCS 1 and one per CPU")
 	}
 }

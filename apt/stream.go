@@ -160,7 +160,8 @@ func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy, 
 	var sumSpan, firstAt, prevLast float64
 	for i, res := range results {
 		ss := &out.Shards[i]
-		ss.Kernels = len(res.Kernels)
+		pls := res.res.Placements
+		ss.Kernels = len(pls)
 		ss.MakespanMs = res.MakespanMs
 		ss.P99SojournMs = res.Sojourn.P99Ms
 		if arr := shards[i].Arrivals; len(arr) > 0 {
@@ -176,9 +177,9 @@ func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy, 
 			globalTimes = false
 		}
 		sumSpan += ss.ArrivalSpanMs
-		for _, k := range res.Kernels {
-			sojourns = append(sojourns, k.SojournMs)
-			qwaits = append(qwaits, k.QueueWaitMs)
+		for i := range pls {
+			sojourns = append(sojourns, pls[i].Sojourn())
+			qwaits = append(qwaits, pls[i].QueueWait())
 		}
 		out.Kernels += ss.Kernels
 		out.SimulatedMs += ss.MakespanMs

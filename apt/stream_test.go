@@ -259,7 +259,7 @@ func TestResultLatencyFieldsThreaded(t *testing.T) {
 	if res.Sojourn.Count != 20 || res.QueueWait.Count != 20 {
 		t.Fatalf("summary counts = %d/%d", res.Sojourn.Count, res.QueueWait.Count)
 	}
-	for _, k := range res.Kernels {
+	for _, k := range res.Kernels() {
 		if math.Abs(k.SojournMs-(k.FinishMs-k.ArrivalMs)) > 1e-9 {
 			t.Errorf("kernel %d sojourn %v != finish-arrival %v", k.Kernel, k.SojournMs, k.FinishMs-k.ArrivalMs)
 		}

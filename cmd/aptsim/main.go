@@ -110,7 +110,7 @@ func run(typ, n int, seed int64, graphPath, polName string, alpha float64, metSe
 
 func countDelayed(res *apt.Result) int {
 	n := 0
-	for _, k := range res.Kernels {
+	for _, k := range res.Kernels() {
 		if k.LambdaMs > 0 {
 			n++
 		}

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,13 +47,16 @@ func main() {
 		}
 		return
 	}
-	if err := run(*only, *dir, *seed, *ext, *htm); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+	if err := run(os.Stdout, *only, *dir, *seed, *ext, *htm); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(only, dir string, seed int64, ext bool, htmlPath string) error {
+// run writes the selected artifacts to w. Every error it returns starts
+// with "experiments: ", which main prints once: the Runner's errors carry
+// that package prefix, and run adds it to the rest.
+func run(w io.Writer, only, dir string, seed int64, ext bool, htmlPath string) error {
 	r := experiments.NewRunner(experiments.Config{Seed: seed})
 	ids := experiments.IDs()
 	if ext {
@@ -73,13 +77,15 @@ func run(only, dir string, seed int64, ext bool, htmlPath string) error {
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "== %s — %s ==\n", strings.ToUpper(a.ID[:1])+a.ID[1:], a.Caption)
 		if err := a.Render(&buf); err != nil {
-			return err
+			return fmt.Errorf("experiments: %s: %w", id, err)
 		}
 		buf.WriteString("\n")
-		os.Stdout.Write(buf.Bytes())
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
 		if dir != "" {
 			if err := writeFiles(dir, a, buf.Bytes()); err != nil {
-				return err
+				return fmt.Errorf("experiments: %w", err)
 			}
 		}
 		if page != nil {
@@ -94,17 +100,26 @@ func run(only, dir string, seed int64, ext bool, htmlPath string) error {
 		}
 	}
 	if page != nil {
-		f, err := os.Create(htmlPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := page.Render(f); err != nil {
-			return err
+		if err := writeHTML(htmlPath, page); err != nil {
+			return fmt.Errorf("experiments: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", htmlPath)
 	}
 	return nil
+}
+
+// writeHTML renders page into the file at path. A failed Close fails the
+// write, since the report's tail may not have reached the file.
+func writeHTML(path string, page *report.HTMLReport) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := page.Render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func writeFiles(dir string, a *experiments.Artifact, text []byte) error {

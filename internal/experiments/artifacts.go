@@ -411,7 +411,7 @@ func (r *Runner) AllocationTable(typ apt.GraphType, title string) (*report.Table
 			t.MustAddRow(
 				fmt.Sprintf("%g", a),
 				fmt.Sprintf("%d", i+1),
-				fmt.Sprintf("%d", len(o.Kernels)),
+				fmt.Sprintf("%d", len(o.Kernels())),
 				fmt.Sprintf("%d", o.Alt.AltAssignments),
 				formatByKernel(o.Alt.ByKernel),
 			)

@@ -111,9 +111,10 @@ func (r *Runner) ExtLatency() (*Artifact, error) {
 	}
 	rows := make([]report.LatencyRow, len(results))
 	for i, res := range results {
-		sojourns := make([]float64, len(res.Kernels))
-		for k := range res.Kernels {
-			sojourns[k] = res.Kernels[k].SojournMs
+		kernels := res.Kernels()
+		sojourns := make([]float64, len(kernels))
+		for k := range kernels {
+			sojourns[k] = kernels[k].SojournMs
 		}
 		rows[i] = report.LatencyRow{Label: extLatencyPolicies[i].Name(), S: stats.SummarizeInPlace(sojourns)}
 	}

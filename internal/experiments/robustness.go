@@ -94,8 +94,8 @@ func (r *Runner) robustSweep() ([]robustCell, error) {
 			results = results[2:]
 			cell.makespanMs += noisy.MakespanMs
 			cell.oracleMs += oracle.MakespanMs
-			for i := range noisy.Kernels {
-				sojourns = append(sojourns, noisy.Kernels[i].SojournMs)
+			for _, k := range noisy.Kernels() {
+				sojourns = append(sojourns, k.SojournMs)
 			}
 		}
 		n := float64(len(wls))

@@ -54,10 +54,11 @@ func (w *Worker) Memo(key any, build func() (any, error)) (any, error) {
 
 // RunPool dispatches indices 0..n-1 across a bounded pool of workers, each
 // owning a reusable Runner (plus a prepared-artifact memo, see Worker), and
-// collects fn's error per index. It is the shared fan-out primitive under
-// apt.RunBatch and the experiment runner: callers put their whole
-// per-item pipeline (cost preparation, simulation, post-processing) inside
-// fn so every stage parallelises.
+// collects fn's error per index. It is the fan-out primitive under
+// apt.RunBatch, and the only place this package starts goroutines: one
+// run — cost preparation, simulation, validation — is sequential, so
+// callers put their whole per-item pipeline inside fn and parallelism
+// comes from running many items at once.
 //
 // Once the context is cancelled, undispatched indices receive ctx.Err()
 // without fn being called; in-flight calls complete. The returned slice

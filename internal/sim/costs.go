@@ -134,6 +134,7 @@ const MaxMemoKeys = 256
 // output size takes np² of them, so up to 16 processors table every
 // numbered size and 130 processors the first 3. The sizes past the cap,
 // and every size on more than 256 processors, are priced link by link.
+// The graph bounds the table too (see fillTransfers).
 const maxXferEntries = 1 << 16
 
 // shapeKey is what the lookup table prices a kernel by, apart from the
@@ -145,24 +146,15 @@ type shapeKey struct {
 
 // PrepareCosts precomputes the shape×processor execution-time matrix and
 // validates that the table covers every kernel in the graph on every
-// processor kind in the system. From a few thousand shapes up the row
-// fills shard across autoLanes parallel lanes; the result is byte-identical
-// for every lane count.
+// processor kind in the system. One pass numbers the shapes; then each
+// shape row is filled with one lookup per processor kind, copied to that
+// kind's processors, and its best and mean derived in processor-ID order.
+// The oracle is byte-identical to pricing every (kernel, processor) pair
+// on its own, and the error is the one that pricing reports first.
 func PrepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig) (*Costs, error) {
 	if g == nil || sys == nil || tab == nil {
 		return nil, fmt.Errorf("sim: PrepareCosts requires graph, system and table")
 	}
-	return prepareCosts(g, sys, tab, cfg, autoLanes)
-}
-
-// prepareCosts is PrepareCosts with the row fill's lane count given by
-// lanes(rows) for the graph's number of shapes. One serial pass numbers the
-// shapes; then the lanes fill disjoint ranges of shape rows, each with one
-// lookup per (shape, processor kind) copied to that kind's processors, and
-// derive best and mean per row in processor-ID order. The lookup table is
-// immutable, so the oracle is byte-identical for every lane count, and to
-// pricing every (kernel, processor) pair on its own.
-func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig, lanes func(rows int) int) (*Costs, error) {
 	if cfg.ElemBytes == 0 {
 		cfg.ElemBytes = DefaultCostConfig().ElemBytes
 	}
@@ -243,57 +235,53 @@ func prepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostCo
 	c.exec = make([]float64, rows*np)
 	c.best = make([]platform.ProcID, rows)
 	c.mean = make([]float64, rows)
-	nl := lanes(rows)
-	errs := make([]laneError, clampLanes(nl, rows))
-	parallelChunks(rows, nl, func(ch laneChunk) {
-		for s := ch.lo; s < ch.hi; s++ {
-			id := reps[s]
-			k := &kernels[id]
-			row := c.exec[s*np : (s+1)*np]
-			for p := range row {
-				if int(firstOf[p]) != p {
-					continue
-				}
-				ms, err := tab.Exec(k.Name, k.DataElems, sys.KindOf(platform.ProcID(p)))
-				if err != nil {
-					errs[ch.lane] = laneError{at: s, err: fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
-						id, k.Name, k.DataElems, p, err)}
-					return
-				}
-				row[p] = ms
+	for s, id := range reps {
+		k := &kernels[id]
+		row := c.exec[s*np : (s+1)*np]
+		for p := range row {
+			if int(firstOf[p]) != p {
+				continue
 			}
-			sum := 0.0
-			best := platform.ProcID(0)
-			bestMs := math.Inf(1)
-			for p := range row {
-				ms := row[firstOf[p]] // priced above
-				row[p] = ms
-				sum += ms
-				if ms < bestMs {
-					bestMs = ms
-					best = platform.ProcID(p)
-				}
+			ms, err := tab.Exec(k.Name, k.DataElems, sys.KindOf(platform.ProcID(p)))
+			if err != nil {
+				return nil, fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
+					id, k.Name, k.DataElems, p, err)
 			}
-			c.best[s] = best
-			c.mean[s] = sum / float64(np)
+			row[p] = ms
 		}
-	})
-	if err := firstLaneError(errs); err != nil {
-		return nil, err
+		sum := 0.0
+		best := platform.ProcID(0)
+		bestMs := math.Inf(1)
+		for p := range row {
+			ms := row[firstOf[p]] // priced above
+			row[p] = ms
+			sum += ms
+			if ms < bestMs {
+				bestMs = ms
+				best = platform.ProcID(p)
+			}
+		}
+		c.best[s] = best
+		c.mean[s] = sum / float64(np)
 	}
 	return c, nil
 }
 
 // fillTransfers marks every numbered size's mean unpriced and fills the
-// transfer table for as many of the sizes as maxXferEntries holds, with
-// TransferMs itself, so a table read is bit for bit the direct price.
+// transfer table for as many of the sizes as it may hold, with TransferMs
+// itself, so a table read is bit for bit the direct price. The table holds
+// at most maxXferEntries entries and at most ⌊n/np⌋ sizes for n kernels: a
+// size takes np² entries, and a run reads at most n·np, since each
+// kernel's output leaves from the one processor it ran on. So a 41-kernel
+// graph on 130 processors prices every link directly instead of tabling
+// 16 900 entries a size to read a few hundred.
 func (c *Costs) fillTransfers(sizes []int64) {
 	np := c.np
 	c.means = make([]atomic.Uint64, len(sizes))
 	for s := range c.means {
 		c.means[s].Store(unpriced)
 	}
-	c.xferRows = min(len(sizes), maxXferEntries/max(1, np*np))
+	c.xferRows = min(len(sizes), maxXferEntries/max(1, np*np), len(c.out)/max(1, np))
 	c.xfer = make([]float64, c.xferRows*np*np)
 	for s, elems := range sizes[:c.xferRows] {
 		tab := c.xfer[s*np*np : (s+1)*np*np]

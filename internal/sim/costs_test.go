@@ -2,11 +2,14 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/dfg"
+	"repro/internal/lut"
 	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 func TestPrepareCostsValidation(t *testing.T) {
@@ -219,8 +222,9 @@ func directTransferIn(c *Costs, k dfg.KernelID, p platform.ProcID, place func(df
 // TestMeanTransferTable pins MeanTransfer's memo: it equals the direct sum
 // bit for bit for every kernel, the second time a size is asked for too,
 // whether the size has transfer-table rows, is numbered but past the
-// table's 2¹⁶-entry budget (130 processors keep 3 sizes), or lies past
-// MaxMemoKeys sizes and is priced on every call. Four goroutines then ask
+// table's bound (one size per 3 of the 552 kernels on 3 processors, the
+// 2¹⁶-entry budget's 3 sizes on 130), or lies past MaxMemoKeys sizes and
+// is priced on every call. Four goroutines then ask
 // a fresh Costs for every mean at once; under -race this is the memo's
 // concurrency check.
 func TestMeanTransferTable(t *testing.T) {
@@ -241,7 +245,7 @@ func TestMeanTransferTable(t *testing.T) {
 		sys  *platform.System
 		rows int
 	}{
-		{env.sys, MaxMemoKeys},
+		{env.sys, g.NumKernels() / 3},
 		{wide.SetUniformRate(4).MustBuild(), 3},
 	} {
 		c, err := PrepareCosts(g, tc.sys, env.tab, CostConfig{})
@@ -278,6 +282,70 @@ func TestMeanTransferTable(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestTransferTableBound pins how many output sizes the transfer table
+// holds: every size of the benchmark's graphs (the paper-sweep suite on 3
+// processors, 10 or 11 sizes each; scale-10k's 11 on 8 processors), the
+// 2¹⁶-entry budget's 3 on a 3000-kernel graph on 130 processors, and none
+// for 41 kernels on 130 processors, which can read at most 41·130 entries
+// and so prices every link directly instead of tabling 3·130².
+func TestTransferTableBound(t *testing.T) {
+	scale := func(n int, seed int64) *dfg.Graph {
+		series, err := workload.ScaleSeries(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := workload.BuildScaleLayered(series, workload.DefaultScaleLayeredConfig(), rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	machine := func(np int) *platform.System {
+		b := platform.NewBuilder()
+		for p := 0; p < np; p++ {
+			b.AddProcessor([]platform.Kind{platform.CPU, platform.GPU, platform.FPGA}[p%3], "")
+		}
+		return b.SetUniformRate(4).MustBuild()
+	}
+	rows := func(g *dfg.Graph, sys *platform.System) (tabled, sizes int) {
+		c, err := PrepareCosts(g, sys, lut.Paper(), CostConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.xferRows, len(c.means)
+	}
+	// The paper-sweep graphs, by the benchmark's recipe for seed 7.
+	counts := workload.ExperimentKernelCounts
+	for ti, typ := range []workload.GraphType{workload.Type1, workload.Type2} {
+		for i, n := range counts {
+			seed := 7 + int64(ti*len(counts)+i)*1_000_003
+			series := workload.PaperCatalog().RandomSeries(rand.New(rand.NewSource(seed)), n)
+			g, err := workload.Build(typ, series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabled, sizes := rows(g, platform.PaperSystem(4))
+			if tabled != sizes || sizes < 10 || sizes > 11 {
+				t.Errorf("%v, %d kernels: %d of %d sizes tabled, want all of 10 or 11", typ, n, tabled, sizes)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		g            *dfg.Graph
+		np           int
+		tabled, size int
+	}{
+		{"scale-10k", scale(10_000, 7), 8, 11, 11},
+		{"3000 kernels", scale(3000, 3), 130, 3, 11},
+		{"41 kernels", scale(41, 7), 130, 0, 10},
+	} {
+		if tabled, sizes := rows(tc.g, machine(tc.np)); tabled != tc.tabled || sizes != tc.size {
+			t.Errorf("%s on %d processors: %d of %d sizes tabled, want %d of %d", tc.name, tc.np, tabled, sizes, tc.tabled, tc.size)
+		}
 	}
 }
 

@@ -917,26 +917,18 @@ func (e *engine) result() *Result {
 // the latest finish. It exists for tests and for downstream users embedding
 // custom policies. Occupancy is checked along the order the engine started
 // the kernels in, which Run records in the Result, so only a Result
-// returned by Run passes.
-//
-// From a few thousand kernels up the per-kernel lifecycle checks shard
-// across autoLanes kernel-index chunks; they report the same first error
-// the serial walk would, for any lane count (see lanes.go).
+// returned by Run passes. It walks the placements once and the start log
+// once, and returns the first error of each walk.
 func (r *Result) Validate(g *dfg.Graph, sys *platform.System) error {
-	return r.validate(g, sys, autoLanes(g.NumKernels()))
-}
-
-// validate is Validate over an explicit lane count.
-func (r *Result) validate(g *dfg.Graph, sys *platform.System, lanes int) error {
-	if err := r.checkLifecycles(g, sys, lanes); err != nil || len(r.Placements) == 0 {
+	if err := r.checkLifecycles(g, sys); err != nil || len(r.Placements) == 0 {
 		return err
 	}
 	return r.checkOccupancy(sys.NumProcs())
 }
 
-// checkLifecycles checks every placement on its own, in lanes, and the
-// makespan against the latest finish.
-func (r *Result) checkLifecycles(g *dfg.Graph, sys *platform.System, lanes int) error {
+// checkLifecycles checks every placement on its own, in kernel order, and
+// the makespan against the latest finish.
+func (r *Result) checkLifecycles(g *dfg.Graph, sys *platform.System) error {
 	n := g.NumKernels()
 	if len(r.Placements) != n {
 		return fmt.Errorf("sim: %d placements for %d kernels", len(r.Placements), n)
@@ -945,55 +937,34 @@ func (r *Result) checkLifecycles(g *dfg.Graph, sys *platform.System, lanes int) 
 		return nil
 	}
 	np := sys.NumProcs()
-	nl := clampLanes(lanes, n)
-	errs := make([]laneError, nl)
-	laneMax := make([]float64, nl)
-	parallelChunks(n, lanes, func(c laneChunk) {
-		var maxFinish float64
-		for i := c.lo; i < c.hi; i++ {
-			pl := &r.Placements[i]
-			if int(pl.Kernel) != i {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: placement %d records kernel %d", i, pl.Kernel)}
-				return
-			}
-			if pl.Proc < 0 || int(pl.Proc) >= np {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d placed on unknown processor %d", i, pl.Proc)}
-				return
-			}
-			// Note: pl.Assign may precede pl.Ready — static policies commit
-			// kernels before their dependencies finish; that is legal.
-			if pl.TransferStart < pl.Assign-eps(pl.Assign) {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d transfer (%v) before assignment (%v)", i, pl.TransferStart, pl.Assign)}
-				return
-			}
-			if pl.ExecStart < pl.TransferStart-eps(pl.TransferStart) || pl.Finish < pl.ExecStart-eps(pl.ExecStart) {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d has non-monotonic lifecycle %+v", i, *pl)}
-				return
-			}
-			if pl.Lambda() < -eps(pl.Finish) {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d has negative λ %v", i, pl.Lambda())}
-				return
-			}
-			for _, pred := range g.Preds(pl.Kernel) {
-				if r.Placements[pred].Finish > pl.TransferStart+eps(pl.TransferStart) {
-					errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d starts transfers at %v before predecessor %d finishes at %v",
-						i, pl.TransferStart, pred, r.Placements[pred].Finish)}
-					return
-				}
-			}
-			if pl.Finish > maxFinish {
-				maxFinish = pl.Finish
+	var maxFinish float64
+	for i := range r.Placements {
+		pl := &r.Placements[i]
+		if int(pl.Kernel) != i {
+			return fmt.Errorf("sim: placement %d records kernel %d", i, pl.Kernel)
+		}
+		if pl.Proc < 0 || int(pl.Proc) >= np {
+			return fmt.Errorf("sim: kernel %d placed on unknown processor %d", i, pl.Proc)
+		}
+		// Note: pl.Assign may precede pl.Ready — static policies commit
+		// kernels before their dependencies finish; that is legal.
+		if pl.TransferStart < pl.Assign-eps(pl.Assign) {
+			return fmt.Errorf("sim: kernel %d transfer (%v) before assignment (%v)", i, pl.TransferStart, pl.Assign)
+		}
+		if pl.ExecStart < pl.TransferStart-eps(pl.TransferStart) || pl.Finish < pl.ExecStart-eps(pl.ExecStart) {
+			return fmt.Errorf("sim: kernel %d has non-monotonic lifecycle %+v", i, *pl)
+		}
+		if pl.Lambda() < -eps(pl.Finish) {
+			return fmt.Errorf("sim: kernel %d has negative λ %v", i, pl.Lambda())
+		}
+		for _, pred := range g.Preds(pl.Kernel) {
+			if r.Placements[pred].Finish > pl.TransferStart+eps(pl.TransferStart) {
+				return fmt.Errorf("sim: kernel %d starts transfers at %v before predecessor %d finishes at %v",
+					i, pl.TransferStart, pred, r.Placements[pred].Finish)
 			}
 		}
-		laneMax[c.lane] = maxFinish
-	})
-	if err := firstLaneError(errs); err != nil {
-		return err
-	}
-	var maxFinish float64
-	for _, m := range laneMax { // float max is exact: no rounding, any merge order
-		if m > maxFinish {
-			maxFinish = m
+		if pl.Finish > maxFinish {
+			maxFinish = pl.Finish
 		}
 	}
 	if math.Abs(maxFinish-r.MakespanMs) > math.Max(1e-6, eps(maxFinish)) {

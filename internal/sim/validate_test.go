@@ -44,16 +44,10 @@ func sortedOccupancy(r *Result, np int) error {
 	return nil
 }
 
-// ValidateAt is Validate at an explicit lane count, for the external
-// tests.
-func ValidateAt(r *Result, g *dfg.Graph, sys *platform.System, lanes int) error {
-	return r.validate(g, sys, lanes)
-}
-
 // ValidateSorted is Validate's oracle: the same lifecycle checks, then
 // sortedOccupancy in place of the start-log walk.
-func ValidateSorted(r *Result, g *dfg.Graph, sys *platform.System, lanes int) error {
-	if err := r.checkLifecycles(g, sys, lanes); err != nil || len(r.Placements) == 0 {
+func ValidateSorted(r *Result, g *dfg.Graph, sys *platform.System) error {
+	if err := r.checkLifecycles(g, sys); err != nil || len(r.Placements) == 0 {
 		return err
 	}
 	return sortedOccupancy(r, sys.NumProcs())
@@ -72,11 +66,11 @@ func overlapping(a, b *Placement) bool {
 // its two kernels.
 var overlapPattern = regexp.MustCompile(`^sim: processor (\d+) overlap: kernel (\d+) \(start [^)]*\) before kernel (\d+) finished \([^)]*\)$`)
 
-// TestValidateRejects hands validate one engine result corrupted once per
-// row and pins each message at 1, 2 and 4 lanes. The overlap row moves
-// one kernel onto a processor where exactly one other kernel's interval
-// meets its own, and accepts the two kernels in either order: the sorted
-// scan and the start-log walk may name them differently.
+// TestValidateRejects hands Validate one engine result corrupted once per
+// row and pins each message. The overlap row moves one kernel onto a
+// processor where exactly one other kernel's interval meets its own, and
+// accepts the two kernels in either order: the sorted scan and the
+// start-log walk may name them differently.
 func TestValidateRejects(t *testing.T) {
 	env := tiny(t, 4)
 	const n = 64
@@ -166,19 +160,17 @@ func TestValidateRejects(t *testing.T) {
 			return exact(want), want
 		}},
 	}
-	for _, lanes := range []int{1, 2, 4} {
-		if err := base.validate(g, env.sys, lanes); err != nil {
-			t.Fatalf("lanes=%d: uncorrupted result rejected: %v", lanes, err)
-		}
-		for _, row := range rows {
-			r := *base
-			r.Placements = slices.Clone(base.Placements)
-			r.starts = slices.Clone(base.starts)
-			match, want := row.corrupt(&r)
-			err := r.validate(g, env.sys, lanes)
-			if err == nil || !match(err.Error()) {
-				t.Errorf("lanes=%d, %s: validate says %v, want %s", lanes, row.name, err, want)
-			}
+	if err := base.Validate(g, env.sys); err != nil {
+		t.Fatalf("uncorrupted result rejected: %v", err)
+	}
+	for _, row := range rows {
+		r := *base
+		r.Placements = slices.Clone(base.Placements)
+		r.starts = slices.Clone(base.starts)
+		match, want := row.corrupt(&r)
+		err := r.Validate(g, env.sys)
+		if err == nil || !match(err.Error()) {
+			t.Errorf("%s: Validate says %v, want %s", row.name, err, want)
 		}
 	}
 }
@@ -244,7 +236,7 @@ func TestValidateZeroLengthTie(t *testing.T) {
 		t.Errorf("Validate rejects the engine's own schedule: %v", err)
 	}
 	want := "sim: processor 0 overlap: kernel 1 (start 0) before kernel 0 finished (10)"
-	if err := ValidateSorted(res, g, sys, 1); err == nil || err.Error() != want {
+	if err := ValidateSorted(res, g, sys); err == nil || err.Error() != want {
 		t.Errorf("sorted scan says %v, want %q", err, want)
 	}
 }
