@@ -917,8 +917,8 @@ func (e *engine) result() *Result {
 // the latest finish. It exists for tests and for downstream users embedding
 // custom policies. Occupancy is checked along the order the engine started
 // the kernels in, which Run records in the Result, so only a Result
-// returned by Run passes. It walks the placements once and the start log
-// once, and returns the first error of each walk.
+// returned by Run passes. It walks the placements, then the start log, on
+// the caller's goroutine and returns the first error it finds.
 func (r *Result) Validate(g *dfg.Graph, sys *platform.System) error {
 	if err := r.checkLifecycles(g, sys); err != nil || len(r.Placements) == 0 {
 		return err
