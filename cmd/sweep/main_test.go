@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -9,6 +11,16 @@ import (
 // Every sweep mode is fully seeded, so rerunning the same configuration
 // must print byte-identical output — the in-process counterpart of the CI
 // determinism gate, which diffs the built binary's output the same way.
+// The stream and robust modes also pin their output by hash, so a change
+// that moves a printed number fails here, not only a change that makes
+// reruns differ.
+
+// outputHash is the FNV-64a hash of a sweep's output, in hex.
+func outputHash(out string) string {
+	h := fnv.New64a()
+	h.Write([]byte(out))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 func rerunIdentical(t *testing.T, name string, f func(w *bytes.Buffer) error) string {
 	t.Helper()
@@ -48,26 +60,44 @@ func TestStreamModeDeterministic(t *testing.T) {
 	if !strings.Contains(out, "p99 sojourn vs arrival gap") {
 		t.Errorf("stream output missing sweep figure:\n%s", out)
 	}
+	if got, want := outputHash(out), "c5acb005cc1f3a56"; got != want {
+		t.Errorf("stream output hash %s, want %s:\n%s", got, want, out)
+	}
 }
 
 func TestRobustModeDeterministic(t *testing.T) {
-	cfg := robustConfig{
-		typ: 1, sizeCSV: "20,30", fracCSV: "0,0.3", policyCSV: "apt,met",
-		noise: "uniform", biasCSV: "gpu:1.2", degradeCSV: "slow:1:2:100:4000",
-		alpha: 4, rate: 4, seed: 7, gapMs: 50,
-	}
-	out := rerunIdentical(t, "robust", func(w *bytes.Buffer) error {
-		return runRobust(w, cfg)
-	})
-	for _, want := range []string{"Regret %", "regret vs estimate-error magnitude", "p99 sojourn vs estimate-error magnitude"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("robust output missing %q:\n%s", want, out)
+	for _, tc := range []struct {
+		name string
+		cfg  robustConfig
+		want string
+	}{
+		{"uniform, gpu bias, slowdown", robustConfig{
+			typ: 1, sizeCSV: "20,30", fracCSV: "0,0.3", policyCSV: "apt,met",
+			noise: "uniform", biasCSV: "gpu:1.2", degradeCSV: "slow:1:2:100:4000",
+			alpha: 4, rate: 4, seed: 7, gapMs: 50,
+		}, "5fa1efd9fc4b9f6b"},
+		{"lognormal, cpu bias, AG", robustConfig{
+			typ: 2, sizeCSV: "46,58", fracCSV: "0,0.3", policyCSV: "apt,ag",
+			noise: "lognormal", biasCSV: "cpu:0.8",
+			alpha: 4, rate: 4, seed: 5, gapMs: 500,
+		}, "9e36ca1f9b2a5a23"},
+	} {
+		out := rerunIdentical(t, tc.name, func(w *bytes.Buffer) error {
+			return runRobust(w, tc.cfg)
+		})
+		for _, want := range []string{"Regret %", "regret vs estimate-error magnitude", "p99 sojourn vs estimate-error magnitude"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: robust output missing %q:\n%s", tc.name, want, out)
+			}
 		}
-	}
-	// Zero-noise block still has the degradation applied to both the noisy
-	// and the oracle run, so the table must render +0.00 regret there.
-	if !strings.Contains(out, "+0.00") {
-		t.Errorf("robust output missing zero regret at frac 0:\n%s", out)
+		// Each case has a cell where the policy decides alike on clean and
+		// perturbed estimates; its zero regret must render as +0.00.
+		if !strings.Contains(out, "+0.00") {
+			t.Errorf("%s: robust output missing zero regret at frac 0:\n%s", tc.name, out)
+		}
+		if got := outputHash(out); got != tc.want {
+			t.Errorf("%s: robust output hash %s, want %s:\n%s", tc.name, got, tc.want, out)
+		}
 	}
 }
 
