@@ -33,14 +33,14 @@ import (
 )
 
 // ProcKind names a processor category.
-type ProcKind string
+type ProcKind = platform.Kind
 
 // The processor categories of the paper's system. Custom machines may use
 // additional kinds as long as their lookup table covers them.
 const (
-	CPU  ProcKind = ProcKind(platform.CPU)
-	GPU  ProcKind = ProcKind(platform.GPU)
-	FPGA ProcKind = ProcKind(platform.FPGA)
+	CPU  = platform.CPU
+	GPU  = platform.GPU
+	FPGA = platform.FPGA
 )
 
 // Machine is a heterogeneous platform: processors plus interconnect.
@@ -83,7 +83,7 @@ func NewMachine() *MachineBuilder {
 // AddProc appends a processor of the given kind and returns its index.
 // Pass an empty name for an automatic one ("GPU0", ...).
 func (mb *MachineBuilder) AddProc(kind ProcKind, name string) int {
-	return int(mb.b.AddProcessor(platform.Kind(kind), name))
+	return int(mb.b.AddProcessor(kind, name))
 }
 
 // UniformRate sets every link's bandwidth in GB/s.

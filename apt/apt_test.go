@@ -168,20 +168,13 @@ func TestRunOptions(t *testing.T) {
 		t.Errorf("scheduler overhead did not increase makespan: %v vs %v",
 			over.MakespanMs, base.MakespanMs)
 	}
-	serial, err := Run(w, m, APT(4), &Options{SerialTransfers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.MakespanMs < base.MakespanMs-1e-9 {
-		t.Errorf("serial transfers beat concurrent: %v vs %v", serial.MakespanMs, base.MakespanMs)
-	}
 }
 
 func TestCompare(t *testing.T) {
 	w, _ := GenerateWorkload(Type1, 25, 11)
 	m := PaperMachine(4)
 	pols := []Policy{APT(4), MET(1), SPN(), SS(), AG(), HEFT(), PEFT()}
-	results, err := Compare(w, m, pols, nil)
+	results, err := Compare(w, m, pols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (b *BatchError) Unwrap() []error { return b.Errs }
 // repeated Run calls.
 //
 // Workers additionally memoise prepared state across the configs they
-// execute: the cost oracle of a (workload, machine, cost-model) triple, a
+// execute: the cost oracle of a (workload, machine, lookup table) triple, a
 // noise-perturbed lookup table, and the policy instance per policy value.
 // Sweeps that revisit the same graph — α grids, arrival-gap scans,
 // robustness fracs — therefore skip re-deriving cost tables and, for
@@ -145,13 +145,12 @@ type preparedRun struct {
 }
 
 // costsMemoKey identifies one prepared cost oracle in a worker's memo. It
-// captures every input PrepareCosts consumes: graph, platform, cost-model
-// config and the exact lookup table (by identity — tables are immutable
-// and lut.Paper returns a singleton).
+// captures every input PrepareCosts takes apart from the cost config,
+// which is always the default: graph, platform and the exact lookup table
+// (by identity — tables are immutable and lut.Paper returns a singleton).
 type costsMemoKey struct {
 	g   *dfg.Graph
 	m   *Machine
-	cfg sim.CostConfig
 	tab *lut.Table
 }
 
@@ -168,14 +167,14 @@ type tableMemoKey struct {
 // Prepare memoisation when the cost oracle repeats too.
 type policyMemoKey struct{ p Policy }
 
-// memoCosts returns the prepared cost oracle for (g, m, tab, cfg), from
-// the worker's memo when one is supplied.
-func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.CostConfig) (*sim.Costs, error) {
+// memoCosts returns the prepared cost oracle for (g, m, tab), from the
+// worker's memo when one is supplied.
+func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table) (*sim.Costs, error) {
 	if w == nil {
-		return sim.PrepareCosts(g, m.sys, tab, cfg)
+		return sim.PrepareCosts(g, m.sys, tab, sim.CostConfig{})
 	}
-	v, err := w.Memo(costsMemoKey{g: g, m: m, cfg: cfg, tab: tab}, func() (any, error) {
-		return sim.PrepareCosts(g, m.sys, tab, cfg)
+	v, err := w.Memo(costsMemoKey{g: g, m: m, tab: tab}, func() (any, error) {
+		return sim.PrepareCosts(g, m.sys, tab, sim.CostConfig{})
 	})
 	if err != nil {
 		return nil, err
@@ -196,11 +195,6 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 	if err := validateArrivals(cfg.Workload.NumKernels(), opts.Arrivals); err != nil {
 		return preparedRun{}, err
 	}
-	mode := sim.TransferMax
-	if opts.SerialTransfers {
-		mode = sim.TransferSum
-	}
-	costCfg := sim.CostConfig{ElemBytes: opts.ElemBytes, Mode: mode}
 	simOpt := sim.Options{
 		SchedOverheadMs: opts.SchedOverheadMs,
 		ArrivalTimes:    opts.Arrivals,
@@ -220,7 +214,7 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 			// estimate/actual split remains (degradation still applies).
 			estTab = actualTab
 		} else if actualTab != estTab {
-			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab, costCfg)
+			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab)
 			if err != nil {
 				return preparedRun{}, err
 			}
@@ -235,7 +229,7 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 		}
 	}
 
-	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab, costCfg)
+	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab)
 	if err != nil {
 		return preparedRun{}, err
 	}
@@ -251,10 +245,10 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 // tab itself (Apply's contract), keeping the no-perturbation fast path.
 func memoNoisyTable(w *sim.Worker, tab *lut.Table, n Noise) (*lut.Table, error) {
 	if w == nil {
-		return n.internal().Apply(tab)
+		return n.Apply(tab)
 	}
-	v, err := w.Memo(tableMemoKey{tab: tab, noise: n.memoKey()}, func() (any, error) {
-		return n.internal().Apply(tab)
+	v, err := w.Memo(tableMemoKey{tab: tab, noise: noiseKey(n)}, func() (any, error) {
+		return n.Apply(tab)
 	})
 	if err != nil {
 		return nil, err
@@ -312,12 +306,7 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result 
 		})
 	}
 	if a, ok := pol.(*core.APT); ok {
-		s := a.Stats()
-		out.Alt = AltStats{
-			Assignments:    s.Assignments,
-			AltAssignments: s.AltAssignments,
-			ByKernel:       s.ByKernel,
-		}
+		out.Alt = a.Stats()
 	} else {
 		out.Alt.ByKernel = map[string]int{}
 	}

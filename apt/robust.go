@@ -14,7 +14,7 @@ import (
 // NoiseModel selects the shape of the estimate error a Perturbation
 // injects. The zero value is NoiseUniform, so the zero Noise (Frac 0) is
 // the identity.
-type NoiseModel int
+type NoiseModel = perturb.NoiseModel
 
 // The estimate-error models: independent uniform factors in [1-Frac,
 // 1+Frac], median-1 log-normal factors exp(Frac·N(0,1)), and
@@ -22,42 +22,28 @@ type NoiseModel int
 // lookup-table entries, modelling a table that aged between measurement
 // and use.
 const (
-	NoiseUniform   NoiseModel = NoiseModel(perturb.NoiseUniform)
-	NoiseLogNormal NoiseModel = NoiseModel(perturb.NoiseLogNormal)
-	NoiseDrift     NoiseModel = NoiseModel(perturb.NoiseDrift)
+	NoiseUniform   = perturb.NoiseUniform
+	NoiseLogNormal = perturb.NoiseLogNormal
+	NoiseDrift     = perturb.NoiseDrift
 )
 
-// String names the model.
-func (m NoiseModel) String() string { return perturb.NoiseModel(m).String() }
-
 // ParseNoiseModel resolves "uniform", "lognormal" or "drift".
-func ParseNoiseModel(s string) (NoiseModel, error) {
-	m, err := perturb.ParseNoiseModel(s)
-	return NoiseModel(m), err
-}
+func ParseNoiseModel(s string) (NoiseModel, error) { return perturb.ParseNoiseModel(s) }
 
 // Noise describes estimate error: what the hardware actually does relative
 // to the lookup table every policy trusts. The zero value is exact
-// estimates.
-type Noise struct {
-	// Model is the error shape (default NoiseUniform).
-	Model NoiseModel
-	// Frac is the error magnitude: uniform half-width in [0,1), or the
-	// log-normal / drift-step sigma. 0 disables the random component.
-	Frac float64
-	// Bias multiplies the actual times of a processor kind by a fixed
-	// factor: Bias[GPU] = 1.3 means GPU kernels really run 30% slower than
-	// estimated ("the GPU estimates are 30% optimistic").
-	Bias map[ProcKind]float64
-	// Seed fixes the random draws; the same Noise always perturbs
-	// identically.
-	Seed int64
-}
+// estimates. Model is the error shape (default NoiseUniform); Frac the
+// magnitude (uniform half-width in [0,1), or the log-normal / drift-step
+// sigma; 0 disables the random component); Bias multiplies the actual
+// times of a processor kind by a fixed factor (Bias[GPU] = 1.3 means GPU
+// kernels really run 30% slower than estimated); Seed fixes the random
+// draws, so the same Noise always perturbs identically.
+type Noise = perturb.Noise
 
-// memoKey canonically encodes the noise (model, magnitude, seed, sorted
+// noiseKey canonically encodes the noise (model, magnitude, seed, sorted
 // bias entries) so worker memos can key the perturbed tables it produces;
 // Apply is deterministic, so equal keys always yield equal tables.
-func (n Noise) memoKey() string {
+func noiseKey(n Noise) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d|%g|%d", int(n.Model), n.Frac, n.Seed)
 	kinds := make([]string, 0, len(n.Bias))
@@ -71,29 +57,17 @@ func (n Noise) memoKey() string {
 	return sb.String()
 }
 
-// internal converts the facade type.
-func (n Noise) internal() perturb.Noise {
-	out := perturb.Noise{Model: perturb.NoiseModel(n.Model), Frac: n.Frac, Seed: n.Seed}
-	if len(n.Bias) > 0 {
-		out.Bias = make(map[platform.Kind]float64, len(n.Bias))
-		for k, v := range n.Bias { //lint:ordered — per-key map copy; writes are independent
-			out.Bias[platform.Kind(k)] = v
-		}
-	}
-	return out
-}
-
 // DegradeKind distinguishes platform-degradation event types.
-type DegradeKind int
+type DegradeKind = perturb.EventKind
 
 // Platform-degradation events: a processor running Factor× slower over a
 // window, a processor fully offline over a window (in-flight work stalls
 // and resumes; it cannot receive transfers), and a symmetric link with
 // Factor× less bandwidth over a window.
 const (
-	ProcSlowdown DegradeKind = DegradeKind(perturb.ProcSlowdown)
-	ProcOffline  DegradeKind = DegradeKind(perturb.ProcOffline)
-	LinkSlowdown DegradeKind = DegradeKind(perturb.LinkSlowdown)
+	ProcSlowdown = perturb.ProcSlowdown
+	ProcOffline  = perturb.ProcOffline
+	LinkSlowdown = perturb.LinkSlowdown
 )
 
 // DegradeEvent is one degradation episode over [StartMs, EndMs). Policies
@@ -127,7 +101,7 @@ func ParseDegradeEvents(spec string) ([]DegradeEvent, error) {
 	out := make([]DegradeEvent, len(evs))
 	for i, e := range evs {
 		out[i] = DegradeEvent{
-			Kind: DegradeKind(e.Kind), Proc: int(e.Proc), From: int(e.From), To: int(e.To),
+			Kind: e.Kind, Proc: int(e.Proc), From: int(e.From), To: int(e.To),
 			StartMs: e.StartMs, EndMs: e.EndMs, Factor: e.Factor,
 		}
 	}
@@ -140,7 +114,7 @@ func internalEvents(evs []DegradeEvent) []perturb.Event {
 	out := make([]perturb.Event, len(evs))
 	for i, e := range evs {
 		out[i] = perturb.Event{
-			Kind: perturb.EventKind(e.Kind), Proc: platform.ProcID(e.Proc),
+			Kind: e.Kind, Proc: platform.ProcID(e.Proc),
 			From: platform.ProcID(e.From), To: platform.ProcID(e.To),
 			StartMs: e.StartMs, EndMs: e.EndMs, Factor: e.Factor,
 		}
@@ -188,11 +162,6 @@ type RobustnessConfig struct {
 	// Arrivals optionally paces each workload's stream (index into
 	// Workloads); nil means the closed submit-at-zero model.
 	Arrivals func(w *Workload, i int) ([]float64, error)
-	// Options tunes the underlying runs (cost model, scheduler overhead).
-	// Its Perturb and Arrivals fields must be nil; RunRobustness owns both.
-	Options *Options
-	// Workers bounds the concurrent simulations; <= 0 uses all CPUs.
-	Workers int
 }
 
 // RobustnessPoint is one (noise level, policy) cell of a robustness sweep,
@@ -235,14 +204,6 @@ func RunRobustness(ctx context.Context, cfg RobustnessConfig) ([]RobustnessPoint
 	if len(cfg.Policies) == 0 || len(cfg.Fracs) == 0 {
 		return nil, fmt.Errorf("apt: RunRobustness requires at least one policy and one noise level")
 	}
-	base := Options{}
-	if cfg.Options != nil {
-		base = *cfg.Options
-		if base.Perturb != nil || base.Arrivals != nil {
-			return nil, fmt.Errorf("apt: RobustnessConfig.Options must not set Perturb or Arrivals")
-		}
-	}
-
 	// Per-workload arrival schedules are generated once and shared by every
 	// (frac, policy, oracle) combination, so the sweep axis is purely the
 	// noise.
@@ -267,14 +228,11 @@ func RunRobustness(ctx context.Context, cfg RobustnessConfig) ([]RobustnessPoint
 		for _, pol := range cfg.Policies {
 			points = append(points, RobustnessPoint{Policy: pol.Name(), Frac: frac})
 			for wi, w := range cfg.Workloads {
-				opts := base
-				opts.Arrivals = arrivals[wi]
-				noisy := opts
-				noisy.Perturb = &Perturbation{
+				noisy := Options{Arrivals: arrivals[wi], Perturb: &Perturbation{
 					Noise:  Noise{Model: cfg.Model, Frac: frac, Bias: cfg.Bias, Seed: cfg.Seed + int64(wi)*1_000_003},
 					Events: cfg.Events,
-				}
-				oracle := opts
+				}}
+				oracle := noisy
 				op := *noisy.Perturb
 				op.Oracle = true
 				oracle.Perturb = &op
@@ -286,7 +244,7 @@ func RunRobustness(ctx context.Context, cfg RobustnessConfig) ([]RobustnessPoint
 		}
 	}
 
-	results, err := RunBatch(ctx, runs, &BatchOptions{Workers: cfg.Workers})
+	results, err := RunBatch(ctx, runs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package apt
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -131,12 +132,13 @@ func TestRunRobustnessDeterministic(t *testing.T) {
 			return PoissonArrivals(w, 50, int64(i))
 		},
 	}
-	a, err := RunRobustness(context.Background(), cfg)
+	var a, b []RobustnessPoint
+	var err error
+	withProcs(1, func() { a, err = RunRobustness(context.Background(), cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 1
-	b, err := RunRobustness(context.Background(), cfg)
+	withProcs(runtime.NumCPU(), func() { b, err = RunRobustness(context.Background(), cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,6 @@ func TestRunRobustnessValidation(t *testing.T) {
 		{Workloads: ws, Policies: []Policy{APT(4)}, Fracs: []float64{0}}, // no machine
 		{Workloads: ws, Machine: m, Fracs: []float64{0}},                 // no policies
 		{Workloads: ws, Machine: m, Policies: []Policy{APT(4)}},          // no fracs
-		{Workloads: ws, Machine: m, Policies: []Policy{APT(4)}, Fracs: []float64{0.5}, Options: &Options{Arrivals: []float64{1}}},
 	}
 	for i, cfg := range cases {
 		if _, err := RunRobustness(context.Background(), cfg); err == nil {

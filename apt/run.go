@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/report"
@@ -20,14 +21,9 @@ import (
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Options tunes a simulation run. The zero value (or nil) selects the
-// paper's model: the measured lookup table, 4 bytes per element,
-// concurrent-link transfers and no per-assignment scheduler overhead.
+// paper's model: the measured lookup table and no per-assignment scheduler
+// overhead. Every run moves 4-byte elements over concurrent links.
 type Options struct {
-	// ElemBytes is the size of one data element in bytes (default 4).
-	ElemBytes float64
-	// SerialTransfers makes transfers from multiple predecessors serialize
-	// instead of proceeding concurrently.
-	SerialTransfers bool
 	// SchedOverheadMs charges a fixed delay per assignment, modelling the
 	// scheduler-processing and scheduler-to-processor communication parts
 	// of the paper's λ.
@@ -185,11 +181,7 @@ type ProcUse struct {
 
 // AltStats reports how often APT used an alternative processor (zero for
 // other policies).
-type AltStats struct {
-	Assignments    int
-	AltAssignments int
-	ByKernel       map[string]int
-}
+type AltStats = core.AltStats
 
 // Result is everything a simulation reports.
 type Result struct {
@@ -279,13 +271,7 @@ func (r *Result) ChromeTrace(w io.Writer) error {
 func (r *Result) EnergyJ(model *PowerModel) (float64, error) {
 	pm := platform.DefaultPowerModel()
 	if model != nil {
-		pm = platform.PowerModel{ActiveW: map[platform.Kind]float64{}, IdleW: map[platform.Kind]float64{}}
-		for k, v := range model.ActiveW { //lint:ordered — per-key map copy; writes are independent
-			pm.ActiveW[platform.Kind(k)] = v
-		}
-		for k, v := range model.IdleW { //lint:ordered — per-key map copy; writes are independent
-			pm.IdleW[platform.Kind(k)] = v
-		}
+		pm = *model
 	}
 	if err := pm.Validate(r.sys); err != nil {
 		return 0, err
@@ -299,10 +285,7 @@ func (r *Result) EnergyJ(model *PowerModel) (float64, error) {
 }
 
 // PowerModel assigns watt draws per processor kind for EnergyJ.
-type PowerModel struct {
-	ActiveW map[ProcKind]float64
-	IdleW   map[ProcKind]float64
-}
+type PowerModel = platform.PowerModel
 
 // TuneResult is one evaluated candidate of TuneAlpha.
 type TuneResult struct {
@@ -319,19 +302,15 @@ var defaultTuneAlphas = []float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 // makespan, plus every evaluated point in candidate order. An exact tie
 // goes to the smaller α, the stricter threshold. Nil candidates selects a
 // default grid spanning 1–32. The candidate × workload grid runs as one
-// RunBatch. opts tunes the cost model and the scheduler overhead; the
-// calibration is closed and exact, so its Arrivals and Perturb must be
-// nil. This operationalises the thesis's conclusion that the threshold
-// must be tuned to the degree of heterogeneity of the system.
-func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64, opts *Options) (float64, []TuneResult, error) {
+// RunBatch of closed, exact runs under the default Options. This
+// operationalises the thesis's conclusion that the threshold must be tuned
+// to the degree of heterogeneity of the system.
+func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64) (float64, []TuneResult, error) {
 	if m == nil {
 		return 0, nil, fmt.Errorf("apt: TuneAlpha requires a machine")
 	}
 	if len(calibration) == 0 {
 		return 0, nil, fmt.Errorf("apt: TuneAlpha needs at least one calibration workload")
-	}
-	if opts != nil && (opts.Arrivals != nil || opts.Perturb != nil) {
-		return 0, nil, fmt.Errorf("apt: TuneAlpha options must not set Arrivals or Perturb")
 	}
 	for i, w := range calibration {
 		if w == nil {
@@ -347,7 +326,7 @@ func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64, opts *
 			return 0, nil, fmt.Errorf("apt: candidate α %v < 1", a)
 		}
 		for _, w := range calibration {
-			configs = append(configs, RunConfig{Workload: w, Machine: m, Policy: APT(a), Options: opts})
+			configs = append(configs, RunConfig{Workload: w, Machine: m, Policy: APT(a)})
 		}
 	}
 	results, err := RunBatch(context.TODO(), configs, nil)
@@ -371,17 +350,17 @@ func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64, opts *
 
 // Replay returns a policy that re-applies a previous result's placement
 // decisions while timing is recomputed — what-if analysis across machines
-// (same processor count), element sizes or transfer modes.
+// with the same processor count.
 func Replay(source *Result) Policy {
 	return Policy{name: "REPLAY", replaySource: source}
 }
 
-// Compare runs every given policy on the same workload and machine and
-// returns results in the same order.
-func Compare(w *Workload, m *Machine, policies []Policy, opts *Options) ([]*Result, error) {
+// Compare runs every given policy on the same workload and machine under
+// the default Options and returns results in the same order.
+func Compare(w *Workload, m *Machine, policies []Policy) ([]*Result, error) {
 	out := make([]*Result, len(policies))
 	for i, p := range policies {
-		res, err := Run(w, m, p, opts)
+		res, err := Run(w, m, p, nil)
 		if err != nil {
 			return nil, fmt.Errorf("apt: policy %s: %w", p.Name(), err)
 		}

@@ -59,17 +59,6 @@ type StreamShard struct {
 	Arrivals []float64
 }
 
-// StreamOptions tunes RunStream.
-type StreamOptions struct {
-	// Options tunes each shard's simulation (cost model, scheduler
-	// overhead). Its Arrivals field must be nil: shard arrivals pace the
-	// stream.
-	Options *Options
-	// Workers bounds concurrent shard simulations; <= 0 selects one per
-	// available CPU. Results are identical at any worker count.
-	Workers int
-}
-
 // StreamShardStats is one shard's contribution to a StreamResult.
 type StreamShardStats struct {
 	Kernels       int
@@ -114,25 +103,16 @@ type StreamResult struct {
 // replications" view of a long-horizon run — so a multi-thousand-kernel,
 // hours-long scenario costs only one window of simulator state at a time.
 //
+// Each shard runs under the default Options, paced by its own arrivals.
 // Every simulation is deterministic, so results are identical across
 // reruns and worker counts. Invalid shard arrivals surface as a
 // *ConfigError (wrapping an *ArrivalError) indexed by shard.
-func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy, opts *StreamOptions) (*StreamResult, error) {
+func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy) (*StreamResult, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("apt: RunStream requires at least one shard")
 	}
 	if m == nil {
 		return nil, fmt.Errorf("apt: RunStream requires a machine")
-	}
-	if opts == nil {
-		opts = &StreamOptions{}
-	}
-	base := Options{}
-	if opts.Options != nil {
-		if opts.Options.Arrivals != nil {
-			return nil, fmt.Errorf("apt: StreamOptions.Options.Arrivals must be nil (shard arrivals pace the stream)")
-		}
-		base = *opts.Options
 	}
 	cfgs := make([]RunConfig, len(shards))
 	for i, sh := range shards {
@@ -142,11 +122,10 @@ func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy, 
 		if err := validateArrivals(sh.Workload.NumKernels(), sh.Arrivals); err != nil {
 			return nil, &ConfigError{Index: i, Err: err}
 		}
-		o := base
-		o.Arrivals = rebaseArrivals(sh.Arrivals)
-		cfgs[i] = RunConfig{Workload: sh.Workload, Machine: m, Policy: p, Options: &o}
+		cfgs[i] = RunConfig{Workload: sh.Workload, Machine: m, Policy: p,
+			Options: &Options{Arrivals: rebaseArrivals(sh.Arrivals)}}
 	}
-	results, err := RunBatch(ctx, cfgs, &BatchOptions{Workers: opts.Workers})
+	results, err := RunBatch(ctx, cfgs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +204,7 @@ func rebaseArrivals(arr []float64) []float64 {
 //	shards, _ := apt.MakeStream(5000, 500, 1, func(w *apt.Workload, seed int64) ([]float64, error) {
 //	    return apt.PoissonArrivals(w, 2, seed) // λ = 500 kernels/s
 //	})
-//	res, _ := apt.RunStream(ctx, shards, apt.PaperMachine(4), apt.APT(4), nil)
+//	res, _ := apt.RunStream(ctx, shards, apt.PaperMachine(4), apt.APT(4))
 //	fmt.Println(res.Sojourn.P99Ms)
 func MakeStream(total, window int, seed int64, gen func(w *Workload, seed int64) ([]float64, error)) ([]StreamShard, error) {
 	if total <= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -94,7 +95,7 @@ func TestRunStreamPoisson(t *testing.T) {
 	if len(shards) != 3 {
 		t.Fatalf("shards = %d, want 3", len(shards))
 	}
-	res, err := RunStream(context.Background(), shards, PaperMachine(4), APT(4), nil)
+	res, err := RunStream(context.Background(), shards, PaperMachine(4), APT(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,8 @@ func TestRunStreamPoisson(t *testing.T) {
 }
 
 // TestRunStreamDeterministic pins the acceptance criterion: identical
-// results across reruns of the same seed, regardless of worker count.
+// results across reruns of the same seed, regardless of worker count (the
+// batch pool runs one worker per GOMAXPROCS).
 func TestRunStreamDeterministic(t *testing.T) {
 	build := func() []StreamShard {
 		shards, err := MakeStream(400, 100, 7, func(w *Workload, seed int64) ([]float64, error) {
@@ -138,11 +140,13 @@ func TestRunStreamDeterministic(t *testing.T) {
 		}
 		return shards
 	}
-	a, err := RunStream(context.Background(), build(), PaperMachine(4), APT(4), &StreamOptions{Workers: 1})
+	var a, b *StreamResult
+	var err error
+	withProcs(1, func() { a, err = RunStream(context.Background(), build(), PaperMachine(4), APT(4)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStream(context.Background(), build(), PaperMachine(4), APT(4), &StreamOptions{Workers: 8})
+	withProcs(runtime.NumCPU(), func() { b, err = RunStream(context.Background(), build(), PaperMachine(4), APT(4)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestRunStreamDeterministic(t *testing.T) {
 func TestRunStreamShardErrorsAreIndexed(t *testing.T) {
 	good := StreamShard{Workload: mustKernelStream(t, 2, 1), Arrivals: []float64{0, 1}}
 	bad := StreamShard{Workload: mustKernelStream(t, 2, 2), Arrivals: []float64{5, 1}}
-	_, err := RunStream(context.Background(), []StreamShard{good, bad}, PaperMachine(4), APT(4), nil)
+	_, err := RunStream(context.Background(), []StreamShard{good, bad}, PaperMachine(4), APT(4))
 	var ce *ConfigError
 	if !errors.As(err, &ce) || ce.Index != 1 {
 		t.Fatalf("error %v does not carry shard index 1", err)
@@ -170,11 +174,6 @@ func TestRunStreamShardErrorsAreIndexed(t *testing.T) {
 	var ae *ArrivalError
 	if !errors.As(err, &ae) || ae.Reason != ArrivalNonMonotone {
 		t.Fatalf("error %v does not unwrap to *ArrivalError", err)
-	}
-	// Pacing via StreamOptions.Options.Arrivals is a misuse, not silent.
-	if _, err := RunStream(context.Background(), []StreamShard{good}, PaperMachine(4), APT(4),
-		&StreamOptions{Options: &Options{Arrivals: []float64{0, 1}}}); err == nil {
-		t.Error("StreamOptions.Options.Arrivals accepted")
 	}
 }
 
@@ -193,7 +192,7 @@ func TestTraceStreamRebasesWindows(t *testing.T) {
 	if len(shards) != 2 {
 		t.Fatalf("shards = %d, want 2", len(shards))
 	}
-	res, err := RunStream(context.Background(), shards, PaperMachine(4), APT(4), nil)
+	res, err := RunStream(context.Background(), shards, PaperMachine(4), APT(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestRunStreamAcrossArrivalShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := RunStream(context.Background(), shards, m, APT(4), nil)
+		res, err := RunStream(context.Background(), shards, m, APT(4))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -15,7 +15,7 @@ func TestTuneAlphaFacade(t *testing.T) {
 		cal = append(cal, w)
 	}
 	m := PaperMachine(4)
-	best, points, err := TuneAlpha(cal, m, []float64{1.5, 4, 64}, nil)
+	best, points, err := TuneAlpha(cal, m, []float64{1.5, 4, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +32,13 @@ func TestTuneAlphaFacade(t *testing.T) {
 
 func TestTuneAlphaFacadeValidation(t *testing.T) {
 	w, _ := GenerateWorkload(Type1, 10, 1)
-	if _, _, err := TuneAlpha([]*Workload{w}, nil, nil, nil); err == nil {
+	if _, _, err := TuneAlpha([]*Workload{w}, nil, nil); err == nil {
 		t.Error("nil machine accepted")
 	}
-	if _, _, err := TuneAlpha([]*Workload{nil}, PaperMachine(4), nil, nil); err == nil {
+	if _, _, err := TuneAlpha([]*Workload{nil}, PaperMachine(4), nil); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, _, err := TuneAlpha(nil, PaperMachine(4), nil, nil); err == nil {
+	if _, _, err := TuneAlpha(nil, PaperMachine(4), nil); err == nil {
 		t.Error("empty calibration accepted")
 	}
 }
@@ -54,7 +54,7 @@ func paperSuite(t *testing.T, n int) []*Workload {
 }
 
 func TestTuneAlphaFindsValleyBottom(t *testing.T) {
-	best, points, err := TuneAlpha(paperSuite(t, 4), PaperMachine(4), []float64{1.5, 4, 1e6}, nil)
+	best, points, err := TuneAlpha(paperSuite(t, 4), PaperMachine(4), []float64{1.5, 4, 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTuneAlphaFindsValleyBottom(t *testing.T) {
 
 func TestTuneAlphaDefaultsAndValidation(t *testing.T) {
 	cal := paperSuite(t, 1)
-	best, points, err := TuneAlpha(cal, PaperMachine(4), nil, nil)
+	best, points, err := TuneAlpha(cal, PaperMachine(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTuneAlphaDefaultsAndValidation(t *testing.T) {
 		t.Errorf("best = %v", best)
 	}
 	for _, a := range []float64{0.5, 0, math.NaN()} {
-		if _, _, err := TuneAlpha(cal, PaperMachine(4), []float64{4, a}, nil); err == nil {
+		if _, _, err := TuneAlpha(cal, PaperMachine(4), []float64{4, a}); err == nil {
 			t.Errorf("candidate α %v accepted", a)
 		}
 	}
@@ -103,7 +103,7 @@ func TestTuneAlphaTieBreaksSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, points, err := TuneAlpha([]*Workload{w}, PaperMachine(4), []float64{2, 1.5, 3}, nil)
+	best, points, err := TuneAlpha([]*Workload{w}, PaperMachine(4), []float64{2, 1.5, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +114,6 @@ func TestTuneAlphaTieBreaksSmall(t *testing.T) {
 	}
 	if best != 1.5 {
 		t.Errorf("best α = %v on an exact tie, want the smallest candidate 1.5", best)
-	}
-}
-
-// TuneAlpha calibrates on the closed, exact-estimate model; options it
-// would not apply are refused rather than silently dropped.
-func TestTuneAlphaRefusesArrivalsAndPerturb(t *testing.T) {
-	w, err := GenerateWorkload(Type1, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []*Options{
-		{Arrivals: []float64{0, 0}},
-		{Perturb: &Perturbation{Noise: Noise{Frac: 0.2, Seed: 1}}},
-	} {
-		if _, _, err := TuneAlpha([]*Workload{w}, PaperMachine(4), nil, opts); err == nil {
-			t.Errorf("TuneAlpha accepted options it does not apply: %+v", *opts)
-		}
 	}
 }
 

@@ -88,7 +88,7 @@ func BenchmarkStreamRunner(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := apt.RunStream(context.Background(), shards, apt.PaperMachine(4), apt.APT(4), nil)
+		res, err := apt.RunStream(context.Background(), shards, apt.PaperMachine(4), apt.APT(4))
 		if err != nil {
 			b.Fatal(err)
 		}

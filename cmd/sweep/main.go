@@ -361,7 +361,7 @@ func runStream(w io.Writer, cfg streamConfig) error {
 		lastResults = lastResults[:0]
 		var offered float64
 		for _, p := range pols {
-			res, err := apt.RunStream(context.Background(), shards, m, p, nil)
+			res, err := apt.RunStream(context.Background(), shards, m, p)
 			if err != nil {
 				return fmt.Errorf("policy %s: %w", p.Name(), err)
 			}

@@ -35,7 +35,7 @@ func main() {
 		apt.HEFT(),
 		apt.PEFT(),
 	}
-	results, err := apt.Compare(wl, machine, policies, nil)
+	results, err := apt.Compare(wl, machine, policies)
 	if err != nil {
 		log.Fatal(err)
 	}

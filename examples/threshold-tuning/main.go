@@ -39,7 +39,7 @@ func main() {
 	}
 
 	fmt.Println("paper machine (4 GB/s links):")
-	brk, points, err := apt.TuneAlpha(wls, apt.PaperMachine(4), alphas, nil)
+	brk, points, err := apt.TuneAlpha(wls, apt.PaperMachine(4), alphas)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	brkSlow, pointsSlow, err := apt.TuneAlpha(wls, slow, alphas, nil)
+	brkSlow, pointsSlow, err := apt.TuneAlpha(wls, slow, alphas)
 	if err != nil {
 		log.Fatal(err)
 	}

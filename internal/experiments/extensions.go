@@ -206,7 +206,7 @@ func (r *Runner) ExtBounds() (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := apt.Compare(w, m, pols, nil)
+		results, err := apt.Compare(w, m, pols)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ import (
 //	τ_g = τ_g^q + τ_g^d
 //
 // where the queueing delay τ_g^q = N_g · τ_g^k is the number of kernel
-// calls queued on g times the average execution time of the last Window
+// calls queued on g times the average execution time of the last agWindow
 // kernel calls completed on g (Eq. 2), and τ_g^d is the time to transfer
 // the kernel's input data from its predecessors' processors to g.
 //
@@ -26,10 +26,6 @@ import (
 // is short, which on highly heterogeneous systems produces very long
 // makespans (the paper's Tables 8–10 show AG last by a wide margin).
 type AG struct {
-	// Window is the k of Eq. 2: how many recent completions to average for
-	// the queueing-delay estimate. Defaults to 10 when zero.
-	Window int
-
 	c *sim.Costs
 
 	ready   []dfg.KernelID
@@ -37,10 +33,11 @@ type AG struct {
 	out     []sim.Assignment
 }
 
-// DefaultAGWindow is the recent-history window used when AG.Window is 0.
-const DefaultAGWindow = 10
+// agWindow is the k of Eq. 2: how many recent completions on a processor
+// AG averages for its queueing-delay estimate.
+const agWindow = 10
 
-// NewAG returns an AG policy with the default window.
+// NewAG returns an AG policy.
 func NewAG() *AG { return &AG{} }
 
 // Name implements sim.Policy.
@@ -49,9 +46,6 @@ func (a *AG) Name() string { return "AG" }
 // Prepare implements sim.Policy.
 func (a *AG) Prepare(c *sim.Costs) error {
 	a.c = c
-	if a.Window <= 0 {
-		a.Window = DefaultAGWindow
-	}
 	return nil
 }
 
@@ -91,7 +85,7 @@ func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID) floa
 	if !st.Available(p) {
 		ng++
 	}
-	tauK := st.RecentExecAvg(p, a.Window)
+	tauK := st.RecentExecAvg(p, agWindow)
 	if tauK == 0 {
 		// Bootstrapping deviation (documented): before any completion on p
 		// there is no history to average, so use the candidate kernel's own
@@ -110,7 +104,7 @@ func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID) floa
 }
 
 func (a *AG) execOrRecent(st *sim.State, k dfg.KernelID, p platform.ProcID) float64 {
-	if avg := st.RecentExecAvg(p, a.Window); avg > 0 {
+	if avg := st.RecentExecAvg(p, agWindow); avg > 0 {
 		return avg
 	}
 	return a.c.Exec(k, p)

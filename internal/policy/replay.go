@@ -10,8 +10,9 @@ import (
 // each kernel goes to the processor it ran on before, in the recorded
 // per-processor order, while the engine recomputes all timing. This
 // enables what-if analysis — replay an APT schedule at a different link
-// rate, element size, or against perturbed actual costs — isolating the
-// effect of the environment from the effect of the decisions.
+// rate, under another transfer mode, or against perturbed actual costs —
+// isolating the effect of the environment from the effect of the
+// decisions.
 type Replay struct {
 	// Source is the recorded run to replay.
 	Source *sim.Result

@@ -52,16 +52,13 @@ func (m TransferMode) String() string {
 
 // CostConfig parameterises the cost model.
 type CostConfig struct {
-	// ElemBytes is the size of one data element in bytes. The thesis never
-	// states it; 4 (single-precision) is the documented default.
-	ElemBytes float64
 	// Mode selects multi-predecessor transfer combination; default TransferMax.
 	Mode TransferMode
 }
 
-// DefaultCostConfig returns the documented defaults (4 bytes/element,
-// concurrent-link transfers).
-func DefaultCostConfig() CostConfig { return CostConfig{ElemBytes: 4, Mode: TransferMax} }
+// elemBytes is the size of one data element in bytes. The thesis never
+// states it; 4 (single precision) is what every run assumes.
+const elemBytes = 4
 
 // Costs binds a graph, a platform and a lookup table into a fast, fully
 // validated cost oracle. Every policy and the engine itself consult the
@@ -154,12 +151,6 @@ type shapeKey struct {
 func PrepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig) (*Costs, error) {
 	if g == nil || sys == nil || tab == nil {
 		return nil, fmt.Errorf("sim: PrepareCosts requires graph, system and table")
-	}
-	if cfg.ElemBytes == 0 {
-		cfg.ElemBytes = DefaultCostConfig().ElemBytes
-	}
-	if cfg.ElemBytes < 0 {
-		return nil, fmt.Errorf("sim: negative ElemBytes %v", cfg.ElemBytes)
 	}
 	kernels := g.Kernels()
 	np := sys.NumProcs()
@@ -373,8 +364,8 @@ func (c *Costs) BestProc(k dfg.KernelID) (platform.ProcID, float64) {
 	return p, c.exec[s*c.np+int(p)]
 }
 
-// TransferMs returns the time to move elems elements across the directed
-// link from -> to. Same-processor transfers are free; a zero-rate link
+// TransferMs returns the time to move elems elements of elemBytes bytes
+// each across the directed link from -> to. Same-processor transfers are free; a zero-rate link
 // between distinct processors is unusable and returns +Inf-like large cost
 // — it is reported as an error at engine level, but policies pricing such a
 // link see the huge cost and avoid it. Prices of a graph's kernels come
@@ -387,7 +378,7 @@ func (c *Costs) TransferMs(elems int64, from, to platform.ProcID) float64 {
 	if rate <= 0 {
 		return unusableLinkMs
 	}
-	bytes := float64(elems) * c.cfg.ElemBytes
+	bytes := float64(elems) * elemBytes
 	return bytes / rate.BytesPerMs()
 }
 

@@ -14,12 +14,8 @@ import (
 
 func TestPrepareCostsValidation(t *testing.T) {
 	env := tiny(t, 4)
-	g := singleKernelGraph(t)
 	if _, err := PrepareCosts(nil, env.sys, env.tab, CostConfig{}); err == nil {
 		t.Error("nil graph accepted")
-	}
-	if _, err := PrepareCosts(g, env.sys, env.tab, CostConfig{ElemBytes: -1}); err == nil {
-		t.Error("negative ElemBytes accepted")
 	}
 	// Kernel missing from the table.
 	b := dfg.NewBuilder()
@@ -352,23 +348,5 @@ func TestTransferTableBound(t *testing.T) {
 func TestTransferModeString(t *testing.T) {
 	if TransferMax.String() != "max" || TransferSum.String() != "sum" {
 		t.Error("TransferMode.String wrong")
-	}
-}
-
-func TestElemBytesScalesTransfers(t *testing.T) {
-	env := tiny(t, 4)
-	g := singleKernelGraph(t)
-	c8, err := PrepareCosts(g, env.sys, env.tab, CostConfig{ElemBytes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c4, err := PrepareCosts(g, env.sys, env.tab, CostConfig{ElemBytes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8 := c8.TransferMs(1000, 0, 1)
-	r4 := c4.TransferMs(1000, 0, 1)
-	if math.Abs(r8-2*r4) > 1e-12 {
-		t.Errorf("8-byte transfer %v should be 2x 4-byte %v", r8, r4)
 	}
 }

@@ -57,47 +57,14 @@ func BuildType1(series []KernelSpec) (*dfg.Graph, error) {
 	return b.Build()
 }
 
-// Type2Config tunes the Type-2 generator. The zero value is replaced by
-// defaults matching the paper's description: three kernel graph blocks,
-// chains of three kernels, and roughly a quarter of the stream spent on the
+// The Type-2 layout of paper Figure 4: three diamond kernel graph blocks,
+// chains of three kernels, and a quarter of the stream spent on the
 // individual/chain section.
-type Type2Config struct {
-	// Blocks is the number of diamond-shaped kernel graph blocks (paper: 3).
-	Blocks int
-	// ChainLen is the length of each dependent chain in the free section.
-	ChainLen int
-	// FreeFrac is the fraction of kernels placed in the free section of
-	// individual kernels and chains (the rest fill the blocks).
-	FreeFrac float64
-	// LinkBlocks connects each block's bottom kernel to the next block's
-	// top kernel, as drawn in paper Figure 4.
-	LinkBlocks bool
-}
-
-// DefaultType2Config returns the configuration used for all paper-facing
-// experiments.
-func DefaultType2Config() Type2Config {
-	return Type2Config{Blocks: 3, ChainLen: 3, FreeFrac: 0.25, LinkBlocks: true}
-}
-
-func (c *Type2Config) setDefaults() {
-	if c.Blocks == 0 && c.ChainLen == 0 && c.FreeFrac == 0 {
-		*c = DefaultType2Config()
-		return
-	}
-	if c.Blocks <= 0 {
-		c.Blocks = 3
-	}
-	if c.ChainLen <= 0 {
-		c.ChainLen = 3
-	}
-	if c.FreeFrac < 0 {
-		c.FreeFrac = 0
-	}
-	if c.FreeFrac > 1 {
-		c.FreeFrac = 1
-	}
-}
+const (
+	type2Blocks   = 3
+	type2ChainLen = 3
+	type2FreeFrac = 0.25
+)
 
 // BuildType2 arranges a series into a DFG Type-2 graph.
 //
@@ -106,21 +73,20 @@ func (c *Type2Config) setDefaults() {
 // "kernel graph blocks"; blocks follow one another in the stream. We fix the
 // following deterministic layout, consuming the series in order:
 //
-//  1. A "free" section of roughly FreeFrac·n kernels alternating between an
-//     individual kernel and a dependent chain of ChainLen kernels.
-//  2. The remaining kernels split as evenly as possible across Blocks
+//  1. A "free" section of roughly a quarter of the n kernels alternating
+//     between an individual kernel and a dependent chain of three kernels.
+//  2. The remaining kernels split as evenly as possible across three
 //     diamond blocks: first spec is the top, last is the bottom, the rest
 //     are the independent middles (top -> each middle -> bottom).
-//  3. If LinkBlocks, block i's bottom feeds block i+1's top.
-func BuildType2(series []KernelSpec, cfg Type2Config) (*dfg.Graph, error) {
-	cfg.setDefaults()
-	need := cfg.Blocks * 3
+//  3. Block i's bottom feeds block i+1's top.
+func BuildType2(series []KernelSpec) (*dfg.Graph, error) {
+	need := type2Blocks * 3
 	if len(series) < need {
 		return nil, fmt.Errorf("workload: Type-2 needs at least %d kernels for %d blocks, got %d",
-			need, cfg.Blocks, len(series))
+			need, type2Blocks, len(series))
 	}
 	n := len(series)
-	freeN := int(cfg.FreeFrac * float64(n))
+	freeN := int(type2FreeFrac * float64(n))
 	if n-freeN < need {
 		freeN = n - need
 	}
@@ -137,7 +103,7 @@ func BuildType2(series []KernelSpec, cfg Type2Config) (*dfg.Graph, error) {
 			i++
 			app++
 		} else {
-			chain := cfg.ChainLen
+			chain := type2ChainLen
 			if rem := freeN - i; chain > rem {
 				chain = rem
 			}
@@ -158,9 +124,9 @@ func BuildType2(series []KernelSpec, cfg Type2Config) (*dfg.Graph, error) {
 	// Diamond blocks over the remaining kernels.
 	blockN := n - i
 	var prevBottom dfg.KernelID = -1
-	for blk := 0; blk < cfg.Blocks; blk++ {
-		size := blockN / cfg.Blocks
-		if blk < blockN%cfg.Blocks {
+	for blk := 0; blk < type2Blocks; blk++ {
+		size := blockN / type2Blocks
+		if blk < blockN%type2Blocks {
 			size++
 		}
 		specs := series[i : i+size]
@@ -181,7 +147,7 @@ func BuildType2(series []KernelSpec, cfg Type2Config) (*dfg.Graph, error) {
 		if size == 2 {
 			b.AddEdge(top, bottom)
 		}
-		if cfg.LinkBlocks && prevBottom >= 0 {
+		if prevBottom >= 0 {
 			b.AddEdge(prevBottom, top)
 		}
 		prevBottom = bottom
@@ -190,13 +156,13 @@ func BuildType2(series []KernelSpec, cfg Type2Config) (*dfg.Graph, error) {
 	return b.Build()
 }
 
-// Build dispatches on the graph type with default configuration.
+// Build dispatches on the graph type.
 func Build(t GraphType, series []KernelSpec) (*dfg.Graph, error) {
 	switch t {
 	case Type1:
 		return BuildType1(series)
 	case Type2:
-		return BuildType2(series, DefaultType2Config())
+		return BuildType2(series)
 	default:
 		return nil, fmt.Errorf("workload: unknown graph type %d", int(t))
 	}

@@ -13,7 +13,7 @@ func streamGraph(t *testing.T, n int) *dfg.Graph {
 	t.Helper()
 	c := PaperCatalog()
 	series := c.RandomSeries(rand.New(rand.NewSource(1)), n)
-	g, err := BuildType2(series, Type2Config{})
+	g, err := BuildType2(series)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestBuildType1Degenerate(t *testing.T) {
 func TestBuildType2Shape(t *testing.T) {
 	c := PaperCatalog()
 	series := c.RandomSeries(rand.New(rand.NewSource(2)), 46)
-	g, err := BuildType2(series, Type2Config{})
+	g, err := BuildType2(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,47 +156,27 @@ func TestBuildType2Shape(t *testing.T) {
 func TestBuildType2TooSmall(t *testing.T) {
 	c := PaperCatalog()
 	series := c.RandomSeries(rand.New(rand.NewSource(3)), 5)
-	if _, err := BuildType2(series, Type2Config{}); err == nil {
+	if _, err := BuildType2(series); err == nil {
 		t.Error("undersized series accepted")
 	}
 }
 
-// TestBuildType2MinimumExact pins the smallest series BuildType2 accepts
-// with the default configuration: every one of the three blocks needs a
-// top, at least one middle and a bottom.
+// TestBuildType2MinimumExact pins the smallest series BuildType2 accepts:
+// every one of the three blocks needs a top, at least one middle and a
+// bottom.
 func TestBuildType2MinimumExact(t *testing.T) {
 	const min = 9
-	cfg := DefaultType2Config()
 	c := PaperCatalog()
 	series := c.RandomSeries(rand.New(rand.NewSource(4)), min)
-	g, err := BuildType2(series, cfg)
+	g, err := BuildType2(series)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumKernels() != min {
 		t.Errorf("kernels = %d, want %d", g.NumKernels(), min)
 	}
-	if _, err := BuildType2(series[:min-1], cfg); err == nil {
+	if _, err := BuildType2(series[:min-1]); err == nil {
 		t.Errorf("BuildType2 accepted %d kernels, want at least %d", min-1, min)
-	}
-}
-
-func TestBuildType2NoBlockLink(t *testing.T) {
-	c := PaperCatalog()
-	series := c.RandomSeries(rand.New(rand.NewSource(5)), 30)
-	cfg := DefaultType2Config()
-	linked, err := BuildType2(series, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LinkBlocks = false
-	unlinked, err := BuildType2(series, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linked.NumEdges() != unlinked.NumEdges()+2 {
-		t.Errorf("linking 3 blocks should add exactly 2 edges: %d vs %d",
-			linked.NumEdges(), unlinked.NumEdges())
 	}
 }
 
@@ -265,7 +245,7 @@ func TestGeneratorsValidProperty(t *testing.T) {
 		if err != nil || g1.NumKernels() != n || g1.Validate() != nil {
 			return false
 		}
-		g2, err := BuildType2(series, Type2Config{})
+		g2, err := BuildType2(series)
 		if err != nil || g2.NumKernels() != n || g2.Validate() != nil {
 			return false
 		}
