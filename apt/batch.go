@@ -221,6 +221,9 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 			simOpt.ActualCosts = actual
 		}
 		if len(p.Events) > 0 {
+			if err := checkEventProcs(p.Events, cfg.Machine); err != nil {
+				return preparedRun{}, err
+			}
 			sched, err := perturb.NewSchedule(internalEvents(p.Events))
 			if err != nil {
 				return preparedRun{}, err

@@ -108,8 +108,28 @@ func ParseDegradeEvents(spec string) ([]DegradeEvent, error) {
 	return out, nil
 }
 
+// checkEventProcs refuses an event naming a processor the machine lacks:
+// the schedule would never match it, and the run would silently go
+// undegraded. It checks the int fields before they narrow to
+// platform.ProcID; perturb.NewSchedule checks the rest.
+func checkEventProcs(evs []DegradeEvent, m *Machine) error {
+	np := m.NumProcs()
+	for i, e := range evs {
+		procs := []int{e.Proc}
+		if e.Kind == LinkSlowdown {
+			procs = []int{e.From, e.To}
+		}
+		for _, p := range procs {
+			if p < 0 || p >= np {
+				return fmt.Errorf("apt: degradation event %d names processor %d, but the machine has %d processors", i, p, np)
+			}
+		}
+	}
+	return nil
+}
+
 // internalEvents converts facade events; validation happens in
-// perturb.NewSchedule.
+// checkEventProcs and perturb.NewSchedule.
 func internalEvents(evs []DegradeEvent) []perturb.Event {
 	out := make([]perturb.Event, len(evs))
 	for i, e := range evs {
@@ -203,6 +223,9 @@ func RunRobustness(ctx context.Context, cfg RobustnessConfig) ([]RobustnessPoint
 	}
 	if len(cfg.Policies) == 0 || len(cfg.Fracs) == 0 {
 		return nil, fmt.Errorf("apt: RunRobustness requires at least one policy and one noise level")
+	}
+	if err := checkEventProcs(cfg.Events, cfg.Machine); err != nil {
+		return nil, err
 	}
 	// Per-workload arrival schedules are generated once and shared by every
 	// (frac, policy, oracle) combination, so the sweep axis is purely the

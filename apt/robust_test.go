@@ -3,6 +3,8 @@ package apt
 import (
 	"context"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -187,5 +189,45 @@ func TestParseDegradeEventsFacade(t *testing.T) {
 	}
 	if m, err := ParseNoiseModel("drift"); err != nil || m != NoiseDrift || m.String() != "drift" {
 		t.Errorf("ParseNoiseModel drift = %v, %v", m, err)
+	}
+}
+
+// TestDegradeEventsNameMachineProcessors: the engine matches an event by
+// processor ID, so an event naming a processor the machine lacks would
+// silently never fire. Run and RunRobustness refuse it before any run,
+// naming the event and the machine's processor count.
+func TestDegradeEventsNameMachineProcessors(t *testing.T) {
+	w, err := GenerateWorkload(Type2, 46, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := PaperMachine(4)
+	check := func(what string, evs []DegradeEvent) {
+		t.Helper()
+		_, err := Run(w, m, APT(4), &Options{Perturb: &Perturbation{Events: evs}})
+		if err == nil || !strings.Contains(err.Error(), "event 1 ") || !strings.Contains(err.Error(), "3 processors") {
+			t.Errorf("Run with %s: error %v, want one naming event 1 and 3 processors", what, err)
+		}
+		_, err = RunRobustness(context.Background(), RobustnessConfig{
+			Workloads: []*Workload{w}, Machine: m, Policies: []Policy{APT(4)}, Fracs: []float64{0}, Events: evs,
+		})
+		if err == nil || !strings.Contains(err.Error(), "event 1 ") || !strings.Contains(err.Error(), "3 processors") {
+			t.Errorf("RunRobustness with %s: error %v, want one naming event 1 and 3 processors", what, err)
+		}
+	}
+	for _, spec := range []string{"slow:7:2:0:100000", "off:9:0:100000", "link:0:5:4:0:100000"} {
+		evs, err := ParseDegradeEvents("slow:0:2:0:10," + spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		check(spec, evs)
+	}
+	// An int that narrows to a valid processor ID is refused too.
+	if strconv.IntSize == 64 {
+		wrap := 1 << (strconv.IntSize / 2)
+		check("processor 2^32", []DegradeEvent{
+			{Kind: ProcSlowdown, Proc: 0, Factor: 2, EndMs: 10},
+			{Kind: ProcSlowdown, Proc: wrap, Factor: 2, EndMs: 1e5},
+		})
 	}
 }

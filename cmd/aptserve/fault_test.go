@@ -209,3 +209,21 @@ func TestChaosConfigValidation(t *testing.T) {
 		t.Fatal("negative -timeout accepted")
 	}
 }
+
+// TestChaosRuleNamesSchedulerProcessor: a rule naming a processor the
+// scheduler lacks would never fire, so the server refuses it at start-up,
+// naming the rule and the processor count.
+func TestChaosRuleNamesSchedulerProcessor(t *testing.T) {
+	cfg := faultCfg()
+	cfg.speed = 1000
+	cfg.maxBody = 1 << 20
+	cfg.chaos = "kind:mm:0.5,crash:7:0:0"
+	srv, err := newServer(cfg)
+	if err == nil {
+		srv.sched.Close()
+		t.Fatal("chaos rule naming processor 7 accepted on 2 processors")
+	}
+	if !strings.Contains(err.Error(), "rule 1 ") || !strings.Contains(err.Error(), "2 processors") {
+		t.Errorf("error %q does not name rule 1 and 2 processors", err)
+	}
+}

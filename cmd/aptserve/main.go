@@ -144,6 +144,12 @@ func newServer(cfg config) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A rule naming a processor the scheduler lacks would never fire.
+		for i, r := range fp.Rules() {
+			if r.Kind != online.KindFlaky && int(r.Proc) >= cfg.procs {
+				return nil, fmt.Errorf("aptserve: -chaos rule %d names processor %d, but the scheduler has %d processors", i, r.Proc, cfg.procs)
+			}
+		}
 		chaos = fp
 	}
 	sched, err := online.NewWithConfig(sc)

@@ -168,8 +168,9 @@ func (s *Schedule) LinkSpeed(from, to platform.ProcID, at float64) (speed, until
 //	off:P:START:END      processor P is offline during [START, END) ms
 //	link:A:B:F:START:END link A<->B has F× less bandwidth during [START, END)
 //
-// Example: "slow:1:2:1000:5000,off:2:8000:9000". The result is validated;
-// an empty spec yields no events.
+// Example: "slow:1:2:1000:5000,off:2:8000:9000". Processors are decimal
+// integers; factors and times are floats. The result is validated; an
+// empty spec yields no events.
 func ParseEvents(spec string) ([]Event, error) {
 	var events []Event
 	for _, item := range strings.Split(spec, ",") {
@@ -181,33 +182,40 @@ func ParseEvents(spec string) ([]Event, error) {
 		bad := func() ([]Event, error) {
 			return nil, fmt.Errorf("perturb: malformed degradation event %q (want slow:P:F:START:END, off:P:START:END or link:A:B:F:START:END)", item)
 		}
-		nums := make([]float64, 0, 5)
-		for _, p := range parts[1:] {
-			v, err := strconv.ParseFloat(p, 64)
+		// Each kind's leading fields name processors; the rest are its
+		// factor and window.
+		var e Event
+		var procs []*platform.ProcID
+		var nums []*float64
+		switch parts[0] {
+		case "slow":
+			e.Kind = ProcSlowdown
+			procs, nums = []*platform.ProcID{&e.Proc}, []*float64{&e.Factor, &e.StartMs, &e.EndMs}
+		case "off":
+			e.Kind = ProcOffline
+			procs, nums = []*platform.ProcID{&e.Proc}, []*float64{&e.StartMs, &e.EndMs}
+		case "link":
+			e.Kind = LinkSlowdown
+			procs, nums = []*platform.ProcID{&e.From, &e.To}, []*float64{&e.Factor, &e.StartMs, &e.EndMs}
+		default:
+			return bad()
+		}
+		if len(parts) != 1+len(procs)+len(nums) {
+			return bad()
+		}
+		for i, dst := range procs {
+			v, err := strconv.ParseInt(parts[1+i], 10, 32)
 			if err != nil {
 				return bad()
 			}
-			nums = append(nums, v)
+			*dst = platform.ProcID(v)
 		}
-		var e Event
-		switch parts[0] {
-		case "slow":
-			if len(nums) != 4 {
+		for i, dst := range nums {
+			v, err := strconv.ParseFloat(parts[1+len(procs)+i], 64)
+			if err != nil {
 				return bad()
 			}
-			e = Event{Kind: ProcSlowdown, Proc: platform.ProcID(nums[0]), Factor: nums[1], StartMs: nums[2], EndMs: nums[3]}
-		case "off":
-			if len(nums) != 3 {
-				return bad()
-			}
-			e = Event{Kind: ProcOffline, Proc: platform.ProcID(nums[0]), StartMs: nums[1], EndMs: nums[2]}
-		case "link":
-			if len(nums) != 5 {
-				return bad()
-			}
-			e = Event{Kind: LinkSlowdown, From: platform.ProcID(nums[0]), To: platform.ProcID(nums[1]), Factor: nums[2], StartMs: nums[3], EndMs: nums[4]}
-		default:
-			return bad()
+			*dst = v
 		}
 		events = append(events, e)
 	}

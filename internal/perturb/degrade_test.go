@@ -142,3 +142,20 @@ func TestParseEvents(t *testing.T) {
 		t.Error("EventKind String broken")
 	}
 }
+
+// TestParseEventsIntegerProcessors: processor fields are integers. Read as
+// floats, "slow:1.9:…" truncated to processor 1 and degraded it.
+func TestParseEventsIntegerProcessors(t *testing.T) {
+	for _, spec := range []string{
+		"slow:1.9:2:0:100000",
+		"off:1.5:0:10",
+		"link:0:1.0:4:0:10",
+		"link:0.5:1:4:0:10",
+		"slow:1e0:2:0:10",
+		"slow:4294967296:2:0:10", // past 32 bits
+	} {
+		if evs, err := ParseEvents(spec); err == nil {
+			t.Errorf("ParseEvents(%q) accepted a non-integer processor: %+v", spec, evs)
+		}
+	}
+}

@@ -91,7 +91,7 @@ func (r FaultRule) validate(i int) error {
 		if r.StartMs < 0 || math.IsNaN(r.StartMs) || math.IsInf(r.StartMs, 0) {
 			return fmt.Errorf("online: fault rule %d start %v must be non-negative and finite", i, r.StartMs)
 		}
-		if r.EndMs > 0 && r.EndMs <= r.StartMs {
+		if math.IsNaN(r.EndMs) || r.EndMs > 0 && r.EndMs <= r.StartMs {
 			return fmt.Errorf("online: fault rule %d window [%v, %v) is empty", i, r.StartMs, r.EndMs)
 		}
 	case ProcFlaky, KindFlaky:
@@ -229,10 +229,10 @@ func (fp *FaultPlan) Wrap(name string, run func(context.Context, ProcID) error) 
 //	kind:PREFIX:PROB   tasks named PREFIX* fail with probability PROB
 //	lat:P:MS           attempts on processor P gain MS ms of latency
 //
-// END <= 0 leaves a crash/hang window open-ended. Example:
-// "flaky:0:0.6,crash:1:0:1500,lat:2:5". Probability draws are seeded, so a
-// fixed seed reproduces the same injection stream under the same attempt
-// interleaving. An empty spec yields an empty plan.
+// END <= 0 leaves a crash/hang window open-ended. Processors are decimal
+// integers. Example: "flaky:0:0.6,crash:1:0:1500,lat:2:5". Probability
+// draws are seeded, so a fixed seed reproduces the same injection stream
+// under the same attempt interleaving. An empty spec yields an empty plan.
 func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 	var rules []FaultRule
 	for _, item := range strings.Split(spec, ",") {
@@ -245,45 +245,43 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 			return nil, fmt.Errorf("online: malformed fault rule %q (want crash:P:START:END, hang:P:START:END, flaky:P:PROB, kind:PREFIX:PROB or lat:P:MS)", item)
 		}
 		var r FaultRule
-		switch {
-		case parts[0] == "kind" && len(parts) == 3:
+		if parts[0] == "kind" && len(parts) == 3 {
 			prob, err := strconv.ParseFloat(parts[2], 64)
 			if err != nil {
 				return bad()
 			}
-			r = FaultRule{Kind: KindFlaky, Name: parts[1], Prob: prob}
+			rules = append(rules, FaultRule{Kind: KindFlaky, Name: parts[1], Prob: prob})
+			continue
+		}
+		// Every other rule names a processor, then its window, probability
+		// or delay.
+		var nums []*float64
+		switch parts[0] {
+		case "crash":
+			r.Kind, nums = ProcCrash, []*float64{&r.StartMs, &r.EndMs}
+		case "hang":
+			r.Kind, nums = ProcHang, []*float64{&r.StartMs, &r.EndMs}
+		case "flaky":
+			r.Kind, nums = ProcFlaky, []*float64{&r.Prob}
+		case "lat":
+			r.Kind, nums = ProcLatency, []*float64{&r.DelayMs}
 		default:
-			nums := make([]float64, 0, 3)
-			for _, p := range parts[1:] {
-				v, err := strconv.ParseFloat(p, 64)
-				if err != nil {
-					return bad()
-				}
-				nums = append(nums, v)
-			}
-			switch parts[0] {
-			case "crash", "hang":
-				if len(nums) != 3 {
-					return bad()
-				}
-				k := ProcCrash
-				if parts[0] == "hang" {
-					k = ProcHang
-				}
-				r = FaultRule{Kind: k, Proc: ProcID(nums[0]), StartMs: nums[1], EndMs: nums[2]}
-			case "flaky":
-				if len(nums) != 2 {
-					return bad()
-				}
-				r = FaultRule{Kind: ProcFlaky, Proc: ProcID(nums[0]), Prob: nums[1]}
-			case "lat":
-				if len(nums) != 2 {
-					return bad()
-				}
-				r = FaultRule{Kind: ProcLatency, Proc: ProcID(nums[0]), DelayMs: nums[1]}
-			default:
+			return bad()
+		}
+		if len(parts) != 2+len(nums) {
+			return bad()
+		}
+		p, err := strconv.ParseInt(parts[1], 10, 32)
+		if err != nil {
+			return bad()
+		}
+		r.Proc = ProcID(p)
+		for i, dst := range nums {
+			v, err := strconv.ParseFloat(parts[2+i], 64)
+			if err != nil {
 				return bad()
 			}
+			*dst = v
 		}
 		rules = append(rules, r)
 	}

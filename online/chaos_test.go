@@ -38,6 +38,26 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 }
 
+// TestParseFaultPlanIntegerProcessors: processor fields are integers. Read
+// as floats, "crash:1.5:…" truncated to processor 1.
+func TestParseFaultPlanIntegerProcessors(t *testing.T) {
+	for _, spec := range []string{"crash:1.5:0:100", "hang:2.0:0:0", "flaky:0.5:0.5", "lat:1e0:5", "crash:4294967296:0:0"} {
+		if fp, err := ParseFaultPlan(spec, 1); err == nil {
+			t.Errorf("ParseFaultPlan(%q) accepted a non-integer processor: %+v", spec, fp.Rules())
+		}
+	}
+}
+
+// TestFaultPlanRefusesNaNWindowEnd: a NaN end passed the open-ended and
+// empty-window checks, so the window silently never opened.
+func TestFaultPlanRefusesNaNWindowEnd(t *testing.T) {
+	for _, spec := range []string{"crash:0:0:NaN", "hang:1:5:nan"} {
+		if _, err := ParseFaultPlan(spec, 1); err == nil {
+			t.Errorf("ParseFaultPlan(%q) accepted a NaN window end", spec)
+		}
+	}
+}
+
 func TestFaultPlanCrashWindow(t *testing.T) {
 	fp, err := ParseFaultPlan("crash:0:0:50", 1)
 	if err != nil {
