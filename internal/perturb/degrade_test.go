@@ -1,7 +1,10 @@
 package perturb
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -158,4 +161,57 @@ func TestParseEventsIntegerProcessors(t *testing.T) {
 			t.Errorf("ParseEvents(%q) accepted a non-integer processor: %+v", spec, evs)
 		}
 	}
+}
+
+// formatEvents renders events back into ParseEvents' spec syntax, floats
+// in their shortest exact form.
+func formatEvents(evs []Event) string {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	items := make([]string, len(evs))
+	for i, e := range evs {
+		switch e.Kind {
+		case ProcSlowdown:
+			items[i] = fmt.Sprintf("slow:%d:%s:%s:%s", e.Proc, g(e.Factor), g(e.StartMs), g(e.EndMs))
+		case ProcOffline:
+			items[i] = fmt.Sprintf("off:%d:%s:%s", e.Proc, g(e.StartMs), g(e.EndMs))
+		case LinkSlowdown:
+			items[i] = fmt.Sprintf("link:%d:%d:%s:%s:%s", e.From, e.To, g(e.Factor), g(e.StartMs), g(e.EndMs))
+		}
+	}
+	return strings.Join(items, ",")
+}
+
+// FuzzParseEvents: a degradation spec comes from a command line, so
+// arbitrary input must never panic ParseEvents; every accepted spec must
+// give events NewSchedule accepts, and rendering them back to a spec must
+// parse to the same events.
+func FuzzParseEvents(f *testing.F) {
+	for _, spec := range []string{
+		"slow:1:2:1000:8000",                                   // CI's robust sweep
+		"slow:1:2:5000:20000,off:2:30000:50000",                // README
+		"slow:1:2:1000:5000,off:2:8000:9000,link:0:1:4:0:2000", // sweep -degrade help
+		"slow:7:2:0:100000", "off:9:0:100000", "link:0:5:4:0:100000", "slow:1.9:2:0:100000",
+		"slow:0:5e9:0:1", "off:5e9:0:1", "off:0:0:5e9",
+		"slow:0:NaN:0:1", "off:0:NaN:1", "off:0:0:NaN", "link:0:1:2:0:Inf",
+		"", ",", "slow:0:2:0:1,,off:1:0:1", " slow:0:2:0:1 , off:1:0:1 ", "slow: 0:2:0:1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		evs, err := ParseEvents(spec)
+		if err != nil {
+			return
+		}
+		if _, err := NewSchedule(evs); err != nil {
+			t.Fatalf("ParseEvents(%q) gave events NewSchedule refuses: %v", spec, err)
+		}
+		text := formatEvents(evs)
+		back, err := ParseEvents(text)
+		if err != nil {
+			t.Fatalf("ParseEvents(%q), rendered from %q: %v", text, spec, err)
+		}
+		if !slices.Equal(back, evs) {
+			t.Fatalf("%q parsed to %+v; rendered as %q it parses to %+v", spec, evs, text, back)
+		}
+	})
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,3 +358,60 @@ var (
 	errPermanent = errors.New("permanent chaos failure")
 	errTransient = errors.New("transient chaos failure")
 )
+
+// formatFaultPlan renders rules back into ParseFaultPlan's spec syntax,
+// floats in their shortest exact form.
+func formatFaultPlan(rules []FaultRule) string {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	items := make([]string, len(rules))
+	for i, r := range rules {
+		switch r.Kind {
+		case ProcCrash, ProcHang:
+			items[i] = fmt.Sprintf("%s:%d:%s:%s", r.Kind, r.Proc, g(r.StartMs), g(r.EndMs))
+		case ProcFlaky:
+			items[i] = fmt.Sprintf("flaky:%d:%s", r.Proc, g(r.Prob))
+		case KindFlaky:
+			items[i] = fmt.Sprintf("kind:%s:%s", r.Name, g(r.Prob))
+		case ProcLatency:
+			items[i] = fmt.Sprintf("lat:%d:%s", r.Proc, g(r.DelayMs))
+		}
+	}
+	return strings.Join(items, ",")
+}
+
+// FuzzParseFaultPlan: a chaos spec comes from a command line, so arbitrary
+// input must never panic ParseFaultPlan; every accepted spec must give
+// rules NewFaultPlan accepts, and rendering them back to a spec must parse
+// to the same rules.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, spec := range []string{
+		"crash:0:0:3000", // CI's serve smoke
+		"crash:0:0:1500,flaky:1:0.3,lat:2:5,hang:3:100:0,kind:matmul:0.1", // README
+		"flaky:0:0.6,crash:1:0:1500,lat:2:5",                              // aptserve -chaos help
+		"crash:1:0:40",                                                    // examples/online-host
+		"crash:7:0:0", "crash:1.5:0:100",
+		"lat:0:5e9", "crash:0:5e9:0", "flaky:5e9:0.5",
+		"crash:0:0:NaN", "flaky:0:NaN", "lat:0:NaN", "kind:mm:NaN", "hang:0:0:Inf",
+		"", ",", "lat:0:1,,flaky:1:0.5", " crash:0:0:1 , kind: mm :0.5 ", "kind::0.5", "kind:a:b:0.5",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fp, err := ParseFaultPlan(spec, 1)
+		if err != nil {
+			return
+		}
+		rules := fp.Rules()
+		if _, err := NewFaultPlan(1, rules); err != nil {
+			t.Fatalf("ParseFaultPlan(%q) gave rules NewFaultPlan refuses: %v", spec, err)
+		}
+		text := formatFaultPlan(rules)
+		back, err := ParseFaultPlan(text, 1)
+		if err != nil {
+			t.Fatalf("ParseFaultPlan(%q), rendered from %q: %v", text, spec, err)
+		}
+		if !slices.Equal(back.Rules(), rules) {
+			t.Fatalf("%q parsed to %+v; rendered as %q it parses to %+v", spec, rules, text, back.Rules())
+		}
+	})
+}
