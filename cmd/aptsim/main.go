@@ -13,7 +13,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/apt"
 	"repro/internal/dfg"
@@ -25,7 +27,7 @@ func main() {
 		n       = flag.Int("n", 50, "generated workload size in kernels")
 		seed    = flag.Int64("seed", 1, "workload generation seed")
 		graph   = flag.String("graph", "", "load workload from this JSON file instead of generating one")
-		polName = flag.String("policy", "apt", "scheduling policy: apt, apt-r, met, spn, ss, ag, heft, peft")
+		polName = flag.String("policy", "apt", policyUsage())
 		alpha   = flag.Float64("alpha", 4, "APT flexibility factor α (>= 1)")
 		metSeed = flag.Int64("met-seed", 1, "MET random-order seed")
 		rate    = flag.Float64("rate", 4, "uniform link bandwidth in GB/s")
@@ -36,21 +38,27 @@ func main() {
 		energy  = flag.Bool("energy", false, "print an energy estimate under the default power model")
 	)
 	flag.Parse()
-	if err := run(*typ, *n, *seed, *graph, *polName, *alpha, *metSeed, *rate, *over, *gantt, *util, *trace, *energy); err != nil {
+	if err := run(os.Stdout, *typ, *n, *seed, *graph, *polName, *alpha, *metSeed, *rate, *over, *gantt, *util, *trace, *energy); err != nil {
 		fmt.Fprintln(os.Stderr, "aptsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(typ, n int, seed int64, graphPath, polName string, alpha float64, metSeed int64,
+// policyUsage is the -policy flag's help: every name apt.ParsePolicy
+// accepts.
+func policyUsage() string {
+	return "scheduling policy: " + strings.Join(apt.PolicyNames(), ", ")
+}
+
+func run(w io.Writer, typ, n int, seed int64, graphPath, polName string, alpha float64, metSeed int64,
 	rate, overhead float64, gantt, util bool, tracePath string, energy bool) error {
 
-	var w *apt.Workload
+	var wl *apt.Workload
 	var err error
 	if graphPath != "" {
-		w, err = loadWorkload(graphPath)
+		wl, err = loadWorkload(graphPath)
 	} else {
-		w, err = apt.GenerateWorkload(apt.GraphType(typ), n, seed)
+		wl, err = apt.GenerateWorkload(apt.GraphType(typ), n, seed)
 	}
 	if err != nil {
 		return err
@@ -61,51 +69,61 @@ func run(typ, n int, seed int64, graphPath, polName string, alpha float64, metSe
 		return err
 	}
 	m := apt.PaperMachine(rate)
-	res, err := apt.Run(w, m, pol, &apt.Options{SchedOverheadMs: overhead})
+	res, err := apt.Run(wl, m, pol, &apt.Options{SchedOverheadMs: overhead})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("policy    %s\n", res.Policy)
-	fmt.Printf("workload  %d kernels, %d dependencies\n", w.NumKernels(), w.NumDeps())
-	fmt.Printf("machine   %s at %g GB/s\n", m, rate)
-	fmt.Printf("makespan  %.3f ms\n", res.MakespanMs)
-	fmt.Printf("λ total   %.3f ms (avg %.3f, stddev %.3f over %d delayed kernels)\n",
+	fmt.Fprintf(w, "policy    %s\n", res.Policy)
+	fmt.Fprintf(w, "workload  %d kernels, %d dependencies\n", wl.NumKernels(), wl.NumDeps())
+	fmt.Fprintf(w, "machine   %s at %g GB/s\n", m, rate)
+	fmt.Fprintf(w, "makespan  %.3f ms\n", res.MakespanMs)
+	fmt.Fprintf(w, "λ total   %.3f ms (avg %.3f, stddev %.3f over %d delayed kernels)\n",
 		res.LambdaTotalMs, res.LambdaAvgMs, res.LambdaStdMs, countDelayed(res))
 	if res.Alt.Assignments > 0 {
-		fmt.Printf("APT alternatives: %d of %d assignments", res.Alt.AltAssignments, res.Alt.Assignments)
+		fmt.Fprintf(w, "APT alternatives: %d of %d assignments", res.Alt.AltAssignments, res.Alt.Assignments)
 		if len(res.Alt.ByKernel) > 0 {
-			fmt.Printf(" %v", res.Alt.ByKernel)
+			fmt.Fprintf(w, " %v", res.Alt.ByKernel)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if util {
-		fmt.Println()
-		fmt.Print(res.Utilisation())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, res.Utilisation())
 	}
 	if energy {
 		j, err := res.EnergyJ(nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("energy    %.1f J (default power model)\n", j)
+		fmt.Fprintf(w, "energy    %.1f J (default power model)\n", j)
 	}
 	if gantt {
-		fmt.Println()
-		fmt.Print(res.Gantt())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, res.Gantt())
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
+		if err := writeTrace(tracePath, res); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := res.ChromeTrace(f); err != nil {
-			return err
-		}
-		fmt.Printf("trace     wrote %s\n", tracePath)
+		fmt.Fprintf(w, "trace     wrote %s\n", tracePath)
 	}
 	return nil
+}
+
+// writeTrace writes the run's Chrome trace to path. It returns the close
+// error too, so a trace that never reached the file is not reported as
+// written.
+func writeTrace(path string, res *apt.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := res.ChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func countDelayed(res *apt.Result) int {
