@@ -383,11 +383,9 @@ type engine struct {
 	// int32 like every per-kernel array: KernelIDs are 32-bit, so indices
 	// into kernel-length slices fit by construction.
 	readyIdx  []int32
-	readyAt   []float64
 	predsLeft []int32
 	arrived   []bool
-	assigned  []bool
-	procOf    []platform.ProcID
+	procOf    []platform.ProcID // -1 until committed
 	queues    []procQueue
 	running   []dfg.KernelID // -1 when idle
 	busyUntil []float64
@@ -587,17 +585,13 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.qwaits = e.qwaits[:0]
 
 	e.readyIdx = grow(e.readyIdx, n)
-	e.readyAt = grow(e.readyAt, n)
 	e.predsLeft = grow(e.predsLeft, n)
 	e.arrived = grow(e.arrived, n)
-	e.assigned = grow(e.assigned, n)
 	e.procOf = grow(e.procOf, n)
 	for i := 0; i < n; i++ {
 		e.readyIdx[i] = -1
-		e.readyAt[i] = 0
 		e.predsLeft[i] = 0
 		e.arrived[i] = false
-		e.assigned[i] = false
 		e.procOf[i] = -1
 	}
 
@@ -675,10 +669,9 @@ func (e *engine) arrive(k dfg.KernelID) {
 //
 //apt:hotpath
 func (e *engine) becameReady(k dfg.KernelID) {
-	e.readyAt[k] = e.now
 	e.placements[k].Ready = e.now
-	if e.assigned[k] {
-		e.wakeProc(e.procOf[k])
+	if p := e.procOf[k]; p >= 0 {
+		e.wakeProc(p)
 	} else {
 		e.pushReady(k)
 	}
@@ -705,10 +698,9 @@ func (e *engine) commit(a Assignment) {
 	n := e.costs.g.NumKernels()
 	if a.Kernel < 0 || int(a.Kernel) >= n ||
 		a.Proc < 0 || int(a.Proc) >= e.costs.sys.NumProcs() ||
-		e.assigned[a.Kernel] {
+		e.procOf[a.Kernel] >= 0 {
 		e.badAssignment(a)
 	}
-	e.assigned[a.Kernel] = true
 	e.procOf[a.Kernel] = a.Proc
 	e.assignments++
 	e.placements[a.Kernel].Kernel = a.Kernel
