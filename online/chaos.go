@@ -99,12 +99,17 @@ func (r FaultRule) validate(i int) error {
 			return fmt.Errorf("online: fault rule %d probability %v must be in (0, 1]", i, r.Prob)
 		}
 	case ProcLatency:
-		if !(r.DelayMs > 0) || math.IsInf(r.DelayMs, 0) {
-			return fmt.Errorf("online: fault rule %d delay %v must be positive and finite", i, r.DelayMs)
+		// Past maxDelayMs the delay overflows a time.Duration and the
+		// timer fires at once.
+		if !(r.DelayMs > 0) || r.DelayMs > maxDelayMs {
+			return fmt.Errorf("online: fault rule %d delay %v must be positive and at most %v ms", i, r.DelayMs, maxDelayMs)
 		}
 	}
 	return nil
 }
+
+// maxDelayMs is the longest injected latency a time.Duration holds.
+const maxDelayMs = float64(math.MaxInt64 / int64(time.Millisecond))
 
 // FaultPlan injects failures into task execution for chaos testing, in the
 // spirit of internal/perturb's degradation schedules but acting on the

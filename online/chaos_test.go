@@ -51,13 +51,17 @@ func TestParseFaultPlanIntegerProcessors(t *testing.T) {
 	}
 }
 
-// TestFaultPlanRefusesNaNWindowEnd: a NaN end passed the open-ended and
-// empty-window checks, so the window silently never opened.
-func TestFaultPlanRefusesNaNWindowEnd(t *testing.T) {
-	for _, spec := range []string{"crash:0:0:NaN", "hang:1:5:nan"} {
+// TestFaultPlanRefusesRulesThatNeverAct: a NaN window end passed the
+// open-ended and empty-window checks, so the window never opened; a delay
+// past maxDelayMs overflowed its time.Duration, so lat:0:1e13 added none.
+func TestFaultPlanRefusesRulesThatNeverAct(t *testing.T) {
+	for _, spec := range []string{"crash:0:0:NaN", "hang:1:5:nan", "lat:0:1e13"} {
 		if _, err := ParseFaultPlan(spec, 1); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted a NaN window end", spec)
+			t.Errorf("ParseFaultPlan(%q) accepted a rule that never acts", spec)
 		}
+	}
+	if _, err := ParseFaultPlan("lat:0:9e12", 1); err != nil {
+		t.Errorf("a delay a time.Duration holds was refused: %v", err)
 	}
 }
 
