@@ -249,7 +249,6 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 		bad := func() (*FaultPlan, error) {
 			return nil, fmt.Errorf("online: malformed fault rule %q (want crash:P:START:END, hang:P:START:END, flaky:P:PROB, kind:PREFIX:PROB or lat:P:MS)", item)
 		}
-		var r FaultRule
 		if parts[0] == "kind" && len(parts) == 3 {
 			prob, err := strconv.ParseFloat(parts[2], 64)
 			if err != nil {
@@ -260,6 +259,7 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 		}
 		// Every other rule names a processor, then its window, probability
 		// or delay.
+		var r FaultRule
 		var nums []*float64
 		switch parts[0] {
 		case "crash":
