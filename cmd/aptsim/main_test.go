@@ -61,7 +61,7 @@ func TestTraceWritten(t *testing.T) {
 }
 
 // TestPolicyHelp: the -policy help names every policy apt.ParsePolicy
-// accepts, and only those; it once listed 8 of the 10.
+// accepts, and only those.
 func TestPolicyHelp(t *testing.T) {
 	help := policyUsage()
 	_, list, ok := strings.Cut(help, ": ")

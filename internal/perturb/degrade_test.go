@@ -146,8 +146,8 @@ func TestParseEvents(t *testing.T) {
 	}
 }
 
-// TestParseEventsIntegerProcessors: processor fields are integers. Read as
-// floats, "slow:1.9:…" truncated to processor 1 and degraded it.
+// TestParseEventsIntegerProcessors: processor fields are integers; a float
+// such as "slow:1.9:…" would truncate to processor 1 and degrade it.
 func TestParseEventsIntegerProcessors(t *testing.T) {
 	for _, spec := range []string{
 		"slow:1.9:2:0:100000",

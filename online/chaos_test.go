@@ -41,8 +41,8 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 }
 
-// TestParseFaultPlanIntegerProcessors: processor fields are integers. Read
-// as floats, "crash:1.5:…" truncated to processor 1.
+// TestParseFaultPlanIntegerProcessors: processor fields are integers; a
+// float such as "crash:1.5:…" would truncate to processor 1.
 func TestParseFaultPlanIntegerProcessors(t *testing.T) {
 	for _, spec := range []string{"crash:1.5:0:100", "hang:2.0:0:0", "flaky:0.5:0.5", "lat:1e0:5", "crash:4294967296:0:0"} {
 		if fp, err := ParseFaultPlan(spec, 1); err == nil {
@@ -51,9 +51,9 @@ func TestParseFaultPlanIntegerProcessors(t *testing.T) {
 	}
 }
 
-// TestFaultPlanRefusesRulesThatNeverAct: a NaN window end passed the
-// open-ended and empty-window checks, so the window never opened; a delay
-// past maxDelayMs overflowed its time.Duration, so lat:0:1e13 added none.
+// TestFaultPlanRefusesRulesThatNeverAct: a window ending at NaN would
+// never open, and a delay past maxDelayMs would overflow its
+// time.Duration, so lat:0:1e13 would add no latency.
 func TestFaultPlanRefusesRulesThatNeverAct(t *testing.T) {
 	for _, spec := range []string{"crash:0:0:NaN", "hang:1:5:nan", "lat:0:1e13"} {
 		if _, err := ParseFaultPlan(spec, 1); err == nil {
