@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/lut"
@@ -57,15 +56,6 @@ func PaperMachine(rateGBps float64) *Machine {
 
 // NumProcs returns the number of processors.
 func (m *Machine) NumProcs() int { return m.sys.NumProcs() }
-
-// ProcNames returns processor names in ID order.
-func (m *Machine) ProcNames() []string {
-	out := make([]string, m.sys.NumProcs())
-	for i, p := range m.sys.Procs() {
-		out[i] = p.Name
-	}
-	return out
-}
 
 // String summarises the machine.
 func (m *Machine) String() string { return m.sys.String() }
@@ -161,29 +151,6 @@ func GenerateSuite(t GraphType, seed int64) ([]*Workload, error) {
 	return out, nil
 }
 
-// GenerateApplicationStream builds a workload of n whole applications from
-// the paper's Table 1 catalogue (Needleman Wunsch, Matrix Inverse, GEM,
-// Cholesky, BFS, MatMul, SRAD, LavaMD, HotSpot, Backpropagation, FFT),
-// drawn uniformly at random per seed. With chained false the applications
-// are mutually independent; with chained true each application's outputs
-// feed the next application's inputs.
-func GenerateApplicationStream(n int, seed int64, chained bool) (*Workload, error) {
-	var g *dfg.Graph
-	var err error
-	if chained {
-		g, err = apps.ChainedStream(n, seed)
-	} else {
-		g, err = apps.Stream(n, seed)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{g: g}, nil
-}
-
-// ApplicationNames lists the Table 1 application catalogue.
-func ApplicationNames() []string { return apps.Names() }
-
 // WorkloadBuilder assembles a custom workload kernel by kernel.
 type WorkloadBuilder struct {
 	b *dfg.Builder
@@ -222,10 +189,9 @@ func (wb *WorkloadBuilder) Build() (*Workload, error) {
 
 // Policy selects a scheduling heuristic.
 type Policy struct {
-	name         string
-	alpha        float64
-	seed         int64
-	replaySource *Result
+	name  string
+	alpha float64
+	seed  int64
 }
 
 // APT returns the thesis's policy with flexibility factor alpha (>= 1;
@@ -333,11 +299,6 @@ func (p Policy) instantiate() (sim.Policy, error) {
 		return policy.NewOLB(), nil
 	case "AR":
 		return policy.NewAR(p.seed), nil
-	case "REPLAY":
-		if p.replaySource == nil {
-			return nil, fmt.Errorf("apt: Replay policy requires a source result")
-		}
-		return policy.NewReplay(p.replaySource.res), nil
 	default:
 		return nil, fmt.Errorf("apt: unknown policy %q", p.name)
 	}

@@ -280,9 +280,9 @@ func memoPolicy(w *sim.Worker, p Policy) (sim.Policy, error) {
 	return v.(sim.Policy), nil
 }
 
-// assemble converts an engine result into the public Result: the
-// summaries, one row per processor and APT's allocation counts. The
-// per-kernel rows are built on demand by Result.Kernels.
+// assemble converts an engine result into the public Result: the makespan,
+// the λ summary and APT's allocation counts. The per-kernel rows are built
+// on demand by Result.Kernels.
 func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result {
 	out := &Result{
 		Policy:        res.Policy,
@@ -290,23 +290,9 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result 
 		LambdaTotalMs: res.Lambda.TotalMs,
 		LambdaAvgMs:   res.Lambda.AvgMs,
 		LambdaStdMs:   res.Lambda.StdMs,
-		Sojourn:       latencyStats(res.Sojourn),
-		QueueWait:     latencyStats(res.QueueWait),
 		res:           res,
 		sys:           m.sys,
 		wl:            w,
-	}
-	procs := m.sys.Procs()
-	out.Procs = make([]ProcUse, 0, len(res.ProcStats))
-	for _, st := range res.ProcStats {
-		out.Procs = append(out.Procs, ProcUse{
-			Proc:    int32(st.Proc),
-			Name:    procs[st.Proc].Name,
-			Kernels: st.Kernels,
-			ExecMs:  st.ExecMs,
-			XferMs:  st.XferMs,
-			IdleMs:  st.IdleMs,
-		})
 	}
 	if a, ok := pol.(*core.APT); ok {
 		out.Alt = a.Stats()

@@ -7,50 +7,6 @@ import (
 	"testing"
 )
 
-func TestGenerateApplicationStream(t *testing.T) {
-	w, err := GenerateApplicationStream(10, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.NumKernels() < 10 {
-		t.Errorf("kernels = %d, want >= 10 (one per application minimum)", w.NumKernels())
-	}
-	chained, err := GenerateApplicationStream(10, 3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chained.NumDeps() <= w.NumDeps() {
-		t.Errorf("chained deps = %d, want more than unchained %d", chained.NumDeps(), w.NumDeps())
-	}
-	if _, err := GenerateApplicationStream(0, 1, false); err == nil {
-		t.Error("empty stream accepted")
-	}
-	// Streams must be schedulable end to end.
-	res, err := Run(chained, PaperMachine(4), APT(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MakespanMs <= 0 {
-		t.Error("non-positive makespan")
-	}
-}
-
-func TestApplicationNames(t *testing.T) {
-	names := ApplicationNames()
-	if len(names) != 11 {
-		t.Fatalf("applications = %d, want 11 (paper Table 1)", len(names))
-	}
-	found := map[string]bool{}
-	for _, n := range names {
-		found[n] = true
-	}
-	for _, want := range []string{"Needleman Wunsch", "LavaMD", "FFT"} {
-		if !found[want] {
-			t.Errorf("missing application %q", want)
-		}
-	}
-}
-
 func TestArrivalsOption(t *testing.T) {
 	w, err := GenerateWorkload(Type1, 20, 5)
 	if err != nil {

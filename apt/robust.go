@@ -202,8 +202,6 @@ type RobustnessPoint struct {
 	// price of deciding on wrong estimates; small regret at large Frac
 	// means the policy is robust.
 	RegretPct float64
-	// LambdaTotalMs is the suite-mean total λ scheduling delay.
-	LambdaTotalMs float64
 	// P99SojournMs is the exact 99th-percentile sojourn (arrival → finish)
 	// over every kernel of every workload in the suite.
 	P99SojournMs float64
@@ -275,20 +273,18 @@ func RunRobustness(ctx context.Context, cfg RobustnessConfig) ([]RobustnessPoint
 	var sojourns []float64
 	for pi := range points {
 		sojourns = sojourns[:0]
-		var mkSum, orSum, lamSum float64
+		var mkSum, orSum float64
 		for wi := 0; wi < nw; wi++ {
 			noisy := results[(pi*nw+wi)*2]
 			oracle := results[(pi*nw+wi)*2+1]
 			mkSum += noisy.MakespanMs
 			orSum += oracle.MakespanMs
-			lamSum += noisy.LambdaTotalMs
 			for i := range noisy.res.Placements {
 				sojourns = append(sojourns, noisy.res.Placements[i].Sojourn())
 			}
 		}
 		points[pi].MakespanMs = mkSum / float64(nw)
 		points[pi].OracleMs = orSum / float64(nw)
-		points[pi].LambdaTotalMs = lamSum / float64(nw)
 		if points[pi].OracleMs > 0 {
 			points[pi].RegretPct = (points[pi].MakespanMs - points[pi].OracleMs) / points[pi].OracleMs * 100
 		}

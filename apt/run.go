@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/lut"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -78,16 +77,10 @@ func DiurnalArrivals(w *Workload, cfg DiurnalConfig, seed int64) ([]float64, err
 	return workload.DiurnalArrivals(w.g, cfg, seed)
 }
 
-// TraceArrivals replays a recorded arrival trace (one non-negative,
-// non-decreasing millisecond timestamp per line; '#' comments and blank
-// lines skipped) against the workload. The trace must hold exactly one
-// timestamp per kernel.
-func TraceArrivals(w *Workload, r io.Reader) ([]float64, error) {
-	return workload.TraceArrivals(w.g, r)
-}
-
-// ReadTrace parses a timestamp trace without binding it to a workload;
-// use with TraceStream to shard a long trace into stream windows.
+// ReadTrace parses a recorded arrival trace: one non-negative,
+// non-decreasing millisecond timestamp per line, with '#' comments and
+// blank lines skipped. Use it with TraceStream to shard a long trace into
+// stream windows.
 func ReadTrace(r io.Reader) ([]float64, error) {
 	return workload.ReadTrace(r)
 }
@@ -169,34 +162,19 @@ type KernelRun struct {
 	QueueWaitMs float64
 }
 
-// ProcUse is one processor's time accounting.
-type ProcUse struct {
-	Proc    int32
-	Name    string
-	Kernels int
-	ExecMs  float64
-	XferMs  float64
-	IdleMs  float64
-}
-
 // AltStats reports how often APT used an alternative processor (zero for
 // other policies).
 type AltStats = core.AltStats
 
-// Result is everything a simulation reports.
+// Result is everything a simulation reports. Per-kernel latencies come
+// from Kernels, per-processor accounting from Utilisation and EnergyJ.
 type Result struct {
 	Policy        string
 	MakespanMs    float64
 	LambdaTotalMs float64
 	LambdaAvgMs   float64
 	LambdaStdMs   float64
-	// Sojourn is the distribution of per-kernel arrival→finish latency,
-	// QueueWait of arrival→exec-start delay — the open-system view of the
-	// run (under the closed model, arrival is 0 for every kernel).
-	Sojourn   LatencyStats
-	QueueWait LatencyStats
-	Procs     []ProcUse
-	Alt       AltStats
+	Alt           AltStats
 
 	res *sim.Result
 	sys *platform.System
@@ -348,13 +326,6 @@ func TuneAlpha(calibration []*Workload, m *Machine, candidates []float64) (float
 	return points[best].Alpha, points, nil
 }
 
-// Replay returns a policy that re-applies a previous result's placement
-// decisions while timing is recomputed — what-if analysis across machines
-// with the same processor count.
-func Replay(source *Result) Policy {
-	return Policy{name: "REPLAY", replaySource: source}
-}
-
 // Compare runs every given policy on the same workload and machine under
 // the default Options and returns results in the same order.
 func Compare(w *Workload, m *Machine, policies []Policy) ([]*Result, error) {
@@ -367,15 +338,4 @@ func Compare(w *Workload, m *Machine, policies []Policy) ([]*Result, error) {
 		out[i] = res
 	}
 	return out, nil
-}
-
-// KernelNames lists the kernels available in the paper's lookup table,
-// with their admissible data sizes.
-func KernelNames() map[string][]int64 {
-	t := lut.Paper()
-	out := map[string][]int64{}
-	for _, k := range t.Kernels() {
-		out[k] = t.Sizes(k)
-	}
-	return out
 }

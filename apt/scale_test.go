@@ -237,18 +237,16 @@ func TestScale1MDeterminism(t *testing.T) {
 			t.Fatalf("kernel row %d differs between GOMAXPROCS 1 and one per CPU", i)
 		}
 	}
-	if len(parallel.Procs) != len(serial.Procs) {
-		t.Fatalf("proc rows %d vs %d", len(parallel.Procs), len(serial.Procs))
+	if len(parallel.res.ProcStats) != len(serial.res.ProcStats) {
+		t.Fatalf("proc rows %d vs %d", len(parallel.res.ProcStats), len(serial.res.ProcStats))
 	}
-	for i := range serial.Procs {
-		if serial.Procs[i] != parallel.Procs[i] {
+	for i := range serial.res.ProcStats {
+		if serial.res.ProcStats[i] != parallel.res.ProcStats[i] {
 			t.Fatalf("proc row %d differs between GOMAXPROCS 1 and one per CPU", i)
 		}
 	}
 	if serial.MakespanMs != parallel.MakespanMs ||
-		serial.LambdaTotalMs != parallel.LambdaTotalMs ||
-		serial.Sojourn != parallel.Sojourn ||
-		serial.QueueWait != parallel.QueueWait {
+		serial.LambdaTotalMs != parallel.LambdaTotalMs {
 		t.Fatal("headline metrics differ between GOMAXPROCS 1 and one per CPU")
 	}
 }

@@ -11,32 +11,7 @@ import (
 // LatencyStats summarises a latency distribution in milliseconds: count,
 // moments, extrema and tail percentiles. The zero value describes an empty
 // distribution; every field is finite, so results always JSON-encode.
-type LatencyStats struct {
-	Count  int
-	MeanMs float64
-	StdMs  float64
-	MinMs  float64
-	MaxMs  float64
-	P50Ms  float64
-	P90Ms  float64
-	P95Ms  float64
-	P99Ms  float64
-}
-
-// latencyStats mirrors an internal summary into the public type.
-func latencyStats(s stats.Summary) LatencyStats {
-	return LatencyStats{
-		Count:  s.Count,
-		MeanMs: s.Mean,
-		StdMs:  s.Std,
-		MinMs:  s.Min,
-		MaxMs:  s.Max,
-		P50Ms:  s.P50,
-		P90Ms:  s.P90,
-		P95Ms:  s.P95,
-		P99Ms:  s.P99,
-	}
-}
+type LatencyStats = stats.Summary
 
 // GenerateKernelStream builds a stream of n mutually independent kernels
 // drawn from the paper's catalog — the purest open-system workload, where
@@ -59,38 +34,20 @@ type StreamShard struct {
 	Arrivals []float64
 }
 
-// StreamShardStats is one shard's contribution to a StreamResult.
-type StreamShardStats struct {
-	Kernels       int
-	MakespanMs    float64 // shard horizon: latest finish after rebasing
-	ArrivalSpanMs float64 // last arrival − first arrival within the shard
-	P99SojournMs  float64
-}
-
 // StreamResult aggregates open-system metrics over every shard of a
 // stream run.
 type StreamResult struct {
 	Policy  string
 	Kernels int
-	Shards  []StreamShardStats
-	// SimulatedMs is the summed simulation horizon of all shards.
-	// ArrivalSpanMs is the stream's offered span: for globally timed
-	// shards (trace replay — the concatenated arrivals stay monotone
-	// across shard boundaries) the trace's end − start, including
-	// inter-window gaps; for independent window replications (MakeStream)
-	// the summed in-window spans. OfferedPerSec is the arrival rate λ
-	// implied by that span; CompletedPerSec the achieved service rate
-	// (both 0 when the respective span is 0).
-	SimulatedMs     float64
-	ArrivalSpanMs   float64
-	OfferedPerSec   float64
-	CompletedPerSec float64
-	// Sojourn and QueueWait are exact distributions over every kernel of
-	// every shard (arrival→finish and arrival→exec-start).
-	Sojourn   LatencyStats
-	QueueWait LatencyStats
-	// LambdaTotalMs sums the thesis's λ scheduling delay across shards.
-	LambdaTotalMs float64
+	// OfferedPerSec is the arrival rate λ the stream offers over its span:
+	// for globally timed shards (trace replay — the concatenated arrivals
+	// stay monotone across shard boundaries) the trace's end − start,
+	// including inter-window gaps; for independent window replications
+	// (MakeStream) the summed in-window spans. It is 0 when the span is 0.
+	OfferedPerSec float64
+	// Sojourn is the exact arrival→finish distribution over every kernel
+	// of every shard.
+	Sojourn LatencyStats
 	// SojournsMs holds the raw per-kernel sojourn latencies in shard-major,
 	// kernel-ID order — input for custom percentiles or histograms.
 	SojournsMs []float64
@@ -130,21 +87,16 @@ func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy) 
 		return nil, err
 	}
 
-	out := &StreamResult{Policy: p.Name(), Shards: make([]StreamShardStats, len(results))}
-	var sojourns, qwaits []float64
+	out := &StreamResult{Policy: p.Name()}
+	var sojourns []float64
 	// Globally timed shards (trace replay) keep their original, pre-rebase
 	// timestamps monotone across shard boundaries; then the offered span
 	// must include inter-window gaps, not just the summed in-window spans.
 	globalTimes := len(shards) > 1
 	var sumSpan, firstAt, prevLast float64
 	for i, res := range results {
-		ss := &out.Shards[i]
-		pls := res.res.Placements
-		ss.Kernels = len(pls)
-		ss.MakespanMs = res.MakespanMs
-		ss.P99SojournMs = res.Sojourn.P99Ms
 		if arr := shards[i].Arrivals; len(arr) > 0 {
-			ss.ArrivalSpanMs = arr[len(arr)-1] - arr[0]
+			sumSpan += arr[len(arr)-1] - arr[0]
 			if i > 0 && arr[0] < prevLast {
 				globalTimes = false
 			}
@@ -155,27 +107,20 @@ func RunStream(ctx context.Context, shards []StreamShard, m *Machine, p Policy) 
 		} else {
 			globalTimes = false
 		}
-		sumSpan += ss.ArrivalSpanMs
+		pls := res.res.Placements
 		for i := range pls {
 			sojourns = append(sojourns, pls[i].Sojourn())
-			qwaits = append(qwaits, pls[i].QueueWait())
 		}
-		out.Kernels += ss.Kernels
-		out.SimulatedMs += ss.MakespanMs
-		out.LambdaTotalMs += res.LambdaTotalMs
+		out.Kernels += len(pls)
 	}
-	out.ArrivalSpanMs = sumSpan
+	span := sumSpan
 	if globalTimes {
-		out.ArrivalSpanMs = prevLast - firstAt
+		span = prevLast - firstAt
 	}
 	out.SojournsMs = append([]float64(nil), sojourns...)
-	out.Sojourn = latencyStats(stats.SummarizeInPlace(sojourns))
-	out.QueueWait = latencyStats(stats.SummarizeInPlace(qwaits))
-	if out.ArrivalSpanMs > 0 {
-		out.OfferedPerSec = float64(out.Kernels) / out.ArrivalSpanMs * 1000
-	}
-	if out.SimulatedMs > 0 {
-		out.CompletedPerSec = float64(out.Kernels) / out.SimulatedMs * 1000
+	out.Sojourn = stats.SummarizeInPlace(sojourns)
+	if span > 0 {
+		out.OfferedPerSec = float64(out.Kernels) / span * 1000
 	}
 	return out, nil
 }
@@ -205,7 +150,7 @@ func rebaseArrivals(arr []float64) []float64 {
 //	    return apt.PoissonArrivals(w, 2, seed) // λ = 500 kernels/s
 //	})
 //	res, _ := apt.RunStream(ctx, shards, apt.PaperMachine(4), apt.APT(4))
-//	fmt.Println(res.Sojourn.P99Ms)
+//	fmt.Println(res.Sojourn.P99)
 func MakeStream(total, window int, seed int64, gen func(w *Workload, seed int64) ([]float64, error)) ([]StreamShard, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("apt: stream size must be positive, got %d", total)

@@ -116,39 +116,3 @@ func TestTuneAlphaTieBreaksSmall(t *testing.T) {
 		t.Errorf("best α = %v on an exact tie, want the smallest candidate 1.5", best)
 	}
 }
-
-func TestReplayFacade(t *testing.T) {
-	w, err := GenerateWorkload(Type2, 40, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := PaperMachine(4)
-	orig, err := Run(w, slow, APT(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical environment: identical makespan.
-	same, err := Run(w, slow, Replay(orig), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(same.MakespanMs-orig.MakespanMs) > 1e-6 {
-		t.Errorf("replay makespan %v != original %v", same.MakespanMs, orig.MakespanMs)
-	}
-	if same.Policy != "Replay(APT)" {
-		t.Errorf("policy = %q", same.Policy)
-	}
-	// What-if: faster links, same decisions.
-	fast := PaperMachine(8)
-	whatIf, err := Run(w, fast, Replay(orig), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whatIf.MakespanMs > orig.MakespanMs+1e-6 {
-		t.Errorf("faster links slower: %v vs %v", whatIf.MakespanMs, orig.MakespanMs)
-	}
-	// Replay without a source errors.
-	if _, err := Run(w, slow, Replay(nil), nil); err == nil {
-		t.Error("nil replay source accepted")
-	}
-}

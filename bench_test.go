@@ -95,7 +95,7 @@ func BenchmarkStreamRunner(b *testing.B) {
 		if res.Kernels != 2000 {
 			b.Fatalf("kernels = %d", res.Kernels)
 		}
-		p99 = res.Sojourn.P99Ms
+		p99 = res.Sojourn.P99
 	}
 	b.ReportMetric(p99, "p99_sojourn_ms")
 }

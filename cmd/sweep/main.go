@@ -365,8 +365,8 @@ func runStream(w io.Writer, cfg streamConfig) error {
 			if err != nil {
 				return fmt.Errorf("policy %s: %w", p.Name(), err)
 			}
-			rows = append(rows, report.LatencyRow{Label: p.Name(), S: summaryOf(res.Sojourn)})
-			p99[p.Name()] = append(p99[p.Name()], res.Sojourn.P99Ms)
+			rows = append(rows, report.LatencyRow{Label: p.Name(), S: res.Sojourn})
+			p99[p.Name()] = append(p99[p.Name()], res.Sojourn.P99)
 			offered = res.OfferedPerSec
 			lastResults = append(lastResults, res)
 		}
@@ -411,15 +411,6 @@ func runStream(w io.Writer, cfg streamConfig) error {
 		}
 	}
 	return nil
-}
-
-// summaryOf mirrors an already-computed public latency summary back into
-// the report layer's type, avoiding a re-sort of the raw samples.
-func summaryOf(ls apt.LatencyStats) stats.Summary {
-	return stats.Summary{
-		Count: ls.Count, Mean: ls.MeanMs, Std: ls.StdMs, Min: ls.MinMs, Max: ls.MaxMs,
-		P50: ls.P50Ms, P90: ls.P90Ms, P95: ls.P95Ms, P99: ls.P99Ms,
-	}
 }
 
 // buildShards constructs the stream's windows for one operating point.

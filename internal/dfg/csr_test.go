@@ -68,14 +68,6 @@ func TestBuildDedupsDuplicateEdges(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.AddEdge(0, 1)
 	}
-	// Builder.InDegree may transiently count duplicates, but zero-ness is
-	// exact either way.
-	if b.InDegree(1) == 0 {
-		t.Fatal("InDegree(1) = 0 before Build")
-	}
-	if b.InDegree(0) != 0 {
-		t.Fatalf("InDegree(0) = %d, want 0", b.InDegree(0))
-	}
 	g := b.MustBuild()
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d after duplicate AddEdge, want 1", g.NumEdges())

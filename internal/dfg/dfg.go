@@ -307,11 +307,7 @@ func (g *Graph) Validate() error {
 type Builder struct {
 	kernels []Kernel
 	edges   []edgePair
-	// predCount tracks dependencies recorded per kernel. Duplicate AddEdge
-	// calls are only squeezed out at Build, so the count may transiently
-	// include duplicates; callers only rely on its zero-ness.
-	predCount []int32
-	err       error
+	err     error
 }
 
 type edgePair struct{ from, to KernelID }
@@ -340,7 +336,6 @@ func (b *Builder) AddKernel(k Kernel) KernelID {
 		b.fail(fmt.Errorf("dfg: kernel %d (%s) has non-positive data size %d", id, k.Name, k.DataElems))
 	}
 	b.kernels = append(b.kernels, k)
-	b.predCount = append(b.predCount, 0)
 	return id
 }
 
@@ -359,7 +354,6 @@ func (b *Builder) AddEdge(from, to KernelID) *Builder {
 		return b
 	}
 	b.edges = append(b.edges, edgePair{from, to})
-	b.predCount[to]++
 	return b
 }
 
@@ -367,20 +361,6 @@ func (b *Builder) fail(err error) {
 	if b.err == nil {
 		b.err = err
 	}
-}
-
-// NumKernels returns the number of kernels added so far.
-func (b *Builder) NumKernels() int { return len(b.kernels) }
-
-// InDegree returns the number of dependencies recorded so far for id, or
-// 0 for out-of-range IDs. Useful for composing subgraphs incrementally.
-// Duplicate AddEdge calls inflate the count until Build deduplicates; the
-// zero/non-zero distinction is always exact.
-func (b *Builder) InDegree(id KernelID) int {
-	if id < 0 || int(id) >= len(b.predCount) {
-		return 0
-	}
-	return int(b.predCount[id])
 }
 
 // Build finalises the graph: edges are sorted and deduplicated, both CSR

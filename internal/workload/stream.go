@@ -150,21 +150,6 @@ func DiurnalArrivals(g *dfg.Graph, cfg DiurnalConfig, seed int64) ([]float64, er
 	return out, nil
 }
 
-// TraceArrivals replays a recorded arrival trace against a workload. The
-// reader supplies one non-negative millisecond timestamp per line (blank
-// lines and lines starting with '#' are skipped); the trace must contain
-// exactly one entry per kernel, in non-decreasing order.
-func TraceArrivals(g *dfg.Graph, r io.Reader) ([]float64, error) {
-	times, err := ReadTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(times) != g.NumKernels() {
-		return nil, fmt.Errorf("workload: trace has %d timestamps for %d kernels", len(times), g.NumKernels())
-	}
-	return times, nil
-}
-
 // ReadTrace parses a timestamp trace: one non-negative, non-decreasing
 // millisecond value per line, with blank lines and '#' comments skipped.
 func ReadTrace(r io.Reader) ([]float64, error) {

@@ -159,33 +159,29 @@ func TestDiurnalArrivals(t *testing.T) {
 	}
 }
 
+// TestTraceArrivals reads a recorded arrival trace: comments and blank
+// lines are skipped, and negative, non-finite, non-monotone and garbage
+// timestamps are refused.
 func TestTraceArrivals(t *testing.T) {
-	g := streamGraph(t, 10)
-	n := g.NumKernels()
 	var sb strings.Builder
 	sb.WriteString("# recorded arrivals\n\n")
-	for i := 0; i < n; i++ {
+	for i := 0; i < 10; i++ {
 		fmt.Fprintf(&sb, "%g\n", float64(i)*2.5)
 	}
-	at, err := TraceArrivals(g, strings.NewReader(sb.String()))
+	at, err := ReadTrace(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(at) != n || at[1] != 2.5 {
+	if len(at) != 10 || at[1] != 2.5 || at[9] != 22.5 {
 		t.Fatalf("trace = %v", at)
 	}
-	// Wrong count, negative, non-monotone and garbage each rejected.
-	if _, err := TraceArrivals(g, strings.NewReader("1\n2\n")); err == nil {
-		t.Error("short trace accepted")
+	if at, err := ReadTrace(strings.NewReader("")); err != nil || len(at) != 0 {
+		t.Errorf("empty trace = %v, %v; want no timestamps", at, err)
 	}
-	if _, err := ReadTrace(strings.NewReader("1\n-2\n")); err == nil {
-		t.Error("negative timestamp accepted")
-	}
-	if _, err := ReadTrace(strings.NewReader("5\n4\n")); err == nil {
-		t.Error("non-monotone trace accepted")
-	}
-	if _, err := ReadTrace(strings.NewReader("5\nbogus\n")); err == nil {
-		t.Error("non-numeric line accepted")
+	for _, bad := range []string{"1\n-2\n", "1\nInf\n", "NaN\n", "5\n4\n", "5\nbogus\n"} {
+		if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
+			t.Errorf("trace %q accepted", bad)
+		}
 	}
 }
 

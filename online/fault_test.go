@@ -482,7 +482,8 @@ func TestCloseFailsParkedRetries(t *testing.T) {
 	}
 }
 
-// Drain waits for parked retries to re-run and settle organically.
+// A graceful drain (Quiesce, then Close) waits for parked retries to re-run
+// and settle organically.
 func TestDrainWaitsForRetries(t *testing.T) {
 	s, err := NewWithConfig(Config{
 		Procs: 1, Alpha: 4,
@@ -504,9 +505,10 @@ func TestDrainWaitsForRetries(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
 	}
+	s.Close()
 	res := <-h.Done
 	if res.Err != nil || res.Attempts != 2 {
 		t.Fatalf("res = %+v, want success on attempt 2", res)

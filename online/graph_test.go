@@ -241,21 +241,22 @@ func TestDrainFinishesGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain must let the chain's internal releases keep flowing even
+	// Quiesce must let the chain's internal releases keep flowing even
 	// though external admission stops immediately.
-	if err := s.Drain(context.Background()); err != nil {
+	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	select {
 	case res := <-h.Done:
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	default:
-		t.Fatal("graph not finished after Drain returned")
+		t.Fatal("graph not finished after Quiesce returned")
 	}
 	if _, err := s.Submit(Task{EstMs: est(2, 1)}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Drain err = %v, want ErrClosed", err)
+		t.Errorf("Submit after Close err = %v, want ErrClosed", err)
 	}
 	if st := s.Stats(); st.Completed != n || st.Submitted != n {
 		t.Errorf("stats = %+v, want %d completed", st, n)

@@ -45,7 +45,7 @@
 //	s.Close()
 //
 // The scheduler is safe for concurrent Submit, SubmitCtx, SubmitGraph and
-// Stats calls. Close fails queued work; Drain finishes it first.
+// Stats calls. Close fails queued work; Quiesce finishes it first.
 package online
 
 import (
@@ -142,8 +142,7 @@ type LatencySummary struct {
 	P99Ms  float64 `json:"p99_ms"`
 }
 
-// Stats aggregates scheduler behaviour since Start. After Close (or Drain)
-// returns, the snapshot is final: every later Stats call returns the same
+// Stats aggregates scheduler behaviour since Start. After Close returns, the snapshot is final: every later Stats call returns the same
 // values, published exactly once by the drain path.
 type Stats struct {
 	// Submitted counts accepted tasks (including graph-released ones);
@@ -278,8 +277,8 @@ type Scheduler struct {
 	rejected  atomic.Int64
 	completed atomic.Int64
 	// settled counts tasks whose result has been fully delivered,
-	// including any graph successor releases the delivery triggered; Drain
-	// waits on settled == submitted, which completed alone cannot express
+	// including any graph successor releases the delivery triggered;
+	// Quiesce waits on settled == submitted, which completed alone cannot express
 	// (a completed task may still be about to release successors).
 	settled atomic.Int64
 	waiters atomic.Int64 // blocked SubmitCtx callers
@@ -305,7 +304,7 @@ type Scheduler struct {
 	// sweeper channel not yet assigned.
 	lifeMu   sync.Mutex
 	started  atomic.Bool
-	draining atomic.Bool // external admission stopped (Drain or Close)
+	draining atomic.Bool // external admission stopped (Quiesce or Close)
 	closed   atomic.Bool // hard-closed: internal releases rejected too
 
 	stripes []stripe
@@ -337,7 +336,7 @@ type Scheduler struct {
 	spaceCh chan struct{} // closed and replaced to broadcast freed space
 
 	// pend is the sweeper's FCFS queue, ordered by seq. The mutex is only
-	// contended by Stats/Drain/tests — the hot submit path never touches
+	// contended by Stats/Quiesce/tests — the hot submit path never touches
 	// it. scratch is merge workspace, cleared after every use.
 	pend struct {
 		mu      sync.Mutex
@@ -617,7 +616,7 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 
 // submitTask admits one prepared task: direct placement when nothing
 // waits, otherwise the admission queue. internal marks graph-released
-// tasks, which are admitted during Drain and bypass the queue bound.
+// tasks, which are admitted during Quiesce and bypass the queue bound.
 // The inflight gate is unwound explicitly on every return path (rather
 // than deferred) to keep the per-submit overhead flat.
 //
@@ -646,7 +645,7 @@ func (s *Scheduler) submitTask(lt *liveTask, internal bool) error {
 		}
 	}
 	// Count the task before the sweeper can see it: once enqueued it may
-	// be placed, run and settled at any moment, and Drain's quiescence
+	// be placed, run and settled at any moment, and Quiesce's
 	// check (settled == submitted) must never observe the settle first.
 	s.submitted.Add(1)
 	if err := s.enqueue(lt, !internal); err != nil {
@@ -820,10 +819,10 @@ func (s *Scheduler) sweeper() {
 		case <-s.wakeCh:
 			// closed is set before the context is cancelled, so a wakeup
 			// racing Close cannot launch tasks the close path is about to
-			// fail (Drain only sets draining; sweeping continues). Nor does
-			// it fail them yet: a Submit past its closed check may still
-			// enqueue, and only the cancel, which shutdown issues once the
-			// inflight gate drains, sees every such task.
+			// fail (Quiesce only sets draining; sweeping continues). Nor
+			// does it fail them yet: a Submit past its closed check may
+			// still enqueue, and only the cancel, which Close issues once
+			// the inflight gate drains, sees every such task.
 			if s.closed.Load() {
 				continue
 			}
@@ -1066,32 +1065,12 @@ func (s *Scheduler) worker(p int) {
 
 func durMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Close stops accepting work, cancels the run context passed to in-flight
-// tasks, fails queued tasks with ErrClosed, waits for workers to exit and
-// publishes the final Stats snapshot. It is idempotent.
-func (s *Scheduler) Close() {
-	s.shutdown()
-}
-
-// Drain gracefully quiesces the scheduler: it stops accepting external
-// work immediately (graph successors keep releasing), waits until every
-// admitted task has finished or ctx expires, then closes. On timeout the
-// remaining tasks fail with ErrClosed and ctx's error is returned.
-func (s *Scheduler) Drain(ctx context.Context) error {
-	err := s.Quiesce(ctx)
-	if err != nil && !s.started.Load() {
-		return err // never started; nothing to shut down
-	}
-	s.shutdown()
-	return err
-}
-
-// Quiesce is the first half of Drain: it stops accepting external work
-// (graph successors keep releasing) and waits until every admitted task
-// has settled or ctx expires, returning ctx's error on timeout. Unlike
-// Drain it does not shut the scheduler down — workers keep running and
-// still-queued tasks stay queued, so on timeout the caller can capture
-// them with Snapshot before calling Close.
+// Quiesce stops accepting external work (graph successors keep
+// releasing) and waits until every admitted task has settled or ctx
+// expires, returning ctx's error on timeout. It does not shut the
+// scheduler down — workers keep running and still-queued tasks stay
+// queued, so on timeout the caller can capture them with Snapshot before
+// calling Close. Quiesce then Close is a graceful drain.
 func (s *Scheduler) Quiesce(ctx context.Context) error {
 	if !s.started.Load() {
 		return fmt.Errorf("online: Quiesce before Start")
@@ -1113,8 +1092,10 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 	return nil
 }
 
-// shutdown is the single exit path shared by Close and Drain.
-func (s *Scheduler) shutdown() {
+// Close stops accepting work, cancels the run context passed to in-flight
+// tasks, fails queued tasks with ErrClosed, waits for workers to exit and
+// publishes the final Stats snapshot. It is idempotent.
+func (s *Scheduler) Close() {
 	s.lifeMu.Lock()
 	if !s.started.Load() {
 		// Never started: nothing is running; just refuse future work

@@ -291,10 +291,11 @@ func TestDrainTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := s.Drain(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Drain err = %v, want DeadlineExceeded", err)
+	if err := s.Quiesce(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Quiesce err = %v, want DeadlineExceeded", err)
 	}
-	// The stuck task was cancelled by the close fallthrough.
+	s.Close()
+	// The stuck task was cancelled by Close.
 	if res := <-h.Done; res.Err != nil {
 		t.Fatalf("stuck task err = %v", res.Err)
 	}

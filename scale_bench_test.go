@@ -42,8 +42,8 @@ func benchScale(b *testing.B, n int, pol apt.Policy) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Sojourn.Count != n {
-			b.Fatalf("kernels = %d", res.Sojourn.Count)
+		if !(res.MakespanMs > 0) {
+			b.Fatalf("makespan = %v", res.MakespanMs)
 		}
 	}
 }
@@ -106,8 +106,8 @@ func BenchmarkScaleDistinct10k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Sojourn.Count != n {
-			b.Fatalf("kernels = %d", res.Sojourn.Count)
+		if !(res.MakespanMs > 0) {
+			b.Fatalf("makespan = %v", res.MakespanMs)
 		}
 	}
 }
