@@ -258,6 +258,13 @@ func (s *server) task(req taskRequest) (online.Task, error) {
 			return online.Task{}, fmt.Errorf("task %q: negative actual_ms %v on processor %d", req.Name, a, p)
 		}
 	}
+	field := "actual_ms"
+	if req.ActualMs == nil {
+		field = "est_ms"
+	}
+	if err := checkSleep(req.Name, field, actual, s.cfg.speed); err != nil {
+		return online.Task{}, err
+	}
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return online.Task{}, fmt.Errorf("task %q: encode payload: %w", req.Name, err)
@@ -273,6 +280,20 @@ func (s *server) task(req taskRequest) (online.Task, error) {
 		Payload: payload,
 		Run:     run,
 	}, nil
+}
+
+// checkSleep refuses a body that would sleep ms[p]/speed milliseconds past
+// online.MaxDelayMs: the time.Duration would overflow negative and the
+// task would finish at once instead of sleeping. field names the request
+// field the times came from.
+func checkSleep(name, field string, ms []float64, speed float64) error {
+	for p, v := range ms {
+		if v/speed > online.MaxDelayMs {
+			return fmt.Errorf("task %q: %s %v on processor %d sleeps %v ms at -speed %v, past the %v ms a time.Duration holds",
+				name, field, v, p, v/speed, speed, online.MaxDelayMs)
+		}
+	}
+	return nil
 }
 
 // sleepRun builds the standard "execute by sleeping" task body.
@@ -300,9 +321,12 @@ func (s *server) rebuild(st online.SnapshotTask) (func(context.Context, online.P
 			return nil, fmt.Errorf("payload: %w", err)
 		}
 	}
-	actual := req.ActualMs
+	actual, field := req.ActualMs, "actual_ms"
 	if len(actual) != len(st.EstMs) {
-		actual = st.EstMs
+		actual, field = st.EstMs, "est_ms"
+	}
+	if err := checkSleep(st.Name, field, actual, s.cfg.speed); err != nil {
+		return nil, err
 	}
 	run := sleepRun(actual, s.cfg.speed)
 	if s.chaos != nil {

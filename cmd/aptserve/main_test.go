@@ -181,6 +181,13 @@ func TestServeBadRequests(t *testing.T) {
 		{"/v1/submit", taskRequest{Name: "wrong-len", EstMs: []float64{1}}},
 		{"/v1/submit", taskRequest{Name: "neg", EstMs: []float64{1, -2, 3}}},
 		{"/v1/submit", taskRequest{Name: "actual-mismatch", EstMs: []float64{1, 2, 3}, ActualMs: []float64{1}}},
+		// At -speed 1000 these sleep 1e13 ms, past what a time.Duration
+		// holds: the sleep would overflow negative and return at once.
+		{"/v1/submit", taskRequest{Name: "huge-actual", EstMs: []float64{1, 1, 1}, ActualMs: []float64{1e16, 1e16, 1e16}}},
+		{"/v1/submit", taskRequest{Name: "huge-est", EstMs: []float64{1e16, 1e16, 1e16}}},
+		{"/v1/graph", graphRequest{Tasks: []graphTaskRequest{
+			{taskRequest: taskRequest{Name: "huge-node", EstMs: []float64{1, 1, 1}, ActualMs: []float64{1, 1e16, 1}}},
+		}}},
 		{"/v1/graph", graphRequest{Tasks: []graphTaskRequest{
 			{taskRequest: taskRequest{Name: "cyc-a", EstMs: []float64{1, 1, 1}}, Deps: []int{1}},
 			{taskRequest: taskRequest{Name: "cyc-b", EstMs: []float64{1, 1, 1}}, Deps: []int{0}},

@@ -416,3 +416,26 @@ func TestSnapshotCycleHTTP(t *testing.T) {
 		t.Fatalf("restored server stats %+v, want %d completed", final, snapCount)
 	}
 }
+
+// TestRebuildRefusesOverlongSleeps restores snapshot tasks whose sleep, at
+// -speed 1000, would be 1e13 ms, past what a time.Duration holds: from the
+// payload's actual_ms, and from est_ms for a task without a payload. Both
+// are refused; a task that sleeps 1 µs rebuilds.
+func TestRebuildRefusesOverlongSleeps(t *testing.T) {
+	srv, _ := testServer(t, config{})
+	payload, err := json.Marshal(taskRequest{Name: "p", EstMs: []float64{1, 1, 1}, ActualMs: []float64{1, 1e16, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []online.SnapshotTask{
+		{Name: "p", EstMs: []float64{1, 1, 1}, Payload: payload},
+		{Name: "e", EstMs: []float64{1e16, 1, 1}},
+	} {
+		if _, err := srv.rebuild(st); err == nil || !strings.Contains(err.Error(), "time.Duration") {
+			t.Errorf("rebuild(%s) = %v, want the sleep refused", st.Name, err)
+		}
+	}
+	if _, err := srv.rebuild(online.SnapshotTask{Name: "ok", EstMs: []float64{1, 1, 1}}); err != nil {
+		t.Errorf("rebuild of a 1 ms task: %v", err)
+	}
+}

@@ -83,6 +83,10 @@ func (r FaultRule) validate(i int) error {
 		if r.Name == "" {
 			return fmt.Errorf("online: fault rule %d (kind) needs a task-name prefix", i)
 		}
+		// A padded prefix such as " matmul" matches no task name.
+		if strings.TrimSpace(r.Name) != r.Name {
+			return fmt.Errorf("online: fault rule %d (kind) prefix %q has leading or trailing white space", i, r.Name)
+		}
 	default:
 		return fmt.Errorf("online: fault rule %d has unknown kind %d", i, int(r.Kind))
 	}
@@ -99,17 +103,19 @@ func (r FaultRule) validate(i int) error {
 			return fmt.Errorf("online: fault rule %d probability %v must be in (0, 1]", i, r.Prob)
 		}
 	case ProcLatency:
-		// Past maxDelayMs the delay overflows a time.Duration and the
+		// Past MaxDelayMs the delay overflows a time.Duration and the
 		// timer fires at once.
-		if !(r.DelayMs > 0) || r.DelayMs > maxDelayMs {
-			return fmt.Errorf("online: fault rule %d delay %v must be positive and at most %v ms", i, r.DelayMs, maxDelayMs)
+		if !(r.DelayMs > 0) || r.DelayMs > MaxDelayMs {
+			return fmt.Errorf("online: fault rule %d delay %v must be positive and at most %v ms", i, r.DelayMs, MaxDelayMs)
 		}
 	}
 	return nil
 }
 
-// maxDelayMs is the longest injected latency a time.Duration holds.
-const maxDelayMs = float64(math.MaxInt64 / int64(time.Millisecond))
+// MaxDelayMs is the longest delay, in milliseconds, a time.Duration holds:
+// a longer one converts to a negative Duration, and a timer or sleep over
+// it ends at once.
+const MaxDelayMs = float64(math.MaxInt64 / int64(time.Millisecond))
 
 // FaultPlan injects failures into task execution for chaos testing, in the
 // spirit of internal/perturb's degradation schedules but acting on the
@@ -235,7 +241,7 @@ func (fp *FaultPlan) Wrap(name string, run func(context.Context, ProcID) error) 
 //	lat:P:MS           attempts on processor P gain MS ms of latency
 //
 // END <= 0 leaves a crash/hang window open-ended. Processors are decimal
-// integers. Example: "flaky:0:0.6,crash:1:0:1500,lat:2:5". Probability
+// integers, and a kind PREFIX may not begin or end with white space. Example: "flaky:0:0.6,crash:1:0:1500,lat:2:5". Probability
 // draws are seeded, so a fixed seed reproduces the same injection stream
 // under the same attempt interleaving. An empty spec yields an empty plan.
 func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {

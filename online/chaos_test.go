@@ -52,10 +52,11 @@ func TestParseFaultPlanIntegerProcessors(t *testing.T) {
 }
 
 // TestFaultPlanRefusesRulesThatNeverAct: a window ending at NaN would
-// never open, and a delay past maxDelayMs would overflow its
-// time.Duration, so lat:0:1e13 would add no latency.
+// never open, a delay past MaxDelayMs would overflow its time.Duration, so
+// lat:0:1e13 would add no latency, and a padded kind prefix matches no task
+// name.
 func TestFaultPlanRefusesRulesThatNeverAct(t *testing.T) {
-	for _, spec := range []string{"crash:0:0:NaN", "hang:1:5:nan", "lat:0:1e13"} {
+	for _, spec := range []string{"crash:0:0:NaN", "hang:1:5:nan", "lat:0:1e13", "kind: mm:0.5", "kind:mm :0.5"} {
 		if _, err := ParseFaultPlan(spec, 1); err == nil {
 			t.Errorf("ParseFaultPlan(%q) accepted a rule that never acts", spec)
 		}
