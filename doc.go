@@ -9,12 +9,12 @@
 //
 // Beyond the thesis's closed-batch model, the streaming API evaluates
 // open systems: arrival shapes (apt.PoissonArrivals, apt.BurstyArrivals,
-// apt.DiurnalArrivals, apt.TraceArrivals) pace a stream, every result
-// reports per-kernel sojourn and queueing-delay percentiles
-// (Result.Sojourn, Result.QueueWait), and apt.RunStream shards a
-// long-horizon stream into windows across the same worker pool,
-// aggregating exact latency distributions — see the λ-vs-p99 quickstart
-// in README.md and the `sweep -stream` command.
+// apt.DiurnalArrivals, or a recorded trace through apt.ReadTrace) pace a
+// stream, every result lists each kernel's sojourn and queueing delay
+// (Result.Kernels), and apt.RunStream shards a long-horizon stream into
+// windows across the same worker pool, summarising the exact sojourn
+// distribution — see the λ-vs-p99 quickstart in README.md and the
+// `sweep -stream` command.
 //
 // The robustness API drops the thesis's exact-estimate assumption:
 // apt.Options.Perturb injects seeded estimate-error noise (uniform,

@@ -278,8 +278,8 @@ type Scheduler struct {
 	completed atomic.Int64
 	// settled counts tasks whose result has been fully delivered,
 	// including any graph successor releases the delivery triggered;
-	// Quiesce waits on settled == submitted, which completed alone cannot express
-	// (a completed task may still be about to release successors).
+	// Quiesce waits on settled == submitted, which completed alone cannot
+	// express (a completed task may still be about to release successors).
 	settled atomic.Int64
 	waiters atomic.Int64 // blocked SubmitCtx callers
 
