@@ -615,7 +615,7 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 		e.queues[p].reset()
 		e.running[p] = -1
 		e.busyUntil[p] = 0
-		e.recent[p].n, e.recent[p].next = 0, 0
+		e.recent[p] = execWindow{}
 	}
 
 	if e.placeFn == nil {

@@ -142,8 +142,9 @@ type LatencySummary struct {
 	P99Ms  float64 `json:"p99_ms"`
 }
 
-// Stats aggregates scheduler behaviour since Start. After Close returns, the snapshot is final: every later Stats call returns the same
-// values, published exactly once by the drain path.
+// Stats aggregates scheduler behaviour since Start. After Close returns,
+// the snapshot is final: every later Stats call returns the same values,
+// published exactly once by Close.
 type Stats struct {
 	// Submitted counts accepted tasks (including graph-released ones);
 	// Rejected counts ErrQueueFull refusals and cancelled SubmitCtx waits.
