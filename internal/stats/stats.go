@@ -1,6 +1,6 @@
 // Package stats is the repository's statistical toolkit, shared by the
-// simulator's latency accounting and the online scheduler's live
-// telemetry.
+// simulator's stream, robustness and artifact summaries and the online
+// scheduler's live telemetry.
 //
 // Three layers, from exact to streaming:
 //
@@ -10,7 +10,7 @@
 //   - Exact order statistics: Quantile interpolates between closest
 //     ranks, SummarizeInPlace condenses a sample into a Summary
 //     (count/mean/std/extrema plus p50/p90/p95/p99). These retain and
-//     sort the full sample — right for per-run results.
+//     sort the full sample — right for a simulated stream's sojourns.
 //   - Streaming distributions: Histogram accumulates samples in
 //     logarithmically spaced buckets, bounding relative quantile error by
 //     its growth factor at O(log(max/min)) memory. Histograms with equal
