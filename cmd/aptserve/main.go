@@ -253,14 +253,14 @@ func (s *server) task(req taskRequest) (online.Task, error) {
 	if len(actual) != len(req.EstMs) {
 		return online.Task{}, fmt.Errorf("task %q: %d actual_ms for %d est_ms", req.Name, len(actual), len(req.EstMs))
 	}
-	for p, a := range actual {
-		if a < 0 {
-			return online.Task{}, fmt.Errorf("task %q: negative actual_ms %v on processor %d", req.Name, a, p)
-		}
-	}
 	field := "actual_ms"
 	if req.ActualMs == nil {
 		field = "est_ms"
+	}
+	for p, a := range actual {
+		if a < 0 {
+			return online.Task{}, fmt.Errorf("task %q: negative %s %v on processor %d", req.Name, field, a, p)
+		}
 	}
 	if err := checkSleep(req.Name, field, actual, s.cfg.speed); err != nil {
 		return online.Task{}, err

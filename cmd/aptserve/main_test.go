@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,22 +178,26 @@ func TestServeBadRequests(t *testing.T) {
 	cases := []struct {
 		url  string
 		body any
+		// want is what the error must name: the request field at fault,
+		// or what is wrong with the graph.
+		want string
 	}{
-		{"/v1/submit", taskRequest{Name: "wrong-len", EstMs: []float64{1}}},
-		{"/v1/submit", taskRequest{Name: "neg", EstMs: []float64{1, -2, 3}}},
-		{"/v1/submit", taskRequest{Name: "actual-mismatch", EstMs: []float64{1, 2, 3}, ActualMs: []float64{1}}},
+		{"/v1/submit", taskRequest{Name: "wrong-len", EstMs: []float64{1}}, "estimates"},
+		{"/v1/submit", taskRequest{Name: "neg", EstMs: []float64{1, -2, 3}}, "est_ms"},
+		{"/v1/submit", taskRequest{Name: "neg-actual", EstMs: []float64{1, 2, 3}, ActualMs: []float64{1, 2, -3}}, "actual_ms"},
+		{"/v1/submit", taskRequest{Name: "actual-mismatch", EstMs: []float64{1, 2, 3}, ActualMs: []float64{1}}, "actual_ms"},
 		// At -speed 1000 these sleep 1e13 ms, past what a time.Duration
 		// holds: the sleep would overflow negative and return at once.
-		{"/v1/submit", taskRequest{Name: "huge-actual", EstMs: []float64{1, 1, 1}, ActualMs: []float64{1e16, 1e16, 1e16}}},
-		{"/v1/submit", taskRequest{Name: "huge-est", EstMs: []float64{1e16, 1e16, 1e16}}},
+		{"/v1/submit", taskRequest{Name: "huge-actual", EstMs: []float64{1, 1, 1}, ActualMs: []float64{1e16, 1e16, 1e16}}, "actual_ms"},
+		{"/v1/submit", taskRequest{Name: "huge-est", EstMs: []float64{1e16, 1e16, 1e16}}, "est_ms"},
 		{"/v1/graph", graphRequest{Tasks: []graphTaskRequest{
 			{taskRequest: taskRequest{Name: "huge-node", EstMs: []float64{1, 1, 1}, ActualMs: []float64{1, 1e16, 1}}},
-		}}},
+		}}, "actual_ms"},
 		{"/v1/graph", graphRequest{Tasks: []graphTaskRequest{
 			{taskRequest: taskRequest{Name: "cyc-a", EstMs: []float64{1, 1, 1}}, Deps: []int{1}},
 			{taskRequest: taskRequest{Name: "cyc-b", EstMs: []float64{1, 1, 1}}, Deps: []int{0}},
-		}}},
-		{"/v1/graph", graphRequest{}},
+		}}, "cycle"},
+		{"/v1/graph", graphRequest{}, "empty graph"},
 	}
 	for _, c := range cases {
 		var out map[string]any
@@ -200,8 +205,9 @@ func TestServeBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %+v: status %d, want 400", c.url, c.body, resp.StatusCode)
 		}
-		if out["error"] == "" {
-			t.Errorf("POST %s: no error message", c.url)
+		msg, _ := out["error"].(string)
+		if !strings.Contains(msg, c.want) {
+			t.Errorf("POST %s %+v: error %q does not name %s", c.url, c.body, msg, c.want)
 		}
 	}
 }

@@ -286,10 +286,6 @@ func TestAllPoliciesProduceValidSchedules(t *testing.T) {
 				if err := res.Validate(g, e.sys); err != nil {
 					t.Errorf("%v graph %d %s invalid: %v", typ, gi, pol.Name(), err)
 				}
-				if res.Assignments != g.NumKernels() {
-					t.Errorf("%v graph %d %s assigned %d of %d kernels",
-						typ, gi, pol.Name(), res.Assignments, g.NumKernels())
-				}
 			}
 		}
 	}

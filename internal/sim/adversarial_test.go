@@ -49,9 +49,6 @@ func TestPartialAssignmentStillCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Assignments != 9 {
-		t.Errorf("assignments = %d, want 9", res.Assignments)
-	}
 	if err := res.Validate(g, env.sys); err != nil {
 		t.Error(err)
 	}

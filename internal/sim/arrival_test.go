@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dfg"
@@ -87,8 +88,11 @@ func TestArrivalValidation(t *testing.T) {
 	if _, err := Run(c, &greedy{}, Options{ArrivalTimes: []float64{1, 2}}); err == nil {
 		t.Error("wrong-length arrivals accepted")
 	}
-	if _, err := Run(c, &greedy{}, Options{ArrivalTimes: []float64{-1}}); err == nil {
-		t.Error("negative arrival accepted")
+	for _, at := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Run(c, &greedy{}, Options{ArrivalTimes: []float64{at}})
+		if err == nil || !strings.Contains(err.Error(), "kernel 0") {
+			t.Errorf("arrival %v: err = %v, want a refusal naming kernel 0", at, err)
+		}
 	}
 }
 

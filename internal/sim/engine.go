@@ -24,11 +24,13 @@ type Assignment struct {
 //
 // Prepare is called once before simulation with the shared cost oracle;
 // static policies (HEFT, PEFT) compute their full schedule here. Select is
-// called at time zero and after every kernel completion; it returns the
-// assignments to commit at the current instant (possibly none, if the
-// policy prefers to wait). Dynamic policies must restrict themselves to
-// st.AppendReady kernels; static policies may assign any unassigned kernel
-// (the engine starts it only once its dependencies complete).
+// called at time zero and after every event — each kernel completion and
+// each paced arrival, once per event even when several share an instant;
+// it returns the assignments to commit at the current instant (possibly
+// none, if the policy prefers to wait). Dynamic policies must restrict
+// themselves to st.AppendReady kernels; static policies may assign any
+// unassigned kernel (the engine starts it only once its dependencies
+// complete).
 //
 // The engine consumes the slice returned by Select before the next Select
 // call, so policies may reuse one backing array across calls to avoid
@@ -66,8 +68,8 @@ type Options struct {
 	// ready (and is invisible to dynamic policies) before ArrivalTimes[k],
 	// even if it has no dependencies. The thesis submits whole streams at
 	// t = 0; arrival pacing is this repository's extension for studying λ
-	// under realistic streaming. Must be empty or have
-	// exactly one non-negative entry per kernel. Successors should not be
+	// under realistic streaming. Must be empty or have exactly one finite,
+	// non-negative entry per kernel. Successors should not be
 	// scheduled to arrive before predecessors; the engine tolerates it
 	// (readiness waits for both) but λ then includes the arrival skew.
 	ArrivalTimes []float64
@@ -161,10 +163,6 @@ type Result struct {
 	Placements []Placement // indexed by kernel ID
 	ProcStats  []ProcStat  // indexed by processor ID
 	Lambda     LambdaStats
-	// SelectCalls counts policy invocations; Assignments counts committed
-	// kernels (== number of kernels).
-	SelectCalls int
-	Assignments int
 
 	// starts lists the kernels in the order the engine started them, which
 	// Validate checks occupancy along.
@@ -190,9 +188,10 @@ type event struct {
 }
 
 // before orders events: by time, completions before arrivals at ties, then
-// by kernel ID for full determinism. The time comparison is a three-way
-// split rather than a != test so ties fall through to the tie-breakers
-// without a floating-point equality.
+// by kernel ID for full determinism. Kernels released at one instant enter
+// the ready log in this order of the events that released them. The time
+// comparison is a three-way split rather than a != test so ties fall
+// through to the tie-breakers without a floating-point equality.
 func (a event) before(b event) bool {
 	if a.at < b.at {
 		return true
@@ -270,21 +269,38 @@ func (s *State) System() *platform.System { return s.e.costs.sys }
 
 // AppendReady appends the kernels whose dependencies have completed and
 // that have not been assigned yet to buf, in first-come-first-serve order:
-// ascending by the time they became ready, ties by kernel ID (which is
-// stream order). Passing buf[:0] of a buffer retained across Select calls
-// makes the query allocation-free.
+// the order of the ready log (ReadyLog) with assigned kernels left out.
+// Passing buf[:0] of a buffer retained across Select calls makes the query
+// allocation-free.
+//
+// It refilters the engine's view, AppendReady's previous answer: the
+// view's still-unassigned kernels, then the unassigned log entries added
+// since, so a call costs in proportion to the ready set, not to the log.
 func (s *State) AppendReady(buf []dfg.KernelID) []dfg.KernelID {
-	for _, k := range s.e.ready {
-		if k >= 0 {
-			buf = append(buf, k)
+	e := s.e
+	view := e.view[:0]
+	for _, k := range e.view {
+		if e.procOf[k] < 0 {
+			view = append(view, k)
 		}
 	}
-	return buf
+	for _, k := range e.readyLog[e.viewed:] {
+		if e.procOf[k] < 0 {
+			view = append(view, k)
+		}
+	}
+	e.view, e.viewed = view, len(e.readyLog)
+	return append(buf, view...)
 }
 
-// ReadyLog returns every kernel that has become ready in this run, in the
-// order it did: the order of AppendReady, but including the kernels
-// assigned since. The log only grows within a run. It aliases engine
+// ReadyLog returns every kernel that has become ready in this run while
+// unassigned, in the order it did. The kernels ready when the run starts
+// come first, in kernel ID (stream) order. Every later one is released by
+// an event, a predecessor's completion or its own arrival, and events run
+// by time, then completions before arrivals, then by the completing or
+// arriving kernel's ID; one completion releases its successors in
+// ascending ID. Kernels assigned since stay in place. The log only grows
+// within a run. It aliases engine
 // state, so callers must only read it, and only until Select returns —
 // the same contract as Costs.ExecRow.
 func (s *State) ReadyLog() []dfg.KernelID { return s.e.readyLog }
@@ -312,8 +328,8 @@ func (s *State) AppendAvailableProcs(buf []platform.ProcID) []platform.ProcID {
 // bound.
 func (s *State) BusyUntil(p platform.ProcID) float64 {
 	t := s.e.now
-	if s.e.busyUntil[p] > t {
-		t = s.e.busyUntil[p]
+	if k := s.e.running[p]; k >= 0 && s.e.placements[k].Finish > t {
+		t = s.e.placements[k].Finish
 	}
 	q := &s.e.queues[p]
 	for _, k := range q.items[q.head:] {
@@ -385,27 +401,20 @@ type engine struct {
 	opt    Options
 
 	now float64
-	// ready is the FIFO of ready, unassigned kernels: ascending by
-	// (readyTime, id). Removed entries become -1 tombstones so commit()
-	// stays O(1) without disturbing FCFS order; the list is compacted once
-	// tombstones outnumber live entries.
-	ready      []dfg.KernelID
-	readyHoles int
-	// readyLog appends every kernel as it becomes ready and is never
-	// trimmed within a run, so its order is the FCFS order of ready with
-	// the assigned kernels left in place (State.ReadyLog).
+	// readyLog appends every unassigned kernel as it becomes ready and is
+	// never trimmed within a run (State.ReadyLog).
 	readyLog []dfg.KernelID
-	// readyIdx maps kernel ID -> its index in ready, or -1 when absent.
-	// int32 like every per-kernel array: KernelIDs are 32-bit, so indices
-	// into kernel-length slices fit by construction.
-	readyIdx  []int32
+	// view is AppendReady's last answer, taken when the log was viewed
+	// entries long; only runs whose policy calls AppendReady grow it.
+	view   []dfg.KernelID
+	viewed int
+	// predsLeft counts each kernel's unfinished predecessors, plus one
+	// until a paced kernel arrives; the kernel is ready at zero.
 	predsLeft []int32
-	arrived   []bool
 	procOf    []platform.ProcID // -1 until committed
 	queues    []procQueue
 	running   []dfg.KernelID // -1 when idle
-	busyUntil []float64
-	recent    []execWindow // per processor, for RecentExecAvg
+	recent    []execWindow   // per processor, for RecentExecAvg
 
 	placements []Placement // escapes into Result: fresh per run
 	// starts appends each kernel as it starts; it escapes into the Result
@@ -415,12 +424,10 @@ type engine struct {
 	// startable since startQueued last looked: set when a kernel is
 	// committed to it, when it finishes a kernel, and when a kernel
 	// committed to it turns ready. startQueued visits and clears only these.
-	wake        []uint64
-	events      []event // min-heap ordered by event.before
-	lambdas     []float64
-	nFinished   int
-	selectCalls int
-	assignments int
+	wake      []uint64
+	events    []event // min-heap ordered by event.before
+	lambdas   []float64
+	nFinished int
 
 	// The arenas slab-allocate the escaping placement and start-log
 	// blocks; see slab.go.
@@ -433,45 +440,15 @@ type engine struct {
 	placeFn func(dfg.KernelID) platform.ProcID
 }
 
-func (e *engine) readyLen() int { return len(e.ready) - e.readyHoles }
-
-// pushReady appends a kernel to the ready FIFO and the ready log.
-//
-//apt:hotpath
-func (e *engine) pushReady(k dfg.KernelID) {
-	e.readyIdx[k] = int32(len(e.ready))
-	e.ready = append(e.ready, k)
-	e.readyLog = append(e.readyLog, k)
-}
-
-// removeReady drops a kernel from the ready FIFO in O(1) amortised time by
-// tombstoning its slot; order of the remaining entries is unchanged.
-//
-//apt:hotpath
-func (e *engine) removeReady(k dfg.KernelID) {
-	i := e.readyIdx[k]
-	if i < 0 {
-		return
-	}
-	e.ready[i] = -1
-	e.readyIdx[k] = -1
-	e.readyHoles++
-	if e.readyHoles > len(e.ready)-e.readyHoles {
-		e.compactReady()
-	}
-}
-
-// compactReady squeezes tombstones out of the ready list in place.
-func (e *engine) compactReady() {
-	live := e.ready[:0]
-	for _, k := range e.ready {
-		if k >= 0 {
-			e.readyIdx[k] = int32(len(live))
-			live = append(live, k)
+// readyLen counts the ready, unassigned kernels, for the deadlock error.
+func (e *engine) readyLen() int {
+	n := 0
+	for _, k := range e.readyLog {
+		if e.procOf[k] < 0 {
+			n++
 		}
 	}
-	e.ready = live
-	e.readyHoles = 0
+	return n
 }
 
 // grow returns s resized to n elements, reusing its backing array when
@@ -484,7 +461,7 @@ func grow[T any](s []T, n int) []T {
 }
 
 // Runner executes simulations while reusing the engine's internal buffers
-// across runs — the event heap, ready list, per-processor queues and all
+// across runs — the event heap, ready log, per-processor queues and all
 // per-kernel bookkeeping arrays survive between calls, so a warm Runner
 // allocates only what escapes into each Result. A Runner is NOT safe for
 // concurrent use; RunBatch gives every worker its own.
@@ -513,6 +490,9 @@ func (r *Runner) Run(c *Costs, pol Policy, opt Options) (*Result, error) {
 		if at < 0 {
 			return nil, fmt.Errorf("sim: kernel %d has negative arrival time %v", i, at)
 		}
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			return nil, fmt.Errorf("sim: kernel %d has non-finite arrival time %v", i, at)
+		}
 	}
 	actual := opt.ActualCosts
 	if actual == nil {
@@ -540,12 +520,10 @@ func (r *Runner) Run(c *Costs, pol Policy, opt Options) (*Result, error) {
 		if arrival > 0 {
 			e.placements[id].Arrival = arrival
 			e.placements[id].Ready = arrival // provisional; finalised on readiness
+			e.predsLeft[id]++                // the arrival event removes it
 			e.pushEvent(event{at: arrival, kind: evArrival, kernel: dfg.KernelID(id)})
-			continue
-		}
-		e.arrived[id] = true
-		if e.predsLeft[id] == 0 {
-			e.pushReady(dfg.KernelID(id))
+		} else if e.predsLeft[id] == 0 {
+			e.readyLog = append(e.readyLog, dfg.KernelID(id))
 		}
 	}
 	st := &State{e: e}
@@ -568,7 +546,7 @@ func (r *Runner) Run(c *Costs, pol Policy, opt Options) (*Result, error) {
 		case evFinish:
 			e.complete(ev)
 		case evArrival:
-			e.arrive(ev.kernel)
+			e.unblock(ev.kernel)
 		}
 	}
 	return e.result(), nil
@@ -585,23 +563,15 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.opt = opt
 	e.now = 0
 	e.nFinished = 0
-	e.selectCalls = 0
-	e.assignments = 0
 
-	e.ready = e.ready[:0]
-	e.readyHoles = 0
 	e.readyLog = grow(e.readyLog, n)[:0] // a kernel becomes ready at most once
+	e.view, e.viewed = e.view[:0], 0
 	e.events = e.events[:0]
 	e.lambdas = e.lambdas[:0]
 
-	e.readyIdx = grow(e.readyIdx, n)
 	e.predsLeft = grow(e.predsLeft, n)
-	e.arrived = grow(e.arrived, n)
 	e.procOf = grow(e.procOf, n)
 	for i := 0; i < n; i++ {
-		e.readyIdx[i] = -1
-		e.predsLeft[i] = 0
-		e.arrived[i] = false
 		e.procOf[i] = -1
 	}
 
@@ -609,12 +579,10 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	clear(e.wake)
 	e.queues = grow(e.queues, np)
 	e.running = grow(e.running, np)
-	e.busyUntil = grow(e.busyUntil, np)
 	e.recent = grow(e.recent, np)
 	for p := 0; p < np; p++ {
 		e.queues[p].reset()
 		e.running[p] = -1
-		e.busyUntil[p] = 0
 		e.recent[p] = execWindow{}
 	}
 
@@ -661,27 +629,21 @@ func (r *Runner) release() {
 	e.opt = Options{}
 }
 
-// arrive marks a paced kernel as present in the stream.
+// unblock removes one of kernel k's unmet conditions: a predecessor's
+// completion or its own arrival. After the last the kernel is ready: a
+// committed kernel wakes its processor, which may be waiting on it at its
+// queue head; any other joins the ready log.
 //
 //apt:hotpath
-func (e *engine) arrive(k dfg.KernelID) {
-	e.arrived[k] = true
-	if e.predsLeft[k] == 0 {
-		e.becameReady(k)
+func (e *engine) unblock(k dfg.KernelID) {
+	if e.predsLeft[k]--; e.predsLeft[k] > 0 {
+		return
 	}
-}
-
-// becameReady records that kernel k's dependencies have finished and it has
-// arrived: a committed kernel wakes its processor, which may be waiting on
-// it at its queue head; any other joins the ready list.
-//
-//apt:hotpath
-func (e *engine) becameReady(k dfg.KernelID) {
 	e.placements[k].Ready = e.now
 	if p := e.procOf[k]; p >= 0 {
 		e.wakeProc(p)
 	} else {
-		e.pushReady(k)
+		e.readyLog = append(e.readyLog, k)
 	}
 }
 
@@ -692,7 +654,6 @@ func (e *engine) wakeProc(p platform.ProcID) { e.wake[p>>6] |= 1 << (p & 63) }
 
 //apt:hotpath
 func (e *engine) invokePolicy(st *State) {
-	e.selectCalls++
 	for _, a := range e.pol.Select(st) {
 		e.commit(a)
 	}
@@ -710,7 +671,6 @@ func (e *engine) commit(a Assignment) {
 		e.badAssignment(a)
 	}
 	e.procOf[a.Kernel] = a.Proc
-	e.assignments++
 	e.placements[a.Kernel].Kernel = a.Kernel
 	e.placements[a.Kernel].Proc = a.Proc
 	e.placements[a.Kernel].Assign = e.now
@@ -718,9 +678,6 @@ func (e *engine) commit(a Assignment) {
 	e.placements[a.Kernel].BestExecMs = best
 	e.queues[a.Proc].push(a.Kernel)
 	e.wakeProc(a.Proc)
-	// Drop from the ready list if present (static policies may assign
-	// kernels that are not ready yet, in any order).
-	e.removeReady(a.Kernel)
 }
 
 // badAssignment re-derives why commit rejected the assignment and panics
@@ -754,7 +711,7 @@ func (e *engine) startQueued() error {
 				continue
 			}
 			k := e.queues[p].peek()
-			if e.predsLeft[k] > 0 || !e.arrived[k] {
+			if e.predsLeft[k] > 0 {
 				continue // head blocked on dependencies or not yet arrived
 			}
 			e.queues[p].pop()
@@ -780,7 +737,6 @@ func (e *engine) start(k dfg.KernelID, p platform.ProcID) error {
 		return err
 	}
 	e.running[p] = k
-	e.busyUntil[p] = pl.Finish
 	e.starts = append(e.starts, k)
 	e.pushEvent(event{at: pl.Finish, kernel: k, proc: p})
 	return nil
@@ -823,21 +779,16 @@ func (e *engine) complete(ev event) {
 	}
 	e.recent[p].add(obs)
 	for _, s := range e.costs.g.Succs(k) {
-		e.predsLeft[s]--
-		if e.predsLeft[s] == 0 && e.arrived[s] {
-			e.becameReady(s)
-		}
+		e.unblock(s)
 	}
 }
 
 func (e *engine) result() *Result {
 	np := e.costs.sys.NumProcs()
 	res := &Result{
-		Policy:      e.pol.Name(),
-		Placements:  e.placements,
-		ProcStats:   make([]ProcStat, np),
-		SelectCalls: e.selectCalls,
-		Assignments: e.assignments,
+		Policy:     e.pol.Name(),
+		Placements: e.placements,
+		ProcStats:  make([]ProcStat, np),
 	}
 	for p := 0; p < np; p++ {
 		res.ProcStats[p].Proc = platform.ProcID(p)

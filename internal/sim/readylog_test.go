@@ -104,8 +104,9 @@ func checkReadyOrder(t *testing.T, log []dfg.KernelID, res *sim.Result) {
 	}
 }
 
-// TestReadyLogContract checks State.ReadyLog at every Select of dynamic,
-// paced and static runs, and what the whole log holds once a run ends.
+// TestReadyLogContract checks State.ReadyLog, and AppendReady against it,
+// at every Select of dynamic, paced and static runs, and what the whole log
+// holds once a run ends.
 func TestReadyLogContract(t *testing.T) {
 	c := readyLogCosts(t, 300, 5)
 	g := c.Graph()
@@ -113,7 +114,9 @@ func TestReadyLogContract(t *testing.T) {
 
 	t.Run("dynamic runs on a reused runner", func(t *testing.T) {
 		r := sim.NewRunner()
-		for _, pol := range []sim.Policy{core.New(4), core.NewR(2), policy.NewMET(3), core.New(4)} {
+		pols := []sim.Policy{core.New(4), core.NewR(2), policy.NewMET(3), policy.NewSPN(), policy.NewSS(),
+			policy.NewAG(), policy.NewOLB(), policy.NewAR(3), core.New(4)}
+		for _, pol := range pols {
 			probe := &logProbe{Policy: pol, t: t}
 			res, err := r.Run(c, probe, sim.Options{})
 			if err != nil {
@@ -134,15 +137,17 @@ func TestReadyLogContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := &logProbe{Policy: core.New(4), t: t}
-		res, err := sim.Run(c, probe, sim.Options{ArrivalTimes: arrivals})
-		if err != nil {
-			t.Fatal(err)
+		for _, pol := range []sim.Policy{core.New(4), policy.NewMET(3), policy.NewSPN(), policy.NewAG()} {
+			probe := &logProbe{Policy: pol, t: t}
+			res, err := sim.Run(c, probe, sim.Options{ArrivalTimes: arrivals})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(probe.last) != n {
+				t.Fatalf("%s: log holds %d of %d kernels", pol.Name(), len(probe.last), n)
+			}
+			checkReadyOrder(t, probe.last, res)
 		}
-		if len(probe.last) != n {
-			t.Fatalf("log holds %d of %d kernels", len(probe.last), n)
-		}
-		checkReadyOrder(t, probe.last, res)
 
 		// Independent kernels arriving out of ID order become ready, and
 		// enter the log, in arrival order.
@@ -154,7 +159,7 @@ func TestReadyLogContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe = &logProbe{Policy: core.New(4), t: t}
+		probe := &logProbe{Policy: core.New(4), t: t}
 		if _, err := sim.Run(free, probe, sim.Options{ArrivalTimes: []float64{40, 10, 30, 0, 20}}); err != nil {
 			t.Fatal(err)
 		}
@@ -175,4 +180,64 @@ func TestReadyLogContract(t *testing.T) {
 			t.Fatalf("log %v, want the entry kernels %v", probe.last, want)
 		}
 	})
+
+	t.Run("completions at one instant", func(t *testing.T) {
+		// Kernels 0 → 3 and 1 → 2 on two identical GPUs: 0 and 1 finish
+		// together. Select runs after each completion, and kernel 0's comes
+		// first, so 3 is ready before 2 although its ID is higher.
+		tab, err := lut.New([]lut.Entry{{Kernel: "k", DataElems: 1000,
+			TimeMs: map[platform.Kind]float64{platform.GPU: 2}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb := platform.NewBuilder()
+		pb.AddProcessor(platform.GPU, "")
+		pb.AddProcessor(platform.GPU, "")
+		sys := pb.SetUniformRate(4).MustBuild()
+		b := dfg.NewBuilder()
+		for range 4 {
+			b.AddKernel(dfg.Kernel{Name: "k", DataElems: 1000})
+		}
+		b.AddEdge(0, 3)
+		b.AddEdge(1, 2)
+		pair, err := sim.PrepareCosts(b.MustBuild(), sys, tab, sim.CostConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := &pairPolicy{}
+		if _, err := sim.Run(pair, &logProbe{Policy: pol, t: t}, sim.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		want := [][]dfg.KernelID{{0, 1}, {3}, {3, 2}}
+		if !slices.EqualFunc(pol.seen, want, slices.Equal) {
+			t.Fatalf("AppendReady answers %v, want %v", pol.seen, want)
+		}
+	})
+}
+
+// pairPolicy records each non-empty AppendReady answer and places ready
+// kernels on the available processors in ID order only while at least two
+// are ready.
+type pairPolicy struct {
+	seen [][]dfg.KernelID
+	out  []sim.Assignment
+}
+
+func (p *pairPolicy) Name() string             { return "pair" }
+func (p *pairPolicy) Prepare(*sim.Costs) error { p.seen = nil; return nil }
+func (p *pairPolicy) Select(st *sim.State) []sim.Assignment {
+	ready := st.AppendReady(nil)
+	if len(ready) > 0 {
+		p.seen = append(p.seen, ready)
+	}
+	p.out = p.out[:0]
+	if len(ready) < 2 {
+		return nil
+	}
+	for i, proc := range st.AppendAvailableProcs(nil) {
+		if i < len(ready) {
+			p.out = append(p.out, sim.Assignment{Kernel: ready[i], Proc: proc})
+		}
+	}
+	return p.out
 }

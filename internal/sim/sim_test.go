@@ -315,12 +315,6 @@ func TestProcStatAccounting(t *testing.T) {
 	if total != 6 {
 		t.Errorf("kernels across procs = %d, want 6", total)
 	}
-	if res.Assignments != 6 {
-		t.Errorf("Assignments = %d, want 6", res.Assignments)
-	}
-	if res.SelectCalls < 1 {
-		t.Error("SelectCalls not counted")
-	}
 }
 
 func TestStateAccessors(t *testing.T) {
