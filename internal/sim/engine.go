@@ -273,24 +273,19 @@ func (s *State) System() *platform.System { return s.e.costs.sys }
 // Passing buf[:0] of a buffer retained across Select calls makes the query
 // allocation-free.
 //
-// It refilters the engine's view, AppendReady's previous answer: the
-// view's still-unassigned kernels, then the unassigned log entries added
-// since, so a call costs in proportion to the ready set, not to the log.
+// It refilters the engine's view, AppendReady's previous answer extended
+// by the log entries added since, so a call costs in proportion to the
+// ready set, not to the log.
 func (s *State) AppendReady(buf []dfg.KernelID) []dfg.KernelID {
 	e := s.e
-	view := e.view[:0]
-	for _, k := range e.view {
+	view := append(e.view, e.readyLog[e.viewed:]...)
+	e.view, e.viewed = view[:0], len(e.readyLog)
+	for _, k := range view {
 		if e.procOf[k] < 0 {
-			view = append(view, k)
+			e.view = append(e.view, k)
 		}
 	}
-	for _, k := range e.readyLog[e.viewed:] {
-		if e.procOf[k] < 0 {
-			view = append(view, k)
-		}
-	}
-	e.view, e.viewed = view, len(e.readyLog)
-	return append(buf, view...)
+	return append(buf, e.view...)
 }
 
 // ReadyLog returns every kernel that has become ready in this run while
