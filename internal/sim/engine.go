@@ -69,9 +69,9 @@ type Options struct {
 	// even if it has no dependencies. The thesis submits whole streams at
 	// t = 0; arrival pacing is this repository's extension for studying λ
 	// under realistic streaming. Must be empty or have exactly one finite,
-	// non-negative entry per kernel. Successors should not be
-	// scheduled to arrive before predecessors; the engine tolerates it
-	// (readiness waits for both) but λ then includes the arrival skew.
+	// non-negative entry per kernel. Successors should not be scheduled to
+	// arrive before predecessors; the engine tolerates it (readiness waits
+	// for both) but λ then includes the arrival skew.
 	ArrivalTimes []float64
 	// ActualCosts optionally splits estimation from reality: the policy
 	// keeps deciding with the Costs passed to Run (its "lookup table"),
@@ -295,9 +295,8 @@ func (s *State) AppendReady(buf []dfg.KernelID) []dfg.KernelID {
 // by time, then completions before arrivals, then by the completing or
 // arriving kernel's ID; one completion releases its successors in
 // ascending ID. Kernels assigned since stay in place. The log only grows
-// within a run. It aliases engine
-// state, so callers must only read it, and only until Select returns —
-// the same contract as Costs.ExecRow.
+// within a run. It aliases engine state, so callers must only read it,
+// and only until Select returns — the same contract as Costs.ExecRow.
 func (s *State) ReadyLog() []dfg.KernelID { return s.e.readyLog }
 
 // Available reports whether processor p is idle: executing no kernel and no
@@ -631,7 +630,8 @@ func (r *Runner) release() {
 //
 //apt:hotpath
 func (e *engine) unblock(k dfg.KernelID) {
-	if e.predsLeft[k]--; e.predsLeft[k] > 0 {
+	e.predsLeft[k]--
+	if e.predsLeft[k] > 0 {
 		return
 	}
 	e.placements[k].Ready = e.now

@@ -218,26 +218,24 @@ func TestReadyLogContract(t *testing.T) {
 // pairPolicy records each non-empty AppendReady answer and places ready
 // kernels on the available processors in ID order only while at least two
 // are ready.
-type pairPolicy struct {
-	seen [][]dfg.KernelID
-	out  []sim.Assignment
-}
+type pairPolicy struct{ seen [][]dfg.KernelID }
 
 func (p *pairPolicy) Name() string             { return "pair" }
 func (p *pairPolicy) Prepare(*sim.Costs) error { p.seen = nil; return nil }
 func (p *pairPolicy) Select(st *sim.State) []sim.Assignment {
 	ready := st.AppendReady(nil)
-	if len(ready) > 0 {
-		p.seen = append(p.seen, ready)
+	if len(ready) == 0 {
+		return nil
 	}
-	p.out = p.out[:0]
+	p.seen = append(p.seen, ready)
 	if len(ready) < 2 {
 		return nil
 	}
+	var out []sim.Assignment
 	for i, proc := range st.AppendAvailableProcs(nil) {
 		if i < len(ready) {
-			p.out = append(p.out, sim.Assignment{Kernel: ready[i], Proc: proc})
+			out = append(out, sim.Assignment{Kernel: ready[i], Proc: proc})
 		}
 	}
-	return p.out
+	return out
 }
